@@ -2,9 +2,10 @@
 # Program-workload smoke gate (DESIGN.md §5.4): run the canonical
 # logical-program request batch twice against one artifact store. The
 # cold run compiles each program phase code once and persists every
-# artifact; the warm run must evaluate the whole batch off the store —
-# zero compiles, zero annotates, zero sim builds, nothing corrupt —
-# and reproduce the cold run's JSONL byte-for-byte. This pins the
+# artifact and distance certificate; the warm run must evaluate the
+# whole batch off the store — zero compiles, zero annotates, zero sim
+# builds, zero certifies, nothing corrupt — and reproduce the cold
+# run's JSONL byte-for-byte. This pins the
 # program-aware sim-store key (the `|program={...}` canonical-text
 # extension) end-to-end: a key collision or a non-deterministic stitch
 # shows up as a byte diff here before it can skew any sweep.
@@ -27,6 +28,7 @@ rm -rf "$store"
 grep -F '"compiles":0' "$workdir/warm_summary.txt"
 grep -F '"annotates":0' "$workdir/warm_summary.txt"
 grep -F '"sim_builds":0' "$workdir/warm_summary.txt"
+grep -F '"certifies":0' "$workdir/warm_summary.txt"
 grep -F '"store_corrupt":0' "$workdir/warm_summary.txt"
 cmp "$workdir/cold.jsonl" "$workdir/warm.jsonl"
-echo "program smoke: warm run byte-identical with zero compiles"
+echo "program smoke: warm run byte-identical with zero compiles and certifies"

@@ -16,43 +16,6 @@ using sim::DemEdge;
 using sim::DemHyperedge;
 using sim::DetectorErrorModel;
 
-/** Flattens the DEM into its mechanism list: every elementary edge, then
- *  one entry per hyperedge mechanism group (variants of one mechanism
- *  share detector signature and observable action, so the first variant
- *  represents the group). */
-std::vector<DemMechanism>
-CollectMechanisms(const DetectorErrorModel& dem)
-{
-    std::vector<DemMechanism> mechanisms;
-    mechanisms.reserve(dem.edges.size() + dem.hyperedges.size());
-    for (size_t i = 0; i < dem.edges.size(); ++i) {
-        const DemEdge& e = dem.edges[i];
-        DemMechanism m;
-        m.dets.push_back(e.d0);
-        if (e.d1 != DemEdge::kBoundary) {
-            m.dets.push_back(e.d1);
-        }
-        m.obs_mask = e.obs_mask;
-        m.hyperedge = false;
-        m.index = static_cast<int>(i);
-        mechanisms.push_back(std::move(m));
-    }
-    int last_mechanism = -1;
-    for (const DemHyperedge& h : dem.hyperedges) {
-        if (h.mechanism == last_mechanism) {
-            continue;  // later variant of the same mechanism
-        }
-        last_mechanism = h.mechanism;
-        DemMechanism m;
-        m.dets = h.dets;
-        m.obs_mask = h.obs_mask;
-        m.hyperedge = true;
-        m.index = h.mechanism;
-        mechanisms.push_back(std::move(m));
-    }
-    return mechanisms;
-}
-
 /** Symmetric difference of two strictly ascending detector lists. */
 std::vector<int>
 XorSorted(const std::vector<int>& a, const std::vector<int>& b)
@@ -422,6 +385,39 @@ class MeetInTheMiddle
 
 }  // namespace
 
+std::vector<DemMechanism>
+CollectMechanisms(const DetectorErrorModel& dem)
+{
+    std::vector<DemMechanism> mechanisms;
+    mechanisms.reserve(dem.edges.size() + dem.hyperedges.size());
+    for (size_t i = 0; i < dem.edges.size(); ++i) {
+        const DemEdge& e = dem.edges[i];
+        DemMechanism m;
+        m.dets.push_back(e.d0);
+        if (e.d1 != DemEdge::kBoundary) {
+            m.dets.push_back(e.d1);
+        }
+        m.obs_mask = e.obs_mask;
+        m.hyperedge = false;
+        m.index = static_cast<int>(i);
+        mechanisms.push_back(std::move(m));
+    }
+    int last_mechanism = -1;
+    for (const DemHyperedge& h : dem.hyperedges) {
+        if (h.mechanism == last_mechanism) {
+            continue;  // later variant of the same mechanism
+        }
+        last_mechanism = h.mechanism;
+        DemMechanism m;
+        m.dets = h.dets;
+        m.obs_mask = h.obs_mask;
+        m.hyperedge = true;
+        m.index = h.mechanism;
+        mechanisms.push_back(std::move(m));
+    }
+    return mechanisms;
+}
+
 DistanceCertificate
 CertifyDistance(const DetectorErrorModel& dem,
                 const DistanceCertifierOptions& options)
@@ -429,7 +425,7 @@ CertifyDistance(const DetectorErrorModel& dem,
     DistanceCertificate certificate;
     certificate.mechanisms = CollectMechanisms(dem);
     certificate.searched_weight =
-        std::min(std::max(options.max_search_weight, 2), 4);
+        std::clamp(options.max_search_weight, 2, kMaxSearchWeight);
     certificate.graph_like = true;
     for (const DemMechanism& m : certificate.mechanisms) {
         if (m.dets.size() > 2) {
@@ -489,12 +485,10 @@ FormatWitness(const DistanceCertificate& certificate,
 }
 
 std::vector<Diagnostic>
-CheckDistance(const DetectorErrorModel& dem, int expected_distance,
-              const DistanceCertifierOptions& options,
-              DistanceCertificate* certificate)
+JudgeDistance(const DetectorErrorModel& dem, const DistanceCertificate& cert,
+              int expected_distance)
 {
     std::vector<Diagnostic> diagnostics;
-    DistanceCertificate cert = CertifyDistance(dem, options);
     if (dem.num_undecomposable > 0) {
         std::ostringstream os;
         os << "cannot certify distance: " << dem.num_undecomposable
@@ -531,6 +525,17 @@ CheckDistance(const DetectorErrorModel& dem, int expected_distance,
                                    location.str(), os.str()});
         }
     }
+    return diagnostics;
+}
+
+std::vector<Diagnostic>
+CheckDistance(const DetectorErrorModel& dem, int expected_distance,
+              const DistanceCertifierOptions& options,
+              DistanceCertificate* certificate)
+{
+    DistanceCertificate cert = CertifyDistance(dem, options);
+    std::vector<Diagnostic> diagnostics =
+        JudgeDistance(dem, cert, expected_distance);
     if (certificate != nullptr) {
         *certificate = std::move(cert);
     }

@@ -88,13 +88,23 @@ struct DistanceCertificate
     bool graph_like = false;
 };
 
+/** Largest exhaustive meet-in-the-middle witness weight (the half-split
+ *  argument covers weight 4). */
+inline constexpr int kMaxSearchWeight = 4;
+
 struct DistanceCertifierOptions
 {
-    /** Cap on the exhaustive meet-in-the-middle witness weight. Values
-     *  above 4 are clamped (the half-split argument covers weight 4);
-     *  the graphlike search is never capped. */
-    int max_search_weight = 4;
+    /** Cap on the exhaustive meet-in-the-middle witness weight, clamped
+     *  to [2, kMaxSearchWeight]; the graphlike search is never capped. */
+    int max_search_weight = kMaxSearchWeight;
 };
+
+/** Flattens `dem` into the mechanism list certificates index into: every
+ *  elementary edge in order, then one entry per hyperedge mechanism
+ *  group (variants of one mechanism share detector signature and
+ *  observable action, so the first variant represents the group). */
+std::vector<DemMechanism> CollectMechanisms(
+    const sim::DetectorErrorModel& dem);
 
 /** Certifies the per-observable effective distance of `dem`. */
 DistanceCertificate CertifyDistance(
@@ -107,12 +117,20 @@ std::string FormatWitness(const DistanceCertificate& certificate,
                           const std::vector<int>& witness);
 
 /**
- * The `dem.distance` rule: certifies `dem` and reports an error for
- * every observable whose effective distance is below
+ * The judging half of the `dem.distance` rule: reports an error for
+ * every observable of `certificate` (a certificate of `dem`, computed or
+ * loaded from the artifact store) whose effective distance is below
  * `expected_distance` (the witness mechanism set is spelled out in the
  * message), for models whose dropped/undecomposable mechanisms make
  * certification unsound, and for observables whose distance could not
- * be certified up to `expected_distance` within the search bound. When
+ * be certified up to `expected_distance` within the search bound.
+ */
+std::vector<Diagnostic> JudgeDistance(const sim::DetectorErrorModel& dem,
+                                      const DistanceCertificate& certificate,
+                                      int expected_distance);
+
+/**
+ * The `dem.distance` rule: `CertifyDistance` then `JudgeDistance`. When
  * `certificate` is non-null the full certificate is copied out.
  */
 std::vector<Diagnostic> CheckDistance(

@@ -5,7 +5,9 @@
 #include <exception>
 #include <map>
 #include <mutex>
+#include <string>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 
 #include "analysis/analysis.h"
@@ -19,15 +21,15 @@ namespace tiqec::core {
 
 namespace {
 
-/** Everything the compile stage depends on. The unit code and device
- *  enter by object identity: two (candidate, unit) pairs share a
- *  compile iff they share the unit-code object (and any device
- *  override). For a program candidate the units are the program's
- *  phase codes (`UnitCodesFor`); everything else has one unit, the
- *  candidate's own code. */
-using CompileKey = std::tuple<const void*, const void*, int /*topology*/,
-                              int /*capacity*/, int /*wiring*/,
-                              int /*compile_rounds*/>;
+/** Everything the compile stage depends on, by content: an index into
+ *  the run's table of distinct `store::CompileStoreKey` strings (unit
+ *  code, device, topology, capacity, wiring, compile_rounds). Two
+ *  (candidate, unit) pairs share a compile iff their contents are
+ *  equal, even when every request parsed its own code object. For a
+ *  program candidate the units are the program's phase codes
+ *  (`UnitCodesFor`); everything else has one unit, the candidate's own
+ *  code. */
+using CompileKey = size_t;
 /** + the noise scenario (the profile depends on the improvement factor
  *  and, through the compile key's wiring, on WISE cooling). */
 using NoiseKey = std::tuple<CompileKey, double /*gate_improvement*/>;
@@ -36,11 +38,11 @@ using NoiseKey = std::tuple<CompileKey, double /*gate_improvement*/>;
  *  surgery candidate on the same merged code and device share the
  *  compiled schedule and noise profile and differ only here. The
  *  leading NoiseKey is the candidate's *primary* unit; the trailing
- *  pointer is the bound program's identity (null for every other
+ *  string is the bound program's canonical text (empty for every other
  *  workload), so two candidates share a stitched program circuit iff
- *  they share the program object. */
+ *  their programs are equal. */
 using SimKey = std::tuple<NoiseKey, int /*rounds*/, int /*basis*/,
-                          int /*workload*/, const void* /*program*/>;
+                          int /*workload*/, std::string /*program*/>;
 
 SimKey
 SimKeyOf(const NoiseKey& primary_nk, const workloads::WorkloadSpec& spec,
@@ -53,16 +55,8 @@ SimKeyOf(const NoiseKey& primary_nk, const workloads::WorkloadSpec& spec,
                           ? static_cast<int>(spec.basis)
                           : 0;
     return {primary_nk, rounds, basis, static_cast<int>(spec.kind),
-            static_cast<const void*>(spec.program.get())};
-}
-
-CompileKey
-CompileKeyOf(const SweepCandidate& c, const qec::StabilizerCode* unit)
-{
-    return {static_cast<const void*>(unit),
-            static_cast<const void*>(c.device.get()),
-            static_cast<int>(c.arch.topology), c.arch.trap_capacity,
-            static_cast<int>(c.arch.wiring), c.compile_rounds};
+            spec.program != nullptr ? spec.program->canonical_text()
+                                    : std::string()};
 }
 
 struct NoiseEntry
@@ -77,6 +71,8 @@ struct SimEntry
     bool ok = false;
     std::string error;
     SimArtifacts arts;
+    /** The entry's store key (set only when a store is attached). */
+    store::StoreKey store_key;
 };
 
 /** Per-candidate Monte-Carlo state driven by the shared pool. A decode
@@ -153,6 +149,17 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
     std::vector<workloads::WorkloadSpec> specs(n);
     std::vector<std::vector<const qec::StabilizerCode*>> units(n);
     std::vector<size_t> primary(n, 0);
+    // Content keys, one per (candidate, unit): `unit_keys[i][u]` indexes
+    // `compile_keys`, the distinct canonical compile-key strings in
+    // first-seen order, whose first (candidate, unit) is the exemplar the
+    // compile stage runs on. CodeFingerprint serialises the whole code,
+    // so each string is built and hashed once here, never per lookup.
+    std::vector<std::vector<CompileKey>> unit_keys(n);
+    std::vector<store::StoreKey> compile_keys;
+    using UnitExemplar =
+        std::pair<const SweepCandidate*, const qec::StabilizerCode*>;
+    std::vector<UnitExemplar> compile_exemplar;
+    std::unordered_map<std::string, CompileKey> compile_ids;
     for (size_t i = 0; i < n; ++i) {
         const SweepCandidate& c = candidates[i];
         if (!c.code) {
@@ -178,6 +185,17 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
             primary[i] =
                 static_cast<size_t>(specs[i].program->primary_index());
         }
+        for (const qec::StabilizerCode* unit : units[i]) {
+            store::StoreKey key = store::CompileStoreKey(
+                *unit, c.arch, c.compile_rounds, c.device.get());
+            const auto [it, inserted] =
+                compile_ids.try_emplace(key.canonical, compile_keys.size());
+            if (inserted) {
+                compile_keys.push_back(std::move(key));
+                compile_exemplar.emplace_back(&c, unit);
+            }
+            unit_keys[i].push_back(it->second);
+        }
     }
 
     // ---- Stage 1: compile once per unique key, pool-parallel. With a
@@ -185,77 +203,37 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
     // skips the compiler entirely, a corrupt artifact isolates the
     // candidate with the store's diagnostic (exactly like a compile
     // error), and a miss compiles and persists the successful bundle.
-    using UnitExemplar =
-        std::pair<const SweepCandidate*, const qec::StabilizerCode*>;
-    std::map<CompileKey, std::shared_ptr<CompileArtifacts>> compile_cache;
-    for (size_t i = 0; i < n; ++i) {
-        if (invalid[i].empty()) {
-            for (const qec::StabilizerCode* unit : units[i]) {
-                compile_cache.try_emplace(
-                    CompileKeyOf(candidates[i], unit),
-                    std::make_shared<CompileArtifacts>());
-            }
-        }
-    }
-    // Content-addressed store keys, resolved once per unique compile
-    // (CodeFingerprint serialises the whole code; no need to redo that
-    // in the noise/sim stages).
-    std::map<CompileKey, store::StoreKey> store_keys;
-    {
-        std::vector<std::pair<const CompileKey*, CompileArtifacts*>> tasks;
-        tasks.reserve(compile_cache.size());
-        std::map<CompileKey, UnitExemplar> exemplar;
-        for (size_t i = 0; i < n; ++i) {
-            if (invalid[i].empty()) {
-                for (const qec::StabilizerCode* unit : units[i]) {
-                    exemplar.try_emplace(CompileKeyOf(candidates[i], unit),
-                                         UnitExemplar{&candidates[i], unit});
+    std::vector<std::shared_ptr<CompileArtifacts>> compile_cache(
+        compile_keys.size());
+    ParallelForIndex(
+        threads, static_cast<std::int64_t>(compile_keys.size()),
+        [&](std::int64_t t) {
+            const auto k = static_cast<CompileKey>(t);
+            const auto& [candidate, unit] = compile_exemplar[k];
+            const SweepCandidate& c = *candidate;
+            auto arts = std::make_shared<CompileArtifacts>();
+            compile_cache[k] = arts;
+            if (astore != nullptr) {
+                std::string err;
+                const store::LoadStatus status = astore->LoadCompile(
+                    compile_keys[k], *unit, c.arch, c.compile_rounds,
+                    c.device.get(), arts.get(), &err);
+                if (status == store::LoadStatus::kHit) {
+                    return;
+                }
+                if (status == store::LoadStatus::kCorrupt) {
+                    *arts = CompileArtifacts{};
+                    arts->error = err;
+                    return;
                 }
             }
-        }
-        if (astore != nullptr) {
-            for (const auto& [key, ex] : exemplar) {
-                store_keys.try_emplace(
-                    key, store::CompileStoreKey(
-                             *ex.second, ex.first->arch,
-                             ex.first->compile_rounds,
-                             ex.first->device.get()));
+            *arts = CompileCandidate(*unit, c.arch, c.compile_rounds,
+                                     c.device.get());
+            num_compiles.fetch_add(1, std::memory_order_relaxed);
+            if (astore != nullptr && arts->ok) {
+                astore->StoreCompile(compile_keys[k], *arts);
             }
-        }
-        for (auto& [key, arts] : compile_cache) {
-            tasks.emplace_back(&key, arts.get());
-        }
-        ParallelForIndex(
-            threads, static_cast<std::int64_t>(tasks.size()),
-            [&](std::int64_t t) {
-                const auto& [candidate, unit] = exemplar.at(*tasks[t].first);
-                const SweepCandidate& c = *candidate;
-                CompileArtifacts& arts = *tasks[t].second;
-                if (astore != nullptr) {
-                    const store::StoreKey& skey =
-                        store_keys.at(*tasks[t].first);
-                    std::string err;
-                    const store::LoadStatus status = astore->LoadCompile(
-                        skey, *unit, c.arch, c.compile_rounds,
-                        c.device.get(), &arts, &err);
-                    if (status == store::LoadStatus::kHit) {
-                        return;
-                    }
-                    if (status == store::LoadStatus::kCorrupt) {
-                        arts = CompileArtifacts{};
-                        arts.error = err;
-                        return;
-                    }
-                }
-                arts = CompileCandidate(*unit, c.arch, c.compile_rounds,
-                                        c.device.get());
-                num_compiles.fetch_add(1, std::memory_order_relaxed);
-                if (astore != nullptr && arts.ok) {
-                    astore->StoreCompile(store_keys.at(*tasks[t].first),
-                                         arts);
-                }
-            });
-    }
+        });
 
     // ---- Stage 1b: artifact validation once per compile key that any
     // validating candidate references. A failure gates only candidates
@@ -264,34 +242,32 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
     // like a compile error — byte-identical to the serial Evaluate path.
     std::map<CompileKey, std::string> compile_validation;
     {
-        std::map<CompileKey, const SweepCandidate*> exemplar;
         for (size_t i = 0; i < n; ++i) {
-            const SweepCandidate& c = candidates[i];
-            if (invalid[i].empty() && c.options.validate_artifacts) {
-                for (const qec::StabilizerCode* unit : units[i]) {
-                    const CompileKey ck = CompileKeyOf(c, unit);
-                    if (compile_cache.at(ck)->ok) {
+            if (invalid[i].empty() &&
+                candidates[i].options.validate_artifacts) {
+                for (const CompileKey ck : unit_keys[i]) {
+                    if (compile_cache[ck]->ok) {
                         compile_validation.try_emplace(ck);
-                        exemplar.try_emplace(ck, &c);
                     }
                 }
             }
         }
-        std::vector<std::pair<const CompileKey*, std::string*>> tasks;
+        std::vector<std::pair<CompileKey, std::string*>> tasks;
         tasks.reserve(compile_validation.size());
         for (auto& [key, error] : compile_validation) {
-            tasks.emplace_back(&key, &error);
+            tasks.emplace_back(key, &error);
         }
         ParallelForIndex(
             threads, static_cast<std::int64_t>(tasks.size()),
             [&](std::int64_t t) {
-                const SweepCandidate& c = *exemplar.at(*tasks[t].first);
-                const CompileArtifacts& arts =
-                    *compile_cache.at(*tasks[t].first);
+                // The key covers the wiring, so any exemplar's will do.
+                const CompileKey ck = tasks[t].first;
+                const CompileArtifacts& arts = *compile_cache[ck];
                 const std::vector<analysis::Diagnostic> diags =
                     analysis::ValidateCompiledArtifacts(
                         arts.compiled, arts.graph, arts.timing,
-                        c.arch.wiring == WiringKind::kWise);
+                        compile_exemplar[ck].first->arch.wiring ==
+                            WiringKind::kWise);
                 num_validations.fetch_add(1, std::memory_order_relaxed);
                 if (!diags.empty()) {
                     num_validation_failures.fetch_add(
@@ -307,10 +283,8 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
     // byte-for-byte. Single-unit candidates reduce to the old
     // one-key checks.
     const auto unit_compile_error = [&](size_t i) -> const std::string* {
-        const SweepCandidate& c = candidates[i];
-        for (const qec::StabilizerCode* unit : units[i]) {
-            const CompileArtifacts& arts =
-                *compile_cache.at(CompileKeyOf(c, unit));
+        for (const CompileKey ck : unit_keys[i]) {
+            const CompileArtifacts& arts = *compile_cache[ck];
             if (!arts.ok) {
                 return &arts.error;
             }
@@ -318,12 +292,11 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
         return nullptr;
     };
     const auto unit_validation_error = [&](size_t i) -> const std::string* {
-        const SweepCandidate& c = candidates[i];
-        if (!c.options.validate_artifacts) {
+        if (!candidates[i].options.validate_artifacts) {
             return nullptr;
         }
-        for (const qec::StabilizerCode* unit : units[i]) {
-            const auto it = compile_validation.find(CompileKeyOf(c, unit));
+        for (const CompileKey ck : unit_keys[i]) {
+            const auto it = compile_validation.find(ck);
             if (it != compile_validation.end() && !it->second.empty()) {
                 return &it->second;
             }
@@ -344,11 +317,10 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
                 unit_validation_error(i) != nullptr) {
                 continue;
             }
-            for (const qec::StabilizerCode* unit : units[i]) {
-                const NoiseKey nk{CompileKeyOf(c, unit),
-                                  c.arch.gate_improvement};
+            for (size_t u = 0; u < units[i].size(); ++u) {
+                const NoiseKey nk{unit_keys[i][u], c.arch.gate_improvement};
                 noise_cache.try_emplace(nk);
-                exemplar.try_emplace(nk, UnitExemplar{&c, unit});
+                exemplar.try_emplace(nk, UnitExemplar{&c, units[i][u]});
             }
         }
         std::vector<std::pair<const NoiseKey*, NoiseEntry*>> tasks;
@@ -362,11 +334,11 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
                 const auto& [candidate, unit] = exemplar.at(*tasks[t].first);
                 const SweepCandidate& c = *candidate;
                 NoiseEntry& entry = *tasks[t].second;
-                const CompileKey ck = CompileKeyOf(c, unit);
-                const CompileArtifacts& comp = *compile_cache.at(ck);
+                const CompileKey ck = std::get<0>(*tasks[t].first);
+                const CompileArtifacts& comp = *compile_cache[ck];
                 store::StoreKey nkey;
                 if (astore != nullptr) {
-                    nkey = store::NoiseStoreKey(store_keys.at(ck),
+                    nkey = store::NoiseStoreKey(compile_keys[ck],
                                                 c.arch.gate_improvement);
                     std::string err;
                     const store::LoadStatus status = astore->LoadNoise(
@@ -394,10 +366,9 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
             });
     }
     const auto unit_noise_error = [&](size_t i) -> const std::string* {
-        const SweepCandidate& c = candidates[i];
-        for (const qec::StabilizerCode* unit : units[i]) {
+        for (const CompileKey ck : unit_keys[i]) {
             const NoiseEntry& entry = noise_cache.at(
-                NoiseKey{CompileKeyOf(c, unit), c.arch.gate_improvement});
+                NoiseKey{ck, candidates[i].arch.gate_improvement});
             if (!entry.ok) {
                 return &entry.error;
             }
@@ -410,9 +381,8 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
     // candidate additionally needs every phase unit's artifacts, which
     // the exemplar's candidate index recovers.
     const auto primary_nk_of = [&](size_t i) {
-        const SweepCandidate& c = candidates[i];
-        return NoiseKey{CompileKeyOf(c, units[i][primary[i]]),
-                        c.arch.gate_improvement};
+        return NoiseKey{unit_keys[i][primary[i]],
+                        candidates[i].arch.gate_improvement};
     };
     std::map<SimKey, SimEntry> sim_cache;
     {
@@ -445,25 +415,19 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
                 const size_t i = exemplar.at(sk);
                 const SweepCandidate& c = candidates[i];
                 SimEntry& entry = *tasks[t].second;
-                const CompileKey ck = CompileKeyOf(c, units[i][primary[i]]);
-                const NoiseKey nk{ck, c.arch.gate_improvement};
-                store::StoreKey skey;
+                const NoiseKey& nk = std::get<0>(sk);
+                const CompileKey ck = std::get<0>(nk);
                 if (astore != nullptr) {
-                    // Rounds/basis/workload come off the (normalised)
-                    // in-memory key so the store shares exactly what
-                    // the in-memory cache shares; a program workload
-                    // contributes its canonical text (content identity,
-                    // where the in-memory key uses object identity).
-                    skey = store::SimStoreKey(
-                        store::NoiseStoreKey(store_keys.at(ck),
-                                             c.arch.gate_improvement),
+                    // The store key is built off the in-memory key, so
+                    // the store shares exactly what the cache shares.
+                    entry.store_key = store::SimStoreKey(
+                        store::NoiseStoreKey(compile_keys[ck],
+                                             std::get<1>(nk)),
                         std::get<1>(sk), std::get<2>(sk), std::get<3>(sk),
-                        specs[i].program != nullptr
-                            ? specs[i].program->canonical_text()
-                            : std::string());
+                        std::get<4>(sk));
                     std::string err;
                     const store::LoadStatus status =
-                        astore->LoadSim(skey, &entry.arts, &err);
+                        astore->LoadSim(entry.store_key, &entry.arts, &err);
                     if (status == store::LoadStatus::kHit) {
                         entry.ok = true;
                         return;
@@ -477,10 +441,10 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
                     if (specs[i].program != nullptr) {
                         std::vector<ProgramUnit> punits;
                         punits.reserve(units[i].size());
-                        for (const qec::StabilizerCode* unit : units[i]) {
-                            const CompileKey uck = CompileKeyOf(c, unit);
+                        for (size_t u = 0; u < units[i].size(); ++u) {
+                            const CompileKey uck = unit_keys[i][u];
                             punits.push_back(ProgramUnit{
-                                unit, compile_cache.at(uck).get(),
+                                units[i][u], compile_cache[uck].get(),
                                 &noise_cache
                                      .at(NoiseKey{uck,
                                                   c.arch.gate_improvement})
@@ -490,14 +454,14 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
                             *specs[i].program, punits, c.arch, RoundsOf(c));
                     } else {
                         entry.arts = BuildSimArtifacts(
-                            *c.code, *compile_cache.at(ck),
+                            *c.code, *compile_cache[ck],
                             noise_cache.at(nk).profile, c.arch, RoundsOf(c),
                             specs[i]);
                     }
                     num_sim_builds.fetch_add(1, std::memory_order_relaxed);
                     entry.ok = true;
                     if (astore != nullptr) {
-                        astore->StoreSim(skey, entry.arts);
+                        astore->StoreSim(entry.store_key, entry.arts);
                     }
                 } catch (const std::exception& e) {
                     entry.error = e.what();
@@ -508,7 +472,7 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
     // ---- Stage 3b: validate the simulation artifacts once per sim key
     // any validating candidate references (circuit + DEM rules, plus the
     // workload-aware unreferenced-record check). Candidates sharing a
-    // sim key share the code object and workload, so the exemplar's
+    // sim key share code content and workload, so the exemplar's
     // validation options are the key's options.
     std::map<SimKey, std::string> sim_validation;
     {
@@ -566,9 +530,15 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
     };
 
     // ---- Stage 3c: certify the effective fault distance once per sim
-    // key any certifying candidate references. A sub-distance (or
-    // uncertifiable) result isolates the candidate exactly like a
-    // compile error, byte-identical to the serial Evaluate path.
+    // key any certifying candidate references. With a store attached the
+    // certificate is probed first: a hit skips the certifier, a corrupt
+    // one isolates the candidate with the store's diagnostic, and a miss
+    // certifies and persists. Computed or loaded, one `JudgeDistance`
+    // call judges it against the code distance, so cold and warm runs
+    // fail with byte-identical text; a sub-distance (or uncertifiable)
+    // result isolates the candidate exactly like a compile error,
+    // byte-identical to the serial Evaluate path.
+    const analysis::DistanceCertifierOptions certifier;
     std::map<SimKey, std::string> sim_certification;
     {
         std::map<SimKey, size_t> exemplar;
@@ -601,10 +571,21 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
                 const SweepCandidate& c =
                     candidates[exemplar.at(*tasks[t].first)];
                 const SimEntry& entry = sim_cache.at(*tasks[t].first);
+                analysis::DistanceCertificate cert;
+                std::string err;
+                const store::LoadStatus status = store::LoadOrCertify(
+                    astore, entry.store_key, entry.arts.dem, certifier,
+                    &cert, &err);
+                if (status == store::LoadStatus::kCorrupt) {
+                    *tasks[t].second = err;
+                    return;
+                }
+                if (status == store::LoadStatus::kMiss) {
+                    num_certifies.fetch_add(1, std::memory_order_relaxed);
+                }
                 const std::vector<analysis::Diagnostic> diags =
-                    analysis::CheckDistance(entry.arts.dem,
+                    analysis::JudgeDistance(entry.arts.dem, cert,
                                             c.code->distance());
-                num_certifies.fetch_add(1, std::memory_order_relaxed);
                 if (!diags.empty()) {
                     num_certify_failures.fetch_add(
                         1, std::memory_order_relaxed);
@@ -740,8 +721,8 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
         // unit's; failure texts follow the serial `Evaluate` unit-loop
         // precedence (first failing unit per phase, compile before
         // validation before noise).
-        const CompileKey pck = CompileKeyOf(c, units[i][primary[i]]);
-        out.compile = compile_cache.at(pck);
+        const CompileKey pck = unit_keys[i][primary[i]];
+        out.compile = compile_cache[pck];
         if (const std::string* err = unit_compile_error(i)) {
             metrics.error = *err;
             continue;

@@ -49,8 +49,9 @@ namespace tiqec::core {
 /** One point of a design-space sweep. */
 struct SweepCandidate
 {
-    /** The QEC code under evaluation. Candidates sharing one code
-     *  object share every cached artifact the rest of the key allows. */
+    /** The QEC code under evaluation. Candidates with equal code content
+     *  (one object or separately built) share every cached artifact the
+     *  rest of the key allows. */
     std::shared_ptr<const qec::StabilizerCode> code;
     ArchitectureConfig arch;
     EvaluationOptions options;
@@ -90,7 +91,8 @@ struct SweepRunnerOptions
     int num_threads = 0;
     /**
      * Optional persistent artifact store (store/artifact_store.h),
-     * layered beneath the in-memory cache as read-through/write-through:
+     * layered beneath the in-memory cache as read-through/write-through
+     * for compile, annotate, build-sim, and distance certification:
      * a store hit skips the stage entirely (a warm store performs zero
      * compiles), a miss computes and persists, and a corrupt or
      * validator-rejected artifact isolates the candidate with the
@@ -110,7 +112,7 @@ struct SweepRunStats
     std::int64_t compiles = 0;
     std::int64_t annotates = 0;
     std::int64_t sim_builds = 0;
-    /** Store probe outcomes this run (all three artifact levels). */
+    /** Store probe outcomes this run (all four artifact kinds). */
     std::int64_t store_hits = 0;
     std::int64_t store_misses = 0;
     std::int64_t store_corrupt = 0;
@@ -121,9 +123,10 @@ struct SweepRunStats
      *  produced error diagnostics. */
     std::int64_t validations = 0;
     std::int64_t validation_failures = 0;
-    /** Distance-certification stage executions (once per sim cache key
-     *  any certifying candidate references) and sub-distance/uncertified
-     *  outcomes among them. */
+    /** Certifier executions (once per sim cache key any certifying
+     *  candidate references, unless the store held its certificate) and
+     *  sub-distance/uncertified verdicts among all judged certificates,
+     *  computed or loaded. */
     std::int64_t certifies = 0;
     std::int64_t certify_failures = 0;
     /** Store loads the store itself re-validated before serving (warm

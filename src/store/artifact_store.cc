@@ -1,5 +1,6 @@
 #include "store/artifact_store.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <functional>
 #include <sstream>
@@ -493,6 +494,193 @@ ArtifactStore::StoreSim(const StoreKey& key, const core::SimArtifacts& arts,
     payload += "dem " + std::to_string(CountLines(dem_text)) + '\n';
     payload += dem_text;
     return WritePayload(key, payload, error);
+}
+
+// ---- Distance certificates ----------------------------------------------
+
+namespace {
+
+/** Digest of the DEM a certificate certifies: its byte-stable text form,
+ *  hashed. */
+std::string
+DemDigest(const sim::DetectorErrorModel& dem)
+{
+    return std::to_string(Fnv1a64(sim::FormatDem(dem)));
+}
+
+bool
+ParseFlag(const std::string& field, const std::string& context)
+{
+    if (field != "0" && field != "1") {
+        throw std::invalid_argument("bad flag '" + field + "' in " +
+                                    context);
+    }
+    return field == "1";
+}
+
+/** Throws unless `od` records no witness (not found), or a witness that
+ *  is a set of exactly `od.distance` distinct mechanisms whose detector
+ *  symptoms cancel and whose combined action flips `od.observable`. */
+void
+VerifyWitness(const std::vector<analysis::DemMechanism>& mechanisms,
+              const analysis::ObservableDistance& od)
+{
+    const std::string where =
+        "observable " + std::to_string(od.observable) + " witness";
+    if (!od.found) {
+        if (od.distance != 0 || !od.witness.empty()) {
+            throw std::invalid_argument(where + " recorded without a find");
+        }
+        return;
+    }
+    if (od.witness.empty() ||
+        od.witness.size() != static_cast<size_t>(od.distance)) {
+        throw std::invalid_argument(where + " size differs from distance " +
+                                    std::to_string(od.distance));
+    }
+    std::vector<int> dets;
+    std::uint32_t obs_mask = 0;
+    int previous = -1;
+    for (const int m : od.witness) {
+        if (m <= previous || m >= static_cast<int>(mechanisms.size())) {
+            throw std::invalid_argument(where +
+                                        " is not an ascending set of "
+                                        "mechanism indices");
+        }
+        previous = m;
+        const analysis::DemMechanism& mech =
+            mechanisms[static_cast<size_t>(m)];
+        dets.insert(dets.end(), mech.dets.begin(), mech.dets.end());
+        obs_mask ^= mech.obs_mask;
+    }
+    // The symptoms cancel iff every detector occurs an even number of
+    // times, i.e. the sorted list pairs up.
+    std::sort(dets.begin(), dets.end());
+    bool cancels = dets.size() % 2 == 0;
+    for (size_t k = 0; cancels && k < dets.size(); k += 2) {
+        cancels = dets[k] == dets[k + 1];
+    }
+    if (!cancels) {
+        throw std::invalid_argument(where + " has a nonzero syndrome");
+    }
+    if ((obs_mask >> od.observable & 1u) == 0) {
+        throw std::invalid_argument(where + " does not flip the observable");
+    }
+}
+
+}  // namespace
+
+LoadStatus
+ArtifactStore::LoadCertificate(const StoreKey& key,
+                               const sim::DetectorErrorModel& dem,
+                               analysis::DistanceCertificate* certificate,
+                               std::string* error) const
+{
+    std::string payload;
+    const LoadStatus read = ReadPayload(key, &payload, error);
+    if (read != LoadStatus::kHit) {
+        return Count(read);
+    }
+    validated_.fetch_add(1, std::memory_order_relaxed);
+    analysis::DistanceCertificate cert;
+    try {
+        LineReader reader(payload);
+        if (reader.Tagged("dem_digest", 2)[1] != DemDigest(dem)) {
+            throw std::invalid_argument(
+                "certifies a different DEM (digest mismatch)");
+        }
+        cert.searched_weight = text::ParseInt32(
+            reader.Tagged("searched_weight", 2)[1], "searched_weight");
+        if (cert.searched_weight < 0 ||
+            cert.searched_weight > analysis::kMaxSearchWeight) {
+            throw std::invalid_argument("searched_weight out of range");
+        }
+        cert.graph_like =
+            ParseFlag(reader.Tagged("graph_like", 2)[1], "graph_like");
+        if (text::ParseInt32(reader.Tagged("observables", 2)[1],
+                             "observables") != dem.num_observables) {
+            throw std::invalid_argument(
+                "observable count does not match the DEM");
+        }
+        cert.mechanisms = analysis::CollectMechanisms(dem);
+        for (int o = 0; o < dem.num_observables; ++o) {
+            const std::string line = reader.Line("obs line");
+            const std::vector<std::string> fields =
+                text::SplitFields(line, ' ');
+            if (fields.size() < 5 || fields[0] != "obs" ||
+                text::ParseInt32(fields[1], "obs line") != o) {
+                throw std::invalid_argument("malformed obs line: '" + line +
+                                            "'");
+            }
+            analysis::ObservableDistance od;
+            od.observable = o;
+            od.found = ParseFlag(fields[2], "obs line");
+            od.distance = text::ParseInt32(fields[3], "obs line");
+            od.exact = ParseFlag(fields[4], "obs line");
+            for (size_t f = 5; f < fields.size(); ++f) {
+                od.witness.push_back(text::ParseInt32(fields[f], "witness"));
+            }
+            VerifyWitness(cert.mechanisms, od);
+            cert.observables.push_back(std::move(od));
+        }
+        reader.ExpectEnd();
+    } catch (const std::exception& e) {
+        *error = "artifact store: certificate " + PathFor(key) + ": " +
+                 e.what();
+        return Count(LoadStatus::kCorrupt);
+    }
+    *certificate = std::move(cert);
+    return Count(LoadStatus::kHit);
+}
+
+bool
+ArtifactStore::StoreCertificate(
+    const StoreKey& key, const sim::DetectorErrorModel& dem,
+    const analysis::DistanceCertificate& certificate,
+    std::string* error) const
+{
+    std::string payload = "dem_digest ";
+    payload += DemDigest(dem);
+    payload += "\nsearched_weight ";
+    payload += std::to_string(certificate.searched_weight);
+    payload += certificate.graph_like ? "\ngraph_like 1" : "\ngraph_like 0";
+    payload += "\nobservables ";
+    payload += std::to_string(certificate.observables.size());
+    payload += '\n';
+    for (const analysis::ObservableDistance& od : certificate.observables) {
+        payload += "obs ";
+        payload += std::to_string(od.observable);
+        payload += od.found ? " 1 " : " 0 ";
+        payload += std::to_string(od.distance);
+        payload += od.exact ? " 1" : " 0";
+        for (const int m : od.witness) {
+            payload += ' ';
+            payload += std::to_string(m);
+        }
+        payload += '\n';
+    }
+    return WritePayload(key, payload, error);
+}
+
+LoadStatus
+LoadOrCertify(const ArtifactStore* store, const StoreKey& sim_key,
+              const sim::DetectorErrorModel& dem,
+              const analysis::DistanceCertifierOptions& options,
+              analysis::DistanceCertificate* certificate, std::string* error)
+{
+    if (store == nullptr) {
+        *certificate = analysis::CertifyDistance(dem, options);
+        return LoadStatus::kMiss;
+    }
+    const StoreKey key =
+        CertificateStoreKey(sim_key, options.max_search_weight);
+    const LoadStatus status =
+        store->LoadCertificate(key, dem, certificate, error);
+    if (status == LoadStatus::kMiss) {
+        *certificate = analysis::CertifyDistance(dem, options);
+        store->StoreCertificate(key, dem, *certificate);
+    }
+    return status;
 }
 
 }  // namespace tiqec::store

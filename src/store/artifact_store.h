@@ -2,9 +2,10 @@
  * @file
  * Content-addressed on-disk artifact store (DESIGN.md §7): persists the
  * three sweep-cache artifact levels — compile bundle, noise profile,
- * experiment + DEM — across processes, so every bench driver, CI job,
- * and service request sharing one store directory compiles each unique
- * candidate once ever, not once per process.
+ * experiment + DEM — and the DEM's distance certificate across
+ * processes, so every bench driver, CI job, and service request sharing
+ * one store directory compiles and certifies each unique candidate once
+ * ever, not once per process.
  *
  * Contracts:
  *  - Keys are canonical content strings (store/keys.h); the full string
@@ -13,7 +14,8 @@
  *  - Every loaded artifact is validated before use — the compile bundle
  *    through `analysis::ValidateCompiledArtifacts`, the sim bundle
  *    through `analysis::ValidateSimArtifacts`, the noise profile
- *    against the compile artifacts' shapes — so a corrupt or tampered
+ *    against the compile artifacts' shapes, the certificate's witnesses
+ *    against the DEM — so a corrupt or tampered
  *    file isolates the candidate with a diagnostic (kCorrupt) exactly
  *    like a compile error, instead of poisoning results or crashing.
  *  - Writes are atomic (temp file + checked close + rename): concurrent
@@ -28,6 +30,7 @@
 #include <cstdint>
 #include <string>
 
+#include "analysis/distance_certifier.h"
 #include "core/pipeline.h"
 #include "noise/annotator.h"
 #include "store/keys.h"
@@ -97,6 +100,29 @@ class ArtifactStore
     bool StoreSim(const StoreKey& key, const core::SimArtifacts& arts,
                   std::string* error = nullptr) const;
 
+    /**
+     * Loads the distance certificate of `dem` (see `CertificateStoreKey`).
+     * The payload is the search verdict — `searched_weight`,
+     * `graph_like`, and per observable `{found, distance, exact,
+     * witness}` — plus a digest of the DEM it certified; `mechanisms` is
+     * re-derived from `dem`. kCorrupt when the payload does not parse,
+     * the digest differs from `dem`'s, or a witness does not re-verify as
+     * a zero-syndrome, observable-flipping mechanism set of the recorded
+     * size. The exhaustive lower-bound search (no lighter witness exists)
+     * is the one claim a load trusts.
+     */
+    LoadStatus LoadCertificate(const StoreKey& key,
+                               const sim::DetectorErrorModel& dem,
+                               analysis::DistanceCertificate* certificate,
+                               std::string* error) const;
+
+    /** Persists the certificate `CertifyDistance` computed for `dem`,
+     *  whatever its verdict: judging it is the caller's job. */
+    bool StoreCertificate(const StoreKey& key,
+                          const sim::DetectorErrorModel& dem,
+                          const analysis::DistanceCertificate& certificate,
+                          std::string* error = nullptr) const;
+
     /** Monotonic probe/write counters (thread-safe snapshot). */
     struct Counters
     {
@@ -128,6 +154,20 @@ class ArtifactStore
     mutable std::atomic<std::int64_t> writes_{0};
     mutable std::atomic<std::int64_t> validated_{0};
 };
+
+/**
+ * The certify stage over an optional store, shared by the sweep engine
+ * and `tiqec_certify`: with a `store`, loads the certificate keyed by
+ * `sim_key` + `options` and, on a miss, certifies `dem` and persists the
+ * result; without one, certifies. Returns kHit (loaded), kMiss
+ * (computed), or kCorrupt (`*error` holds the store's diagnostic and
+ * nothing was computed).
+ */
+LoadStatus LoadOrCertify(const ArtifactStore* store, const StoreKey& sim_key,
+                         const sim::DetectorErrorModel& dem,
+                         const analysis::DistanceCertifierOptions& options,
+                         analysis::DistanceCertificate* certificate,
+                         std::string* error);
 
 }  // namespace tiqec::store
 

@@ -199,4 +199,15 @@ SimStoreKey(const StoreKey& noise_key, int rounds, int basis, int workload,
     return key;
 }
 
+StoreKey
+CertificateStoreKey(const StoreKey& sim_key, int max_search_weight)
+{
+    StoreKey key;
+    key.kind = "certificate";
+    key.canonical = "certificate|max_search_weight=" +
+                    std::to_string(max_search_weight) + "|" +
+                    sim_key.canonical;
+    return key;
+}
+
 }  // namespace tiqec::store

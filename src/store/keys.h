@@ -2,10 +2,10 @@
  * @file
  * Content-addressed keys for the on-disk artifact store (DESIGN.md §7).
  *
- * The in-memory sweep cache keys artifacts by object identity (two
- * candidates share a compile iff they share the code *pointer*), which
- * cannot persist. The store instead derives a canonical key *string*
- * from the content the stage is a pure function of — the full code
+ * Keys are derived from content, never object identity, so they persist
+ * across processes (the sweep's in-memory compile cache uses the same
+ * strings). A key is the canonical *string* of the content the stage is
+ * a pure function of — the full code
  * definition, the device graph (or the synthesis parameters), the
  * architecture knobs, and a toolchain fingerprint (compiler banner +
  * build type + source tree hash) so artifacts built by a different
@@ -30,7 +30,8 @@
 namespace tiqec::store {
 
 /** A fully-resolved store key: the canonical content string and the
- *  artifact kind ("compile" | "noise" | "sim") it addresses. */
+ *  artifact kind ("compile" | "noise" | "sim" | "certificate") it
+ *  addresses. */
 struct StoreKey
 {
     std::string kind;
@@ -83,6 +84,11 @@ StoreKey NoiseStoreKey(const StoreKey& compile_key, double gate_improvement);
  *  key byte-identical to the historical format. */
 StoreKey SimStoreKey(const StoreKey& noise_key, int rounds, int basis,
                      int workload, const std::string& program_canonical = "");
+
+/** Certificate key: sim key + the certifier's `max_search_weight` (a
+ *  distance certificate is a pure function of the DEM and the certifier
+ *  options). */
+StoreKey CertificateStoreKey(const StoreKey& sim_key, int max_search_weight);
 
 }  // namespace tiqec::store
 

@@ -342,7 +342,12 @@ FormatProgram(const LogicalProgram& program)
             index < static_cast<int>(program.patches.size())) {
             return program.patches[index];
         }
-        return "?" + std::to_string(index);
+        // Appended, not `"?" + std::to_string(...)`: that rvalue
+        // operator+ trips a GCC 12 -Wrestrict false positive (GCC bug
+        // 105651).
+        std::string unknown = "?";
+        unknown += std::to_string(index);
+        return unknown;
     };
     for (const ProgramOp& op : program.ops) {
         switch (op.kind) {

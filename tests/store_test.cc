@@ -15,6 +15,7 @@
 
 #include "analysis/analysis.h"
 #include "common/atomic_file.h"
+#include "common/text_format.h"
 #include "core/pipeline.h"
 #include "core/sweep.h"
 #include "noise/profile_io.h"
@@ -549,6 +550,313 @@ TEST(SweepStoreTest, TamperedScheduleFailsValidatorsOnLoad)
               std::string::npos)
         << outcomes[0].metrics.error;
     EXPECT_EQ(warm.last_run_stats().store_corrupt, 1);
+}
+
+// ---------------------------------------------------------- certificates
+
+TEST(CertificateStoreTest, SerializerRoundTripIsByteStable)
+{
+    const PipelineArtifacts p = BuildPipelineArtifacts();
+    const sim::DetectorErrorModel& dem = p.sim.dem;
+    const analysis::DistanceCertificate cert = analysis::CertifyDistance(dem);
+    // The fixture must exercise a found witness.
+    ASSERT_FALSE(cert.observables.empty());
+    ASSERT_TRUE(cert.observables[0].found);
+    const store::StoreKey key = store::CertificateStoreKey(
+        store::SimStoreKey(
+            store::NoiseStoreKey(
+                store::CompileStoreKey(*p.code, p.arch, 1, nullptr), 1.0),
+            3, 0, 0),
+        analysis::kMaxSearchWeight);
+
+    const store::ArtifactStore first(FreshDir("cert_roundtrip_a"));
+    std::string error;
+    ASSERT_TRUE(first.StoreCertificate(key, dem, cert, &error)) << error;
+    analysis::DistanceCertificate loaded;
+    ASSERT_EQ(first.LoadCertificate(key, dem, &loaded, &error),
+              store::LoadStatus::kHit)
+        << error;
+    EXPECT_EQ(loaded.searched_weight, cert.searched_weight);
+    EXPECT_EQ(loaded.graph_like, cert.graph_like);
+    EXPECT_EQ(loaded.mechanisms.size(), cert.mechanisms.size());
+    ASSERT_EQ(loaded.observables.size(), cert.observables.size());
+    for (size_t o = 0; o < cert.observables.size(); ++o) {
+        EXPECT_EQ(loaded.observables[o].found, cert.observables[o].found);
+        EXPECT_EQ(loaded.observables[o].distance,
+                  cert.observables[o].distance);
+        EXPECT_EQ(loaded.observables[o].exact, cert.observables[o].exact);
+        EXPECT_EQ(loaded.observables[o].witness, cert.observables[o].witness);
+    }
+
+    // Re-serialising the loaded certificate reproduces the file exactly.
+    const store::ArtifactStore second(FreshDir("cert_roundtrip_b"));
+    ASSERT_TRUE(second.StoreCertificate(key, dem, loaded, &error)) << error;
+    std::string a;
+    std::string b;
+    ASSERT_TRUE(common::ReadFile(first.PathFor(key), &a, &error));
+    ASSERT_TRUE(common::ReadFile(second.PathFor(key), &b, &error));
+    EXPECT_EQ(a, b);
+}
+
+TEST(CertificateStoreTest, OptionOrSimKeyChangeIsAMiss)
+{
+    const PipelineArtifacts p = BuildPipelineArtifacts();
+    const analysis::DistanceCertificate cert =
+        analysis::CertifyDistance(p.sim.dem);
+    const store::StoreKey ck =
+        store::CompileStoreKey(*p.code, p.arch, 1, nullptr);
+    const store::StoreKey nk = store::NoiseStoreKey(ck, 1.0);
+    const store::StoreKey sk = store::SimStoreKey(nk, 3, 0, 0);
+    const store::ArtifactStore store(FreshDir("cert_keys"));
+    std::string error;
+    ASSERT_TRUE(store.StoreCertificate(store::CertificateStoreKey(sk, 4),
+                                       p.sim.dem, cert, &error))
+        << error;
+
+    core::ArchitectureConfig cap3 = p.arch;
+    cap3.trap_capacity = 3;
+    const std::vector<store::StoreKey> perturbed = {
+        store::CertificateStoreKey(sk, 3),
+        store::CertificateStoreKey(store::SimStoreKey(nk, 5, 0, 0), 4),
+        store::CertificateStoreKey(store::SimStoreKey(nk, 3, 1, 0), 4),
+        store::CertificateStoreKey(store::SimStoreKey(nk, 3, 0, 1), 4),
+        store::CertificateStoreKey(store::SimStoreKey(nk, 3, 0, 0, "p"), 4),
+        store::CertificateStoreKey(
+            store::SimStoreKey(store::NoiseStoreKey(ck, 5.0), 3, 0, 0), 4),
+        store::CertificateStoreKey(
+            store::SimStoreKey(
+                store::NoiseStoreKey(
+                    store::CompileStoreKey(*p.code, cap3, 1, nullptr), 1.0),
+                3, 0, 0),
+            4),
+    };
+    for (const store::StoreKey& key : perturbed) {
+        SCOPED_TRACE(key.canonical.substr(0, 60));
+        analysis::DistanceCertificate loaded;
+        EXPECT_EQ(store.LoadCertificate(key, p.sim.dem, &loaded, &error),
+                  store::LoadStatus::kMiss);
+    }
+    analysis::DistanceCertificate loaded;
+    EXPECT_EQ(store.LoadCertificate(store::CertificateStoreKey(sk, 4),
+                                    p.sim.dem, &loaded, &error),
+              store::LoadStatus::kHit)
+        << error;
+}
+
+/** Two certified d=3 memory candidates — Z and X basis, so two sim keys
+ *  and two certificates — on fresh code objects every call. */
+std::vector<core::SweepCandidate>
+CertifiedCandidates()
+{
+    std::vector<core::SweepCandidate> candidates;
+    for (const sim::MemoryBasis basis :
+         {sim::MemoryBasis::kZ, sim::MemoryBasis::kX}) {
+        core::SweepCandidate c;
+        c.code = qec::MakeCode("rotated", 3);
+        c.options.workload = workloads::WorkloadSpec(
+            workloads::WorkloadKind::kMemory, basis);
+        c.options.certify_distance = true;
+        c.options.max_shots = 1024;
+        c.options.target_logical_errors = 0;
+        c.options.seed = 11;
+        c.label = basis == sim::MemoryBasis::kZ ? "mem_z" : "mem_x";
+        candidates.push_back(c);
+    }
+    return candidates;
+}
+
+/** Where the sweep persists `c`'s certificate (memory workload, one-round
+ *  compile, default certifier options). */
+std::string
+CertificatePath(const store::ArtifactStore& store,
+                const core::SweepCandidate& c)
+{
+    const workloads::WorkloadSpec spec = c.options.workload_spec();
+    return store.PathFor(store::CertificateStoreKey(
+        store::SimStoreKey(
+            store::NoiseStoreKey(
+                store::CompileStoreKey(*c.code, c.arch, 1, nullptr),
+                c.arch.gate_improvement),
+            c.code->distance(), static_cast<int>(spec.basis),
+            static_cast<int>(spec.kind)),
+        analysis::kMaxSearchWeight));
+}
+
+TEST(CertificateStoreTest, WarmCertifyingSweepLoadsEveryCertificate)
+{
+    core::SweepRunner plain(core::SweepRunnerOptions{});
+    const std::vector<core::SweepOutcome> reference =
+        plain.RunDetailed(CertifiedCandidates());
+    EXPECT_EQ(plain.last_run_stats().certifies, 2);
+
+    core::SweepRunnerOptions opts;
+    opts.store = std::make_shared<store::ArtifactStore>(FreshDir("cert_warm"));
+    core::SweepRunner cold(opts);
+    const std::vector<core::SweepOutcome> cold_run =
+        cold.RunDetailed(CertifiedCandidates());
+    EXPECT_EQ(cold.last_run_stats().certifies, 2);
+    EXPECT_EQ(cold.last_run_stats().store_writes,
+              cold.last_run_stats().store_misses);
+
+    core::SweepRunner warm(opts);
+    const std::vector<core::SweepOutcome> warm_run =
+        warm.RunDetailed(CertifiedCandidates());
+    EXPECT_EQ(warm.last_run_stats().certifies, 0);
+    EXPECT_EQ(warm.last_run_stats().certify_failures, 0);
+    EXPECT_EQ(warm.last_run_stats().store_misses, 0);
+    EXPECT_EQ(warm.last_run_stats().store_corrupt, 0);
+
+    ASSERT_EQ(reference.size(), warm_run.size());
+    for (size_t i = 0; i < reference.size(); ++i) {
+        SCOPED_TRACE(reference[i].label);
+        EXPECT_TRUE(reference[i].metrics.ok) << reference[i].metrics.error;
+        ExpectMetricsBitIdentical(reference[i].metrics, cold_run[i].metrics);
+        ExpectMetricsBitIdentical(reference[i].metrics, warm_run[i].metrics);
+    }
+}
+
+TEST(CertificateStoreTest, SubDistanceFailureTextIsIdenticalColdAndWarm)
+{
+    // Stability at rounds = 2 < d = 3: the joint parity's timelike
+    // distance drops to the round count, and the certifier says so.
+    const auto candidates = [] {
+        core::SweepCandidate c;
+        c.code = qec::MakeCode("merged_zz", 3);
+        c.options.workload = workloads::WorkloadKind::kStability;
+        c.options.rounds = 2;
+        c.options.certify_distance = true;
+        c.options.max_shots = 256;
+        return std::vector<core::SweepCandidate>{c};
+    };
+    core::SweepRunner plain(core::SweepRunnerOptions{});
+    const std::string reference = plain.Run(candidates())[0].error;
+    EXPECT_NE(reference.find(analysis::kRuleDemDistance), std::string::npos)
+        << reference;
+
+    core::SweepRunnerOptions opts;
+    opts.store =
+        std::make_shared<store::ArtifactStore>(FreshDir("cert_subdistance"));
+    for (const bool warm : {false, true}) {
+        SCOPED_TRACE(warm ? "warm" : "cold");
+        core::SweepRunner runner(opts);
+        const std::vector<core::Metrics> metrics = runner.Run(candidates());
+        EXPECT_FALSE(metrics[0].ok);
+        EXPECT_EQ(metrics[0].error, reference);  // byte-identical
+        EXPECT_EQ(runner.last_run_stats().certifies, warm ? 0 : 1);
+        EXPECT_EQ(runner.last_run_stats().certify_failures, 1);
+    }
+}
+
+/** Adds one to field `field` of the first observable's certificate line,
+ *  "obs 0 <found> <distance> <exact> <witness...>" (line 6 of the file);
+ *  a negative `field` counts from the end. */
+void
+BumpObsField(std::vector<std::string>& lines, int field)
+{
+    ASSERT_GT(lines.size(), 6u);
+    std::vector<std::string> fields = text::SplitFields(lines[6], ' ');
+    ASSERT_GE(fields.size(), 6u) << "no witness on '" << lines[6] << "'";
+    std::string& f = fields[field >= 0 ? static_cast<size_t>(field)
+                                       : fields.size() - 1];
+    f = std::to_string(std::stoi(f) + 1);
+    lines[6] = fields[0];
+    for (size_t k = 1; k < fields.size(); ++k) {
+        lines[6] += ' ';
+        lines[6] += fields[k];
+    }
+}
+
+TEST(CertificateStoreTest, CorruptCertificateIsolatesOnlyItsCandidate)
+{
+    const struct
+    {
+        const char* name;
+        std::function<void(std::vector<std::string>&)> mutate;
+        const char* expected;
+    } cases[] = {
+        {"truncated",
+         [](std::vector<std::string>& lines) { lines.resize(4); },
+         "missing"},
+        {"certifies another DEM",
+         [](std::vector<std::string>& lines) {
+             ASSERT_EQ(lines[2].rfind("dem_digest ", 0), 0u);
+             lines[2] += "0";
+         },
+         "digest mismatch"},
+        {"edited distance",
+         [](std::vector<std::string>& lines) { BumpObsField(lines, 3); },
+         "size differs from distance"},
+        {"witness no longer cancels",
+         [](std::vector<std::string>& lines) { BumpObsField(lines, -1); },
+         "nonzero syndrome"},
+    };
+    for (const auto& tc : cases) {
+        SCOPED_TRACE(tc.name);
+        core::SweepRunnerOptions opts;
+        auto astore = std::make_shared<store::ArtifactStore>(
+            FreshDir("cert_corrupt"));
+        opts.store = astore;
+        core::SweepRunner(opts).RunDetailed(CertifiedCandidates());
+        const std::string path =
+            CertificatePath(*astore, CertifiedCandidates()[0]);
+        ASSERT_TRUE(std::filesystem::exists(path));
+        RewriteArtifact(path, tc.mutate);
+
+        core::SweepRunner warm(opts);
+        const std::vector<core::SweepOutcome> outcomes =
+            warm.RunDetailed(CertifiedCandidates());
+        ASSERT_EQ(outcomes.size(), 2u);
+        EXPECT_FALSE(outcomes[0].metrics.ok);
+        EXPECT_NE(outcomes[0].metrics.error.find("artifact store: "
+                                                 "certificate"),
+                  std::string::npos)
+            << outcomes[0].metrics.error;
+        EXPECT_NE(outcomes[0].metrics.error.find(tc.expected),
+                  std::string::npos)
+            << outcomes[0].metrics.error;
+        EXPECT_TRUE(outcomes[1].metrics.ok) << outcomes[1].metrics.error;
+        EXPECT_EQ(warm.last_run_stats().store_corrupt, 1);
+        EXPECT_EQ(warm.last_run_stats().certifies, 0);
+    }
+}
+
+TEST(SweepStoreTest, EqualContentSharesWorkAtEveryPoolWidth)
+{
+    // Separate MakeCode calls, as every request line of a service batch
+    // parses its own code: equal content compiles, annotates, builds,
+    // and certifies once, with the same counters at 1 and 4 threads.
+    const auto candidates = [] {
+        std::vector<core::SweepCandidate> out;
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            core::SweepCandidate c;
+            c.code = qec::MakeCode("rotated", 3);
+            c.options.certify_distance = true;
+            c.options.max_shots = 256;
+            c.options.seed = seed;
+            out.push_back(c);
+        }
+        return out;
+    };
+    for (int repeat = 0; repeat < 5; ++repeat) {
+        for (const int threads : {1, 4}) {
+            SCOPED_TRACE("repeat " + std::to_string(repeat) + ", threads " +
+                         std::to_string(threads));
+            core::SweepRunnerOptions opts;
+            opts.num_threads = threads;
+            opts.store = std::make_shared<store::ArtifactStore>(
+                FreshDir("equal_content"));
+            core::SweepRunner runner(opts);
+            runner.RunDetailed(candidates());
+            const core::SweepRunStats& stats = runner.last_run_stats();
+            EXPECT_EQ(stats.compiles, 1);
+            EXPECT_EQ(stats.annotates, 1);
+            EXPECT_EQ(stats.sim_builds, 1);
+            EXPECT_EQ(stats.certifies, 1);
+            // compile, noise, sim, certificate: one probe and write each.
+            EXPECT_EQ(stats.store_misses, 4);
+            EXPECT_EQ(stats.store_writes, 4);
+        }
+    }
 }
 
 // -------------------------------------------------------------- service

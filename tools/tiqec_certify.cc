@@ -11,10 +11,12 @@
  * `core::Evaluate` would — with `--store DIR` through the artifact
  * store's key chain (loading what a previous sweep already built,
  * computing and persisting on a miss) — then runs the static distance
- * certifier and reports the per-observable effective distance and
- * witness. `--reference` compiles fresh through the paper-faithful
- * reference pipeline instead; it bypasses `--store` because store keys
- * deliberately do not encode the pipeline choice.
+ * certifier (with `--store`, loading a stored certificate instead, or
+ * persisting the one it computes) and reports the per-observable
+ * effective distance and witness. The summary counts certificates
+ * computed vs loaded. `--reference` compiles fresh through the
+ * paper-faithful reference pipeline instead; it bypasses `--store`
+ * because store keys deliberately do not encode the pipeline choice.
  *
  * Exit status: 0 when every request certified at its expected distance;
  * 2 on usage or I/O errors; 1 otherwise (the JSONL still carries every
@@ -62,16 +64,25 @@ struct CertifyConfig
     tiqec::analysis::DistanceCertifierOptions certifier;
 };
 
+/** Certificates this run certified vs loaded from the store. */
+struct CertificateTally
+{
+    int computed = 0;
+    int loaded = 0;
+};
+
 /** Builds the request's sim artifacts the same way the sweep engine
  *  does: through the store's key chain when a store is configured (fast
- *  pipeline only), fresh otherwise. A program workload compiles and
- *  annotates every phase unit (`core::UnitCodesFor`) and stitches them
- *  via `core::BuildProgramSimArtifacts`. Returns false with a message
- *  when any stage fails or a stored artifact is corrupt. */
+ *  pipeline only; `*sim_key` receives the sim artifact's key), fresh
+ *  otherwise. A program workload compiles and annotates every phase
+ *  unit (`core::UnitCodesFor`) and stitches them via
+ *  `core::BuildProgramSimArtifacts`. Returns false with a message when
+ *  any stage fails or a stored artifact is corrupt. */
 bool
 BuildArtifacts(const tiqec::core::SweepCandidate& c,
                const CertifyConfig& config, int rounds,
-               tiqec::core::SimArtifacts* sim, std::string* error)
+               tiqec::core::SimArtifacts* sim,
+               tiqec::store::StoreKey* sim_key, std::string* error)
 {
     using namespace tiqec;
     const qec::StabilizerCode& code = *c.code;
@@ -182,14 +193,14 @@ BuildArtifacts(const tiqec::core::SweepCandidate& c,
         const int basis = spec.kind == workloads::WorkloadKind::kMemory
                               ? static_cast<int>(spec.basis)
                               : 0;
-        const store::StoreKey sim_key = store::SimStoreKey(
+        *sim_key = store::SimStoreKey(
             noise_keys[primary], rounds, basis,
             static_cast<int>(spec.kind),
             spec.program != nullptr ? spec.program->canonical_text()
                                     : std::string());
         std::string err;
         const store::LoadStatus status =
-            config.store->LoadSim(sim_key, sim, &err);
+            config.store->LoadSim(*sim_key, sim, &err);
         if (status == store::LoadStatus::kCorrupt) {
             *error = err;
             return false;
@@ -198,7 +209,7 @@ BuildArtifacts(const tiqec::core::SweepCandidate& c,
             return true;
         }
         *sim = build();
-        config.store->StoreSim(sim_key, *sim);
+        config.store->StoreSim(*sim_key, *sim);
         return true;
     }
     *sim = build();
@@ -206,39 +217,53 @@ BuildArtifacts(const tiqec::core::SweepCandidate& c,
 }
 
 /** Certifies one request into a report line; returns whether it
- *  certified clean at the expected distance. */
+ *  certified clean at the expected distance. With a store the
+ *  certificate is probed first and persisted on a miss
+ *  (`store::LoadOrCertify`, as in the sweep engine's certify stage). */
 bool
 CertifyRequest(const std::string& line,
                const tiqec::core::SweepCandidate& c,
-               const CertifyConfig& config, std::string* report_line)
+               const CertifyConfig& config, CertificateTally* tally,
+               std::string* report_line)
 {
     using namespace tiqec;
     common::JsonRecord r;
     r.Add("label", c.label);
     r.Add("request", line);
     r.Add("pipeline", config.reference ? "reference" : "fast");
+    const auto fail = [&](const std::string& error) {
+        r.Add("ok", false);
+        r.Add("error", error);
+        *report_line = r.Object();
+        return false;
+    };
 
     const int expected = c.code->distance();
     const int rounds =
         c.options.rounds > 0 ? c.options.rounds : expected;
     core::SimArtifacts sim;
+    store::StoreKey sim_key;
     std::string error;
     bool built = false;
     try {
-        built = BuildArtifacts(c, config, rounds, &sim, &error);
+        built = BuildArtifacts(c, config, rounds, &sim, &sim_key, &error);
     } catch (const std::exception& e) {
         error = e.what();
     }
     if (!built) {
-        r.Add("ok", false);
-        r.Add("error", error);
-        *report_line = r.Object();
-        return false;
+        return fail(error);
     }
 
     analysis::DistanceCertificate cert;
-    const std::vector<analysis::Diagnostic> diags = analysis::CheckDistance(
-        sim.dem, expected, config.certifier, &cert);
+    const store::LoadStatus status = store::LoadOrCertify(
+        config.store.get(), sim_key, sim.dem, config.certifier, &cert,
+        &error);
+    if (status == store::LoadStatus::kCorrupt) {
+        return fail(error);
+    }
+    ++(status == store::LoadStatus::kHit ? tally->loaded : tally->computed);
+    const std::vector<analysis::Diagnostic> diags =
+        analysis::JudgeDistance(sim.dem, cert, expected);
     r.Add("ok", true);
     r.Add("expected_distance", expected);
     r.Add("rounds", rounds);
@@ -327,6 +352,7 @@ main(int argc, char** argv)
 
     int num_requests = 0;
     int num_certified = 0;
+    CertificateTally tally;
     std::string jsonl;
     std::istringstream stream(request_text);
     std::string line;
@@ -348,7 +374,8 @@ main(int argc, char** argv)
             r.Add("ok", false);
             r.Add("error", "request parse: " + parse_error);
             report = r.Object();
-        } else if (CertifyRequest(line, candidate, config, &report)) {
+        } else if (CertifyRequest(line, candidate, config, &tally,
+                                  &report)) {
             ++num_certified;
         }
         jsonl += report;
@@ -368,6 +395,8 @@ main(int argc, char** argv)
     summary.Add("requests", num_requests);
     summary.Add("certified", num_certified);
     summary.Add("pipeline", config.reference ? "reference" : "fast");
+    summary.Add("certificates_computed", tally.computed);
+    summary.Add("certificates_loaded", tally.loaded);
     if (config.store != nullptr) {
         const tiqec::store::ArtifactStore::Counters counters =
             config.store->counters();
