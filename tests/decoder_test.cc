@@ -6,6 +6,8 @@
  */
 #include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,7 @@
 #include "sim/dem.h"
 #include "sim/frame_simulator.h"
 #include "sim/memory_experiment.h"
+#include "store/keys.h"
 #include "workloads/experiment.h"
 
 namespace tiqec::decoder {
@@ -128,13 +131,14 @@ struct CompiledDem
 };
 
 CompiledDem
-BuildCompiledDem(int distance, int rounds, double improvement)
+BuildCompiledDem(int distance, int rounds, double improvement,
+                 int capacity = 2)
 {
     CompiledDem out;
     const qec::RotatedSurfaceCode code(distance);
     const qccd::TimingModel timing;
     const auto graph =
-        compiler::MakeDeviceFor(code, qccd::TopologyKind::kGrid, 2);
+        compiler::MakeDeviceFor(code, qccd::TopologyKind::kGrid, capacity);
     auto result = compiler::CompileParityCheckRounds(code, 1, graph, timing);
     EXPECT_TRUE(result.ok) << result.error;
     noise::NoiseParams params;
@@ -143,6 +147,30 @@ BuildCompiledDem(int distance, int rounds, double improvement)
         noise::AnnotateRound(code, graph, result, params, timing);
     out.circuit = sim::BuildMemoryZ(code, result.qec_circuit, profile,
                                     params, rounds);
+    out.dem = sim::BuildDem(out.circuit);
+    return out;
+}
+
+/** Builds the DEM of a compiled XX lattice-surgery experiment on the
+ *  capacity-2 grid at 1X gates, rounds = distance. */
+CompiledDem
+BuildSurgeryDem(int distance)
+{
+    CompiledDem out;
+    const qec::MergedPatchCode code(distance, qec::SurgeryParity::kXX);
+    const qccd::TimingModel timing;
+    const auto graph =
+        compiler::MakeDeviceFor(code, qccd::TopologyKind::kGrid, 2);
+    auto result = compiler::CompileParityCheckRounds(code, 1, graph, timing);
+    EXPECT_TRUE(result.ok) << result.error;
+    noise::NoiseParams params;
+    params.gate_improvement = 1.0;
+    const auto profile =
+        noise::AnnotateRound(code, graph, result, params, timing);
+    workloads::WorkloadSpec spec(workloads::WorkloadKind::kSurgery,
+                                 sim::MemoryBasis::kZ);
+    out.circuit = workloads::BuildExperiment(code, result.qec_circuit,
+                                             profile, params, distance, spec);
     out.dem = sim::BuildDem(out.circuit);
     return out;
 }
@@ -277,21 +305,7 @@ TEST(CorrelatedDecodeTest, ClaimedEdgesBlockOverlappingMechanisms)
  *  graph mislabels). */
 TEST(CorrelatedDecodeTest, RecoversMechanismActionsOnCompiledSurgeryDem)
 {
-    const qec::MergedPatchCode code(3, qec::SurgeryParity::kXX);
-    const qccd::TimingModel timing;
-    const auto graph =
-        compiler::MakeDeviceFor(code, qccd::TopologyKind::kGrid, 2);
-    auto result = compiler::CompileParityCheckRounds(code, 1, graph, timing);
-    ASSERT_TRUE(result.ok) << result.error;
-    noise::NoiseParams params;
-    params.gate_improvement = 1.0;
-    const auto profile =
-        noise::AnnotateRound(code, graph, result, params, timing);
-    workloads::WorkloadSpec spec(workloads::WorkloadKind::kSurgery,
-                                 sim::MemoryBasis::kZ);
-    const sim::NoisyCircuit circuit = workloads::BuildExperiment(
-        code, result.qec_circuit, profile, params, 3, spec);
-    const DetectorErrorModel dem = sim::BuildDem(circuit);
+    const DetectorErrorModel dem = BuildSurgeryDem(3).dem;
     ASSERT_GT(dem.num_hyperedges, 0);
 
     UnionFindDecoder correlated(dem);
@@ -310,6 +324,113 @@ TEST(CorrelatedDecodeTest, RecoversMechanismActionsOnCompiledSurgeryDem)
         plain_correct += plain.Decode(syndrome) == h.obs_mask;
     }
     EXPECT_GT(correlated_correct, plain_correct);
+}
+
+// ---------------------------------------------------------------------------
+// Exact-output pins: the weighted forest's (dist, node, edge) settle order
+// ---------------------------------------------------------------------------
+
+TEST(CorrelatedDecodeTest, EqualProbabilityRoutesBreakTiesOnEdgeIndex)
+{
+    // D0 reaches the boundary through D1 or D2 at equal probability, and
+    // only the D2 route flips obs 0. D1 settles first (node tie-break)
+    // and offers D0 its route first, but D0 must take the lower-index
+    // edge e0 of the two equal-distance offers: the D2 route.
+    DetectorErrorModel dem;
+    dem.num_detectors = 3;
+    dem.num_observables = 1;
+    dem.edges.push_back({0, 2, 0.01, 0});                 // e0
+    dem.edges.push_back({0, 1, 0.01, 0});                 // e1
+    dem.edges.push_back({1, DemEdge::kBoundary, 0.01, 0});  // e2
+    dem.edges.push_back({2, DemEdge::kBoundary, 0.01, 1});  // e3
+    UnionFindDecoder decoder(dem);
+    EXPECT_EQ(decoder.Decode({0}), 1u);
+    // Swapping the two inner edges' indices swaps the route.
+    std::swap(dem.edges[0], dem.edges[1]);
+    UnionFindDecoder swapped(dem);
+    EXPECT_EQ(swapped.Decode({0}), 0u);
+}
+
+TEST(CorrelatedDecodeTest, EqualDistanceNodesSettleInNodeOrder)
+{
+    // D1 and D2 sit at equal distance from the boundary and are joined by
+    // a certain (p = 1, weight 0) edge, so whichever settles first offers
+    // the other an equal-distance route through itself, and the offer's
+    // lower edge index wins. D1 settles first, so D2 drains through D1
+    // (obs 0); settling D2 first would drain D0 through e4 (obs 1).
+    DetectorErrorModel dem;
+    dem.num_detectors = 3;
+    dem.num_observables = 1;
+    dem.edges.push_back({1, 2, 1.0, 0});                  // e0
+    dem.edges.push_back({0, 2, 0.01, 0});                 // e1
+    dem.edges.push_back({0, 1, 0.01, 0});                 // e2
+    dem.edges.push_back({1, DemEdge::kBoundary, 0.01, 0});  // e3
+    dem.edges.push_back({2, DemEdge::kBoundary, 0.01, 1});  // e4
+    UnionFindDecoder decoder(dem);
+    EXPECT_EQ(decoder.Decode({0}), 0u);
+}
+
+/** FNV-1a 64 of packed prediction planes, each word as 8 little-endian
+ *  bytes. */
+std::uint64_t
+PredictionDigest(const std::vector<std::uint64_t>& planes)
+{
+    std::string bytes;
+    bytes.reserve(planes.size() * 8);
+    for (const std::uint64_t word : planes) {
+        for (int b = 0; b < 8; ++b) {
+            bytes.push_back(static_cast<char>((word >> (8 * b)) & 0xFF));
+        }
+    }
+    return store::Fnv1a64(bytes);
+}
+
+/** Pins the exact DecodeBatch predictions, correlated and plain, of a
+ *  fixed-seed batch on the DEMs the Monte-Carlo sweeps decode. Batch ==
+ *  scalar and thread-count identity hold for any deterministic forest;
+ *  this digest fails on any change to the forest, the peel or stage 2.
+ *  On an intended change, re-pin from the printed digests. */
+TEST(CorrelatedDecodeTest, PredictionDigestsArePinned)
+{
+    struct DigestCase
+    {
+        const char* name;
+        CompiledDem compiled;
+        int active_hyperedges;
+        std::uint64_t correlated;
+        std::uint64_t plain;
+    };
+    const DigestCase cases[] = {
+        {"memory d=3", BuildCompiledDem(3, 3, 1.0), 177,
+         0xa0c646a8ae91610fULL, 0xedada19646703196ULL},
+        {"memory d=5", BuildCompiledDem(5, 5, 1.0), 0,
+         0x090cc31abba7d231ULL, 0x3bd40b43151910a7ULL},
+        {"memory d=7", BuildCompiledDem(7, 7, 1.0), 0,
+         0xf08745a3a33b32d0ULL, 0x9f6e3b6e28549e26ULL},
+        {"memory d=5 cap 3", BuildCompiledDem(5, 5, 1.0, 3), 34,
+         0xe49dd8800510d70cULL, 0x49ec30cffbf72303ULL},
+        {"surgery_xx d=5", BuildSurgeryDem(5), 0, 0x51de440175072e95ULL,
+         0xdca69ab1cf0bd08bULL},
+    };
+    const int shots = 16384;
+    for (const DigestCase& c : cases) {
+        sim::FrameSimulator simulator(c.compiled.circuit, 0xD16E57);
+        const sim::SampleBatch batch = simulator.Sample(shots);
+        std::vector<std::uint64_t> predictions;
+        UnionFindDecoder correlated(c.compiled.dem);
+        EXPECT_EQ(correlated.num_active_hyperedges(), c.active_hyperedges)
+            << c.name;
+        ASSERT_TRUE(correlated.DecodeBatch(batch, predictions).completed);
+        EXPECT_EQ(PredictionDigest(predictions), c.correlated)
+            << c.name << " correlated: 0x" << std::hex
+            << PredictionDigest(predictions);
+        UnionFindDecoder plain(c.compiled.dem,
+                               UnionFindDecoder::Options{false});
+        ASSERT_TRUE(plain.DecodeBatch(batch, predictions).completed);
+        EXPECT_EQ(PredictionDigest(predictions), c.plain)
+            << c.name << " plain: 0x" << std::hex
+            << PredictionDigest(predictions);
+    }
 }
 
 TEST(LogicalErrorTest, SuppressionWithDistance)
