@@ -4,7 +4,8 @@
  * of the scalar per-shot decode (SyndromeOf + Decode, the reference
  * path) vs the word-parallel batch pipeline (non-trivial-shot mask +
  * transposed sparse syndrome extraction + DecodeBatch) on compiled
- * memory-Z experiments at d=3/5 across gate-improvement noise scales.
+ * memory-Z experiments at d=3/5/7 across gate-improvement noise scales
+ * (d=7 is the largest memory DEM the Monte-Carlo sweeps decode).
  *
  * Unlike the figure benches this does not reproduce a paper artifact;
  * it pins the sampler's decode throughput so optimisations are measured
@@ -367,7 +368,7 @@ PrintThroughputTable()
                 "gates", "nontrivial", "legacy(sh/s)", "scalar(sh/s)",
                 "batch(sh/s)", "corr(sh/s)", "vs legacy", "corr cost");
     tiqec::bench::Rule(100);
-    for (const int d : {3, 5}) {
+    for (const int d : {3, 5, 7}) {
         for (const double improvement : {1.0, 3.0, 10.0}) {
             const Workload w = MakeWorkload(d, improvement, shots);
             decoder::UnionFindDecoder::Options plain_opts;

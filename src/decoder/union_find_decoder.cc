@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cmath>
 #include <map>
 #include <stdexcept>
+#include <string>
 
 namespace tiqec::decoder {
 
@@ -47,6 +47,7 @@ UnionFindDecoder::UnionFindDecoder(const sim::DetectorErrorModel& dem,
             edge_weight_.push_back(
                 -std::log(std::clamp(e.p, 1e-15, 1.0)));
         }
+        best_dist_.resize(n);
     }
 
     if (!options.correlated || dem.hyperedges.empty()) {
@@ -218,58 +219,103 @@ UnionFindDecoder::BuildBfsForest()
 }
 
 void
-UnionFindDecoder::BuildWeightedForest()
+UnionFindDecoder::BuildWeightedForest(std::span<const int> syndrome)
 {
-    // Multi-source Dijkstra under w = -log p: every node's parent edge
-    // lies on its most probable path to the boundary (or to the cluster
-    // root), so the peel drains defects along likely error strings
-    // instead of arbitrary BFS trees. Lazy deletion: stale heap entries
-    // are skipped via visited_. Ties break on (node, edge) so decodes
-    // are deterministic for any probability assignment.
-    auto greater = [](const HeapEntry& a, const HeapEntry& b) {
+    // Dijkstra under w = -log p, one search per cluster: every settled
+    // node's parent edge lies on its most probable path to the boundary
+    // (or to the cluster root), so the peel drains defects along likely
+    // error strings instead of arbitrary BFS trees. Nodes settle in
+    // strict (dist, node, edge) order, so decodes are deterministic for
+    // any probability assignment (DESIGN.md §3.6).
+    //
+    // visited_ is tri-state here: 0 untouched, kOffered while the node's
+    // best offer so far sits in best_dist_ / parent_edge_, kSettled once
+    // that offer is popped.
+    constexpr char kSettled = 1;
+    constexpr char kOffered = 2;
+    const auto less = [](const FrontierEntry& a, const FrontierEntry& b) {
         if (a.dist != b.dist) {
-            return a.dist > b.dist;
+            return a.dist < b.dist;
         }
         if (a.node != b.node) {
-            return a.node > b.node;
+            return a.node < b.node;
         }
-        return a.pe > b.pe;
+        return a.pe < b.pe;
     };
-    auto run = [&]() {
-        while (!heap_.empty()) {
-            std::pop_heap(heap_.begin(), heap_.end(), greater);
-            const HeapEntry top = heap_.back();
-            heap_.pop_back();
-            if (visited_[top.node]) {
-                continue;
+    // frontier_[head, end) is sorted ascending. Only offers strictly
+    // better than the node's tentative best are inserted, so the node's
+    // best offer is always present and pops before its superseded ones.
+    size_t head = 0;
+    const auto offer = [&](std::int32_t node, double dist, std::int32_t pe) {
+        if (visited_[node] == kOffered &&
+            !(dist < best_dist_[node] ||
+              (dist == best_dist_[node] && pe < parent_edge_[node]))) {
+            return;
+        }
+        visited_[node] = kOffered;
+        best_dist_[node] = dist;
+        parent_edge_[node] = pe;
+        const FrontierEntry entry{dist, node, pe};
+        // Insert from the back: the entry's dist is at least the settling
+        // node's, so it lands near the end.
+        frontier_.push_back(entry);
+        size_t i = frontier_.size() - 1;
+        for (; i > head && less(entry, frontier_[i - 1]); --i) {
+            frontier_[i] = frontier_[i - 1];
+        }
+        frontier_[i] = entry;
+    };
+
+    // Clusters share no grown edge and the boundary is never expanded, so
+    // searching each cluster alone settles its nodes exactly as one
+    // global search would. Bucket each grown boundary edge under its
+    // cluster's record as a seed.
+    for (const std::int32_t ei : grown_edges_) {
+        const Edge& e = edges_[ei];
+        if (e.v == BoundaryNode()) {
+            clusters_[cluster_of_root_[Find(e.u)]].seeds.push_back(ei);
+        }
+    }
+    for (const int d : syndrome) {
+        const int root = Find(d);
+        const std::int32_t ci = cluster_of_root_[root];
+        if (ci < 0) {
+            continue;  // this cluster was searched from an earlier defect
+        }
+        cluster_of_root_[root] = -1;
+        Cluster& c = clusters_[ci];
+        frontier_.clear();
+        head = 0;
+        if (c.seeds.empty()) {
+            offer(d, 0.0, -1);  // interior cluster: root at first defect
+        } else {
+            for (const std::int32_t ei : c.seeds) {
+                offer(edges_[ei].u, edge_weight_[ei], ei);
             }
-            visited_[top.node] = 1;
-            parent_edge_[top.node] = top.pe;
+            c.seeds.clear();
+        }
+        // The peel reads only parent edges on defect-to-root paths, and
+        // ancestors settle before descendants, so the search stops at the
+        // cluster's last defect; the nodes it leaves unsettled carry none.
+        int defects_left = c.parity;
+        while (head < frontier_.size()) {
+            const FrontierEntry top = frontier_[head++];
+            if (visited_[top.node] == kSettled) {
+                continue;  // superseded by a better offer
+            }
+            visited_[top.node] = kSettled;  // parent_edge_ holds top.pe
             order_.push_back(top.node);
+            if (defect_[top.node] && --defects_left == 0) {
+                break;
+            }
             for (const std::int32_t ei : grown_adj_[top.node]) {
                 const Edge& e = edges_[ei];
                 const int other = e.u == top.node ? e.v : e.u;
-                if (other == BoundaryNode() || visited_[other]) {
+                if (other == BoundaryNode() || visited_[other] == kSettled) {
                     continue;
                 }
-                heap_.push_back({top.dist + edge_weight_[ei],
-                                 static_cast<std::int32_t>(other), ei});
-                std::push_heap(heap_.begin(), heap_.end(), greater);
+                offer(other, top.dist + edge_weight_[ei], ei);
             }
-        }
-    };
-    for (const std::int32_t ei : grown_edges_) {
-        const Edge& e = edges_[ei];
-        if (e.v == BoundaryNode() && !visited_[e.u]) {
-            heap_.push_back({edge_weight_[ei], e.u, ei});
-            std::push_heap(heap_.begin(), heap_.end(), greater);
-        }
-    }
-    run();
-    for (const std::int32_t node : touched_nodes_) {
-        if (!visited_[node]) {
-            heap_.push_back({0.0, node, -1});  // interior forest root
-            run();
         }
     }
 }
@@ -293,7 +339,18 @@ UnionFindDecoder::Decode(std::span<const int> syndrome)
 
     for (size_t i = 0; i < syndrome.size(); ++i) {
         const int d = syndrome[i];
-        assert(d >= 0 && d < num_detectors_);
+        if (d < 0 || d >= num_detectors_) {
+            ResetScratch();
+            throw std::out_of_range(
+                "UnionFindDecoder: detector index " + std::to_string(d) +
+                " outside [0, " + std::to_string(num_detectors_) + ")");
+        }
+        if (in_cluster_[d]) {
+            ResetScratch();
+            throw std::invalid_argument(
+                "UnionFindDecoder: detector index " + std::to_string(d) +
+                " repeated in the syndrome");
+        }
         touch(d);
         defect_[d] = 1;
         Cluster& c = clusters_[i];
@@ -393,16 +450,16 @@ UnionFindDecoder::Decode(std::span<const int> syndrome)
             grown_adj_[e.v].push_back(ei);
         }
     }
-    // Trees must root at the boundary where possible, so each search runs
-    // to exhaustion before any new root is seeded; otherwise every cluster
+    // Trees must root at the boundary where possible, so no node a search
+    // has reached is ever re-seeded as a root; otherwise every cluster
     // node would become its own parentless root and defects could never
     // drain along tree edges.
     if (weighted_) {
-        BuildWeightedForest();
+        BuildWeightedForest(syndrome);
     } else {
         BuildBfsForest();
     }
-    // Peel from the leaves (reverse BFS order).
+    // Peel from the leaves (reverse of the parent-before-child order_).
     for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
         const std::int32_t node = *it;
         if (!defect_[node]) {

@@ -79,11 +79,14 @@ class UnionFindDecoder
     }
 
     /**
-     * Decodes one syndrome (list of fired detector indices).
+     * Decodes one syndrome (list of distinct fired detector indices).
      * @return bitmask of observables predicted to have flipped.
+     * @throws std::out_of_range if an index lies outside
+     *   [0, num_detectors()).
+     * @throws std::invalid_argument if an index is repeated.
      * @throws std::runtime_error if an odd cluster cannot reach a
-     *   boundary (its DEM component has no boundary edge); the decoder
-     *   stays usable afterwards.
+     *   boundary (its DEM component has no boundary edge).
+     * The decoder stays usable after any of these.
      */
     std::uint32_t Decode(std::span<const int> syndrome);
     std::uint32_t Decode(std::initializer_list<int> syndrome)
@@ -133,13 +136,18 @@ class UnionFindDecoder
      *  through cluster_of_root_. */
     struct Cluster
     {
-        int parity = 0;
+        int parity = 0;  ///< number of defects in the cluster
         bool boundary = false;
         std::vector<std::int32_t> frontier;
+        /** Grown boundary edges; filled and consumed by
+         *  BuildWeightedForest, empty between decodes. */
+        std::vector<std::int32_t> seeds;
     };
 
-    /** Lazy-deletion Dijkstra heap entry for the weighted forest. */
-    struct HeapEntry
+    /** An offer in the weighted forest's sorted Dijkstra frontier:
+     *  settle `node` at `dist` through parent edge `pe`. Entries order
+     *  by (dist, node, pe). */
+    struct FrontierEntry
     {
         double dist;
         std::int32_t node;
@@ -153,9 +161,11 @@ class UnionFindDecoder
     /** Spanning-forest builders over the grown edges: unweighted BFS
      *  (the PR-5 baseline) or most-probable-path Dijkstra under
      *  w = -log p. Both root boundary-touching clusters at the boundary
-     *  and append nodes to order_ parent-before-child for the peel. */
+     *  and append nodes to order_ parent-before-child for the peel; the
+     *  Dijkstra stops each cluster at its last defect, so it appends
+     *  only the prefix of the cluster the peel reads. */
     void BuildBfsForest();
-    void BuildWeightedForest();
+    void BuildWeightedForest(std::span<const int> syndrome);
 
     /** Restores all touched scratch to its idle state; called on every
      *  exit path of the decode core (including the throwing one). */
@@ -183,11 +193,12 @@ class UnionFindDecoder
     std::vector<std::int32_t> parent_edge_;
     std::vector<char> visited_;
 
-    // Weighted-forest tables and scratch (edge_weight_ empty and heap_
-    // unused when Options::correlated is false).
+    // Weighted-forest tables and scratch (all empty when
+    // Options::correlated is false).
     bool weighted_ = false;
     std::vector<double> edge_weight_;  ///< -log p, clamped
-    std::vector<HeapEntry> heap_;
+    std::vector<double> best_dist_;    ///< per-node tentative distance
+    std::vector<FrontierEntry> frontier_;
 
     // Correlated stage-2 tables, built once at construction (all empty
     // when Options::correlated is false or no entry wins arbitration).

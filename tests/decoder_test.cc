@@ -94,6 +94,35 @@ TEST(UnionFindDecoderTest, OddClusterWithoutBoundaryThrows)
     EXPECT_EQ(decoder.Decode({}), 0u);
 }
 
+TEST(UnionFindDecoderTest, OutOfRangeDetectorIndexThrows)
+{
+    for (const bool correlated : {true, false}) {
+        UnionFindDecoder decoder(ChainDem(),
+                                 UnionFindDecoder::Options{correlated});
+        // Index 3 is the internal boundary node; 5 and -1 lie outside
+        // the scratch arrays entirely.
+        EXPECT_THROW(decoder.Decode({5}), std::out_of_range);
+        EXPECT_THROW(decoder.Decode({3}), std::out_of_range);
+        EXPECT_THROW(decoder.Decode({0, -1}), std::out_of_range);
+        // The throwing path must leave the scratch clean.
+        EXPECT_EQ(decoder.Decode({0}), 1u);
+        EXPECT_EQ(decoder.Decode({0, 1}), 0u);
+    }
+}
+
+TEST(UnionFindDecoderTest, RepeatedDetectorIndexThrows)
+{
+    for (const bool correlated : {true, false}) {
+        UnionFindDecoder decoder(ChainDem(),
+                                 UnionFindDecoder::Options{correlated});
+        EXPECT_THROW(decoder.Decode({0, 0}), std::invalid_argument);
+        EXPECT_THROW(decoder.Decode({1, 2, 1}), std::invalid_argument);
+        // The throwing path must leave the scratch clean.
+        EXPECT_EQ(decoder.Decode({0}), 1u);
+        EXPECT_EQ(decoder.Decode({1, 2}), 0u);
+    }
+}
+
 TEST(UnionFindDecoderTest, DecodeBatchMatchesScalarOnHandPackedChain)
 {
     UnionFindDecoder decoder(ChainDem());
