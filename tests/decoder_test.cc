@@ -450,15 +450,15 @@ TEST(CorrelatedDecodeTest, PredictionDigestsArePinned)
         EXPECT_EQ(correlated.num_active_hyperedges(), c.active_hyperedges)
             << c.name;
         ASSERT_TRUE(correlated.DecodeBatch(batch, predictions).completed);
-        EXPECT_EQ(PredictionDigest(predictions), c.correlated)
-            << c.name << " correlated: 0x" << std::hex
-            << PredictionDigest(predictions);
+        const std::uint64_t correlated_digest = PredictionDigest(predictions);
+        EXPECT_EQ(correlated_digest, c.correlated)
+            << c.name << " correlated: 0x" << std::hex << correlated_digest;
         UnionFindDecoder plain(c.compiled.dem,
                                UnionFindDecoder::Options{false});
         ASSERT_TRUE(plain.DecodeBatch(batch, predictions).completed);
-        EXPECT_EQ(PredictionDigest(predictions), c.plain)
-            << c.name << " plain: 0x" << std::hex
-            << PredictionDigest(predictions);
+        const std::uint64_t plain_digest = PredictionDigest(predictions);
+        EXPECT_EQ(plain_digest, c.plain)
+            << c.name << " plain: 0x" << std::hex << plain_digest;
     }
 }
 
