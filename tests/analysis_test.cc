@@ -7,22 +7,26 @@
  * each mutation class is caught by the rule it was written for.
  */
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "analysis/analysis.h"
 #include "analysis/distance_certifier.h"
+#include "common/rng.h"
 #include "core/pipeline.h"
 #include "core/sweep.h"
 #include "core/toolflow.h"
 #include "qccd/primitives.h"
 #include "qec/code.h"
 #include "qec/surgery.h"
+#include "store/keys.h"
 #include "workloads/program.h"
 
 namespace tiqec::analysis {
@@ -644,6 +648,168 @@ TEST(AnalysisWiring, ValidateArtifactsEnvParser)
     EXPECT_FALSE(core::ParseValidateArtifactsEnv("abc", false));
     EXPECT_FALSE(core::ParseValidateArtifactsEnv("", false));
     EXPECT_FALSE(core::ParseValidateArtifactsEnv("1x", false));
+}
+
+// ---------------------------------------------------------------------
+// Exact-output pin for the schedule rules. The battery above only asks
+// whether a rule fired; this corpus pins the full report (rule, location,
+// message, order, and the per-rule cap) on seeded mutation sets over
+// compiled schedules, as one FNV-1a-64 digest per schedule.
+
+/** Applies one random corruption from the corpus's menu to `s`. */
+void
+MutateOnce(compiler::Schedule& s, const ScheduleValidationInput& in,
+           Rng& rng)
+{
+    const auto pick = [&] {
+        return static_cast<size_t>(rng.NextBelow(s.ops.size()));
+    };
+    const auto below = [&](int n) {
+        return static_cast<std::int32_t>(rng.NextBelow(n));
+    };
+    if (s.ops.empty()) {
+        s.makespan += 1.0;
+        return;
+    }
+    const size_t i = pick();
+    TimedOp& t = s.ops[i];
+    switch (rng.NextBelow(12)) {
+      case 0:  // retime an op to another op's start
+        t.start = s.ops[pick()].start;
+        break;
+      case 1:  // shift a start by +-1 us
+        t.start += rng.NextBelow(2) == 0 ? 1.0 : -1.0;
+        break;
+      case 2:
+        t.duration *= 2.0;
+        break;
+      case 3:
+        t.duration = -t.duration;
+        break;
+      case 4:
+        s.ops.erase(s.ops.begin() + static_cast<std::ptrdiff_t>(i));
+        break;
+      case 5: {
+        const TimedOp copy = t;
+        s.ops.insert(s.ops.begin() + static_cast<std::ptrdiff_t>(i), copy);
+        break;
+      }
+      case 6:
+        std::swap(t, s.ops[pick()]);
+        break;
+      case 7: {  // remap an ion to another in-range ion
+        const QubitId ion(below(in.native->num_qubits()));
+        if (t.op.ion1.valid() && rng.NextBelow(2) == 0) {
+            t.op.ion1 = ion;
+        } else {
+            t.op.ion0 = ion;
+        }
+        break;
+      }
+      case 8:
+        t.op.node = NodeId(below(in.graph->num_nodes()));
+        break;
+      case 9:
+        t.op.segment = SegmentId(below(in.graph->num_segments()));
+        break;
+      case 10:
+        t.op.source_gate = rng.NextBelow(4) == 0
+                               ? GateId()
+                               : GateId(below(in.native->size()));
+        break;
+      default:
+        s.makespan += 1.0;
+        break;
+    }
+}
+
+TEST(ScheduleValidatorDigest, MutationCorpusReportsArePinned)
+{
+    struct Case
+    {
+        const char* label;
+        int distance;
+        qccd::TopologyKind topology;
+        core::WiringKind wiring;
+        int compile_rounds;
+        std::uint64_t digest;
+    };
+    using qccd::TopologyKind;
+    using core::WiringKind;
+    const Case cases[] = {
+        {"d3_linear", 3, TopologyKind::kLinear, WiringKind::kStandard, 1,
+         0x6ea5108b704b6cd1ull},
+        {"d3_linear_wise", 3, TopologyKind::kLinear, WiringKind::kWise, 1,
+         0x62fc65751fdea710ull},
+        {"d3_grid", 3, TopologyKind::kGrid, WiringKind::kStandard, 1,
+         0xbedee676d1e6efdfull},
+        {"d3_grid_wise", 3, TopologyKind::kGrid, WiringKind::kWise, 1,
+         0x2b85bd3712405370ull},
+        {"d3_switch", 3, TopologyKind::kSwitch, WiringKind::kStandard, 1,
+         0xd94e9acde48f89d9ull},
+        {"d3_switch_wise", 3, TopologyKind::kSwitch, WiringKind::kWise, 1,
+         0xbefe490c7264192eull},
+        {"d5_linear", 5, TopologyKind::kLinear, WiringKind::kStandard, 1,
+         0xce003435aa633f83ull},
+        {"d5_linear_wise", 5, TopologyKind::kLinear, WiringKind::kWise, 1,
+         0x1007e099c76dfeb6ull},
+        {"d5_grid", 5, TopologyKind::kGrid, WiringKind::kStandard, 1,
+         0xf1ce48807e1c657bull},
+        {"d5_grid_wise", 5, TopologyKind::kGrid, WiringKind::kWise, 1,
+         0xf4474d77fd94086aull},
+        {"d5_switch", 5, TopologyKind::kSwitch, WiringKind::kStandard, 1,
+         0x6d3c9cee63bc5a03ull},
+        {"d5_switch_wise", 5, TopologyKind::kSwitch, WiringKind::kWise, 1,
+         0x4b0435a7bba10b30ull},
+        {"d3_grid_3rounds", 3, TopologyKind::kGrid, WiringKind::kStandard, 3,
+         0x8ddda88fde50e32eull},
+    };
+    constexpr int kSets = 200;
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.label);
+        const qec::RotatedSurfaceCode code(c.distance);
+        core::ArchitectureConfig arch;
+        arch.topology = c.topology;
+        arch.wiring = c.wiring;
+        const core::CompileArtifacts arts =
+            core::CompileCandidate(code, arch, c.compile_rounds);
+        ASSERT_TRUE(arts.ok) << arts.error;
+
+        ScheduleValidationInput in;
+        in.native = &arts.compiled.native;
+        in.placement = &arts.compiled.placement;
+        in.graph = &arts.graph;
+        in.timing = &arts.timing;
+        in.wise = c.wiring == WiringKind::kWise;
+        in.schedule = &arts.compiled.schedule;
+        ASSERT_TRUE(ValidateSchedule(in).empty());
+
+        Rng rng(0xD1A6u + static_cast<std::uint64_t>(c.distance) * 131 +
+                static_cast<std::uint64_t>(c.topology) * 17 +
+                static_cast<std::uint64_t>(c.wiring) * 7 +
+                static_cast<std::uint64_t>(c.compile_rounds));
+        std::string report;
+        int reported_sets = 0;
+        for (int set = 0; set < kSets; ++set) {
+            compiler::Schedule mutated = arts.compiled.schedule;
+            const int mutations = 1 + static_cast<int>(rng.NextBelow(6));
+            for (int m = 0; m < mutations; ++m) {
+                MutateOnce(mutated, in, rng);
+            }
+            ScheduleValidationInput mutated_in = in;
+            mutated_in.schedule = &mutated;
+            const std::vector<Diagnostic> diags = ValidateSchedule(mutated_in);
+            reported_sets += diags.empty() ? 0 : 1;
+            report += "set " + std::to_string(set) + "\n" + Join(diags);
+        }
+        // A replay that trips an internal check would put a source path
+        // into the text, and the digest would depend on the checkout.
+        EXPECT_EQ(report.find("TIQEC_CHECK"), std::string::npos);
+        EXPECT_GT(reported_sets, kSets * 3 / 4);
+        const std::uint64_t digest = store::Fnv1a64(report);
+        EXPECT_EQ(digest, c.digest) << c.label << ": 0x" << std::hex
+                                    << digest;
+    }
 }
 
 }  // namespace

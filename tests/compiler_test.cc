@@ -6,14 +6,20 @@
  * architectural properties the paper reports (constant round time at
  * capacity 2 on the grid, near-bound optimality).
  */
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "compiler/bounds.h"
 #include "compiler/compiler.h"
+#include "compiler/schedule.h"
 #include "qccd/device_state.h"
 #include "qec/code.h"
 
@@ -392,6 +398,131 @@ TEST(BoundsTest, TheoreticalMinSingleChainMatchesSerial)
     EXPECT_EQ(bound.routing_ops, 0);
     EXPECT_NEAR(bound.round_time, SerialUpperBoundRoundTime(code, timing),
                 1e-6);
+}
+
+// ---------------------------------------------------------------------
+// Movement-time union: UnionMeasure against an independent sorted sweep,
+// on raw interval sets and on the same sets with each ion's back-to-back
+// intervals coalesced.
+
+using Interval = std::pair<Microseconds, Microseconds>;
+
+/** One interval tagged with the ion that produced it. */
+struct IonInterval
+{
+    int ion;
+    Microseconds start;
+    Microseconds end;
+};
+
+/** Union measure written out run by run: sort, split into runs where a
+ *  start lies strictly past every earlier end, sum the runs that end at
+ *  or after 0 in order. The sweep opens with an empty run [0, -1], so a
+ *  start at or below -1 joins it instead of opening its own. */
+Microseconds
+NaiveUnionMeasure(std::vector<Interval> intervals)
+{
+    std::sort(intervals.begin(), intervals.end());
+    std::vector<Interval> runs = {{0.0, -1.0}};
+    for (const Interval& iv : intervals) {
+        if (iv.first > runs.back().second) {
+            runs.push_back(iv);
+        } else if (iv.second > runs.back().second) {
+            runs.back().second = iv.second;
+        }
+    }
+    Microseconds total = 0.0;
+    for (const Interval& run : runs) {
+        if (run.second >= 0.0) {
+            total += run.second - run.first;
+        }
+    }
+    return total;
+}
+
+/** Merges each ion's interval into that ion's previous one when it
+ *  starts exactly where the previous one ends and neither runs
+ *  backwards. */
+std::vector<Interval>
+CoalescePerIon(const std::vector<IonInterval>& raw, int num_ions)
+{
+    std::vector<Interval> out;
+    std::vector<int> open(num_ions, -1);
+    for (const IonInterval& iv : raw) {
+        const int k = open[iv.ion];
+        if (k >= 0 && out[k].first <= out[k].second &&
+            iv.start == out[k].second && iv.start <= iv.end) {
+            out[k].second = iv.end;
+            continue;
+        }
+        open[iv.ion] = static_cast<int>(out.size());
+        out.emplace_back(iv.start, iv.end);
+    }
+    return out;
+}
+
+/** Random per-ion interval streams: touching chains (each start equal to
+ *  the ion's previous end), gaps, equal starts on a coarse grid,
+ *  zero-length and negative-duration intervals, and durations that are
+ *  not exact binary fractions so the summation order shows in the bits. */
+std::vector<IonInterval>
+RandomIonIntervals(Rng& rng, int num_ions, int count)
+{
+    static constexpr Microseconds kDurations[] = {0.0, 1.0,  2.5,  0.1,
+                                                  0.3, 7.7,  40.0, -1.0,
+                                                  -0.3, 12.9};
+    std::vector<Microseconds> cursor(num_ions, 0.0);
+    std::vector<IonInterval> out;
+    for (int i = 0; i < count; ++i) {
+        const int ion = static_cast<int>(rng.NextBelow(num_ions));
+        Microseconds start = cursor[ion];
+        switch (rng.NextBelow(4)) {
+          case 0:  // a coarse grid: equal starts
+            start = 0.1 * static_cast<int>(rng.NextBelow(50));
+            break;
+          case 1:  // a gap
+            start += 0.1 * static_cast<int>(1 + rng.NextBelow(20));
+            break;
+          default:
+            break;  // touching: starts where the ion's last one ended
+        }
+        const Microseconds end = start + kDurations[rng.NextBelow(10)];
+        out.push_back({ion, start, end});
+        cursor[ion] = end;
+    }
+    return out;
+}
+
+TEST(UnionMeasureTest, MatchesNaiveSweepRawAndCoalescedPerIon)
+{
+    Rng rng(0x51A7E5ull);
+    int coalesced_away = 0;
+    for (int set = 0; set < 2000; ++set) {
+        const int num_ions = 1 + static_cast<int>(rng.NextBelow(8));
+        const std::vector<IonInterval> raw =
+            RandomIonIntervals(rng, num_ions,
+                               static_cast<int>(rng.NextBelow(60)));
+        std::vector<Interval> flat;
+        for (const IonInterval& iv : raw) {
+            flat.emplace_back(iv.start, iv.end);
+        }
+        std::vector<Interval> coalesced = CoalescePerIon(raw, num_ions);
+        coalesced_away += static_cast<int>(flat.size() - coalesced.size());
+
+        const Microseconds naive = NaiveUnionMeasure(flat);
+        std::vector<Interval> sorted_raw = flat;
+        const Microseconds measured = UnionMeasure(sorted_raw);
+        const Microseconds measured_coalesced = UnionMeasure(coalesced);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(measured),
+                  std::bit_cast<std::uint64_t>(naive))
+            << "set " << set << ": " << measured << " vs " << naive;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(measured_coalesced),
+                  std::bit_cast<std::uint64_t>(naive))
+            << "set " << set << ": " << measured_coalesced << " vs "
+            << naive;
+    }
+    // The generator must actually exercise the coalescing path.
+    EXPECT_GT(coalesced_away, 10000);
 }
 
 }  // namespace
