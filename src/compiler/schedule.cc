@@ -33,16 +33,19 @@ Schedule::RecomputeStats()
 {
     makespan = 0.0;
     num_movement_ops = 0;
-    movement_time = 0.0;
-    std::vector<std::pair<Microseconds, Microseconds>> intervals;
+    // Ion ids may come from a file here (ParseScheduleCsv runs this
+    // before any validation), so the coalescing table is bounded by the
+    // op count, not by an id.
+    MovementUnion movement;
+    movement.Reset(static_cast<int>(ops.size()));
     for (const TimedOp& t : ops) {
         makespan = std::max(makespan, t.end());
         if (qccd::IsMovement(t.op.kind)) {
             ++num_movement_ops;
-            intervals.emplace_back(t.start, t.end());
+            movement.Add(t.op.ion0.value, t.start, t.end());
         }
     }
-    movement_time = UnionMeasure(intervals);
+    movement_time = movement.Measure();
 }
 
 }  // namespace tiqec::compiler

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -45,10 +46,17 @@ ParseInt(const std::string& field, const std::string& line)
     return text::ParseInt32(field, "line: " + line);
 }
 
+/** Times and n-bar must be finite: std::from_chars accepts "nan" and
+ *  "inf", and a NaN start would break RecomputeStats' interval sort. */
 double
 ParseDouble(const std::string& field, const std::string& line)
 {
-    return text::ParseDouble(field, "line: " + line);
+    const double value = text::ParseDouble(field, "line: " + line);
+    if (!std::isfinite(value)) {
+        throw std::invalid_argument("bad number '" + field +
+                                    "' in line: " + line);
+    }
+    return value;
 }
 
 }  // namespace

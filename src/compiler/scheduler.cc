@@ -179,9 +179,8 @@ ScheduleStream(const std::vector<PrimitiveOp>& ops,
     ion_free.assign(max_ion + 1, 0.0);
     held_junction_slot.assign(max_ion + 1, {-1, -1});
 
-    thread_local std::vector<std::pair<Microseconds, Microseconds>>
-        movement_intervals;
-    movement_intervals.clear();
+    thread_local MovementUnion movement;
+    movement.Reset(max_ion + 1);
 
     // Per-kind dispatch tables: duration (cooling included) and resource
     // flags — the exact values the reference computes per op.
@@ -358,17 +357,16 @@ ScheduleStream(const std::vector<PrimitiveOp>& ops,
                 wise_insert(transport_rank(op.kind), start, end);
             }
             ++schedule.num_movement_ops;
-            movement_intervals.emplace_back(start, end);
+            movement.Add(op.ion0.value, start, end);
         }
         schedule.makespan = std::max(schedule.makespan, end);
 
         schedule.ops.push_back(
             {.op = op, .start = start, .duration = duration});
     }
-    // Movement time = measure of the union of movement intervals —
-    // UnionMeasure is the same helper RecomputeStats uses, fed the
-    // reused buffer instead of a fresh pass and allocation.
-    schedule.movement_time = UnionMeasure(movement_intervals);
+    // Movement time through the same MovementUnion RecomputeStats uses,
+    // fed inline into a reused buffer instead of a second pass.
+    schedule.movement_time = movement.Measure();
     return schedule;
 }
 

@@ -560,6 +560,83 @@ TEST(AnalysisClean, WiseScheduleValidatesWithWiseFlag)
     EXPECT_TRUE(diags.empty()) << Join(diags);
 }
 
+// Ids in a stored schedule are untrusted input. An op or placement entry
+// whose id lies outside its table is reported under the position-trace
+// rule and kept out of the resource rules and the replay; it is never
+// used as an index (each of these cases used to crash the validator).
+TEST(ScheduleValidatorIds, OutOfRangeIdsAreReportedNotIndexed)
+{
+    constexpr std::int32_t kFar = 100000000;
+    const CompilationResult& clean = Clean().compile.compiled;
+    const qccd::DeviceGraph& graph = Clean().compile.graph;
+    const auto first_of = [&](OpKind kind) {
+        const auto it = std::find_if(
+            clean.schedule.ops.begin(), clean.schedule.ops.end(),
+            [&](const TimedOp& t) { return t.op.kind == kind; });
+        EXPECT_NE(it, clean.schedule.ops.end());
+        return static_cast<size_t>(it - clean.schedule.ops.begin());
+    };
+    const auto op_prefix = [](size_t i) {
+        return "op " + std::to_string(i) + " (";
+    };
+    const auto outside = [](const std::string& table, int size) {
+        return table + " id 100000000 is outside [0, " +
+               std::to_string(size) + ")";
+    };
+    const size_t split = first_of(OpKind::kSplit);
+    const size_t enter = first_of(OpKind::kJunctionEnter);
+    const size_t ms = first_of(OpKind::kMs);
+    struct Case
+    {
+        const char* name;
+        std::function<void(CompilationResult&)> corrupt;
+        std::string location_prefix;
+        std::string message;
+    };
+    const std::vector<Case> cases = {
+        {"split segment",
+         [&](CompilationResult& m) {
+             m.schedule.ops[split].op.segment = SegmentId(kFar);
+         },
+         op_prefix(split), outside("segment", graph.num_segments())},
+        {"junction-enter node",
+         [&](CompilationResult& m) {
+             m.schedule.ops[enter].op.node = NodeId(kFar);
+         },
+         op_prefix(enter), outside("node", graph.num_nodes())},
+        {"MS ion",
+         [&](CompilationResult& m) {
+             m.schedule.ops[ms].op.ion0 = QubitId(kFar);
+         },
+         op_prefix(ms), outside("ion", clean.native.num_qubits())},
+        {"placement entry",
+         [&](CompilationResult& m) {
+             m.placement.qubit_trap[0] = NodeId(kFar);
+         },
+         "placement",
+         "qubit 0 is placed at node id 100000000, outside [0, " +
+             std::to_string(graph.num_nodes()) + ")"},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        CompilationResult m = clean;
+        c.corrupt(m);
+        const std::vector<Diagnostic> diags = ValidateMutatedSchedule(m);
+        bool reported = false;
+        for (const Diagnostic& d : diags) {
+            const bool at_fault = d.location.rfind(c.location_prefix, 0) == 0;
+            reported |= at_fault && d.rule == kRulePositionTrace &&
+                        d.message == c.message;
+            const bool resource_rule =
+                d.rule == kRuleIonOverlap || d.rule == kRuleTrapOverlap ||
+                d.rule == kRuleSegmentOverlap ||
+                d.rule == kRuleJunctionCapacity;
+            EXPECT_FALSE(resource_rule && at_fault) << Join(diags);
+        }
+        EXPECT_TRUE(reported) << Join(diags);
+    }
+}
+
 // Toolflow wiring: validation + certification on, clean candidate ->
 // success, and the sweep engine agrees with the serial path shot for
 // shot.

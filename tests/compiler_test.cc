@@ -525,5 +525,37 @@ TEST(UnionMeasureTest, MatchesNaiveSweepRawAndCoalescedPerIon)
     EXPECT_GT(coalesced_away, 10000);
 }
 
+// MovementUnion, the one movement-time implementation, coalesces per ion
+// and must still match the naive sweep bit for bit, including when some
+// ion ids fall outside its table and stay uncoalesced.
+TEST(UnionMeasureTest, MovementUnionMatchesNaiveSweep)
+{
+    Rng rng(0xC0A1E5CEull);
+    MovementUnion movement;
+    for (int set = 0; set < 2000; ++set) {
+        const int num_ions = 1 + static_cast<int>(rng.NextBelow(8));
+        const std::vector<IonInterval> raw =
+            RandomIonIntervals(rng, num_ions,
+                               static_cast<int>(rng.NextBelow(60)));
+        std::vector<Interval> flat;
+        for (const IonInterval& iv : raw) {
+            flat.emplace_back(iv.start, iv.end);
+        }
+        const Microseconds naive = NaiveUnionMeasure(flat);
+        // Table sizes below, at and beyond the ion count.
+        for (const int table : {num_ions - 1, num_ions, num_ions + 3}) {
+            movement.Reset(table);
+            for (const IonInterval& iv : raw) {
+                movement.Add(iv.ion, iv.start, iv.end);
+            }
+            const Microseconds measured = movement.Measure();
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(measured),
+                      std::bit_cast<std::uint64_t>(naive))
+                << "set " << set << " table " << table << ": " << measured
+                << " vs " << naive;
+        }
+    }
+}
+
 }  // namespace
 }  // namespace tiqec::compiler

@@ -222,6 +222,39 @@ TEST(ScheduleIoRoundTripTest, TrailingEmptyFieldIsRejected)
                  std::invalid_argument);
 }
 
+TEST(ScheduleIoRoundTripTest, NonFiniteTimesAreRejected)
+{
+    // std::from_chars accepts nan and inf; the schedule parser must not
+    // hand them on (a NaN start breaks the movement-time sort).
+    const std::string header =
+        "index,pass,kind,ion0,ion1,node,segment,start_us,duration_us,"
+        "chain,nbar,source_gate\n";
+    const std::string head = "0,0,MS,0,1,0,-1,";
+    for (const std::string bad : {"nan", "-nan", "inf", "-inf", "NaN"}) {
+        SCOPED_TRACE(bad);
+        // The bad value in start_us, then duration_us, then nbar.
+        const std::string rows[] = {head + bad + ",40,1,0,-1",
+                                    head + "0," + bad + ",1,0,-1",
+                                    head + "0,40,1," + bad + ",-1"};
+        for (const std::string& row : rows) {
+            try {
+                ParseScheduleCsv(header + row + "\n");
+                ADD_FAILURE() << "accepted: " << row;
+            } catch (const std::invalid_argument& e) {
+                const std::string expected =
+                    "bad number '" + bad + "' in line: " + row;
+                EXPECT_NE(std::string(e.what()).find(expected),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+    // The same row with finite values parses.
+    const Schedule finite =
+        ParseScheduleCsv(header + head + "0,40,1,0,-1\n");
+    EXPECT_EQ(finite.ops.size(), 1u);
+}
+
 TEST(ScheduleIoTest, SummaryListsEveryPass)
 {
     const auto result = CompileD3();

@@ -3,6 +3,7 @@
 // contract, the sweep engine's warm-store zero-compile acceptance pin,
 // corruption isolation, and the batch sweep service.
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <functional>
@@ -496,6 +497,36 @@ TEST(SweepStoreTest, GarbagePayloadIsolatesWithDiagnostic)
     EXPECT_EQ(warm.last_run_stats().store_corrupt, 1);
 }
 
+/** Sets CSV field `field` of the first schedule row of kind `kind` (of
+ *  the first row when `kind` is empty) in the compile bundle at `path`. */
+void
+SetScheduleField(const std::string& path, const std::string& kind,
+                 size_t field, const std::string& value)
+{
+    RewriteArtifact(path, [&](std::vector<std::string>& lines) {
+        // The CSV header follows the "schedule <lines>" line.
+        const auto block = std::find_if(
+            lines.begin(), lines.end(), [](const std::string& line) {
+                return line.rfind("schedule ", 0) == 0;
+            });
+        ASSERT_NE(block, lines.end()) << "no schedule block";
+        for (auto row = block + 2; row != lines.end(); ++row) {
+            std::vector<std::string> fields = text::SplitFields(*row, ',');
+            ASSERT_EQ(fields.size(), 12u) << *row;
+            if (!kind.empty() && fields[2] != kind) {
+                continue;
+            }
+            fields[field] = value;
+            row->clear();
+            for (size_t f = 0; f < fields.size(); ++f) {
+                *row += (f > 0 ? "," : "") + fields[f];
+            }
+            return;
+        }
+        FAIL() << "no " << kind << " row in the schedule block";
+    });
+}
+
 TEST(SweepStoreTest, TamperedScheduleFailsValidatorsOnLoad)
 {
     const std::string root = FreshDir("store_tamper");
@@ -510,37 +541,7 @@ TEST(SweepStoreTest, TamperedScheduleFailsValidatorsOnLoad)
     const auto code = qec::MakeCode("rotated", 3);
     const std::string path = store_ptr->PathFor(store::CompileStoreKey(
         *code, core::ArchitectureConfig{}, 1, nullptr));
-    RewriteArtifact(path, [](std::vector<std::string>& lines) {
-        for (size_t i = 0; i < lines.size(); ++i) {
-            if (lines[i].rfind("schedule ", 0) == 0) {
-                // lines[i + 1] is the CSV header; i + 2 the first row.
-                ASSERT_GT(lines.size(), i + 2);
-                std::string& row = lines[i + 2];
-                std::vector<std::string> fields;
-                size_t begin = 0;
-                for (;;) {
-                    const size_t comma = row.find(',', begin);
-                    fields.push_back(
-                        row.substr(begin, comma - begin));
-                    if (comma == std::string::npos) {
-                        break;
-                    }
-                    begin = comma + 1;
-                }
-                ASSERT_EQ(fields.size(), 12u);
-                fields[8] = "123456";  // duration_us
-                row.clear();
-                for (size_t f = 0; f < fields.size(); ++f) {
-                    if (f > 0) {
-                        row += ',';
-                    }
-                    row += fields[f];
-                }
-                return;
-            }
-        }
-        FAIL() << "no schedule block in compile artifact";
-    });
+    SetScheduleField(path, "", 8, "123456");  // duration_us
 
     core::SweepRunner warm(opts);
     const std::vector<core::SweepOutcome> outcomes =
@@ -549,6 +550,45 @@ TEST(SweepStoreTest, TamperedScheduleFailsValidatorsOnLoad)
     EXPECT_NE(outcomes[0].metrics.error.find(analysis::kCompiledSubject),
               std::string::npos)
         << outcomes[0].metrics.error;
+    EXPECT_EQ(warm.last_run_stats().store_corrupt, 1);
+}
+
+TEST(SweepStoreTest, OutOfRangeIdInStoredScheduleIsolatesItsCandidate)
+{
+    const std::string root = FreshDir("store_far_id");
+    core::SweepRunnerOptions cold_opts;
+    cold_opts.store = std::make_shared<store::ArtifactStore>(root);
+    core::SweepRunner(cold_opts).RunDetailed(WarmStoreCandidates());
+
+    // A segment id far outside the device: the row parses, and the
+    // validate-on-load pass must report it instead of indexing with it.
+    const auto code = qec::MakeCode("rotated", 3);
+    const core::ArchitectureConfig arch;
+    const store::StoreKey key =
+        store::CompileStoreKey(*code, arch, 1, nullptr);
+    const store::ArtifactStore store(root);
+    SetScheduleField(store.PathFor(key), "SPLIT", 6, "100000000");
+
+    core::CompileArtifacts loaded;
+    std::string error;
+    EXPECT_EQ(store.LoadCompile(key, *code, arch, 1, nullptr, &loaded,
+                                &error),
+              store::LoadStatus::kCorrupt);
+    EXPECT_NE(error.find(analysis::kRulePositionTrace), std::string::npos)
+        << error;
+    EXPECT_FALSE(loaded.ok);
+
+    core::SweepRunnerOptions warm_opts;
+    warm_opts.store = std::make_shared<store::ArtifactStore>(root);
+    core::SweepRunner warm(warm_opts);
+    const std::vector<core::SweepOutcome> outcomes =
+        warm.RunDetailed(WarmStoreCandidates());
+    ASSERT_EQ(outcomes.size(), 2u);
+    EXPECT_FALSE(outcomes[0].metrics.ok);
+    EXPECT_NE(outcomes[0].metrics.error.find("segment id 100000000"),
+              std::string::npos)
+        << outcomes[0].metrics.error;
+    EXPECT_TRUE(outcomes[1].metrics.ok) << outcomes[1].metrics.error;
     EXPECT_EQ(warm.last_run_stats().store_corrupt, 1);
 }
 
