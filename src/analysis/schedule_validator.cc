@@ -481,11 +481,12 @@ CheckPositionTrace(const Context& ctx, Reporter& report)
         }
         for (size_t i = 0; i < ctx.ops.size(); ++i) {
             const TimedOp& t = ctx.ops[i];
-            if (ctx.bad[i]) {
-                const IdFault fault = *FindIdFault(t.op, ctx);
+            const std::optional<IdFault> fault =
+                ctx.bad[i] ? FindIdFault(t.op, ctx) : std::nullopt;
+            if (fault) {
                 std::ostringstream os;
-                os << fault.table << " id " << fault.id << " is outside [0, "
-                   << fault.size << ")";
+                os << fault->table << " id " << fault->id
+                   << " is outside [0, " << fault->size << ")";
                 report.Report(kRulePositionTrace,
                               OpLocation(static_cast<int>(i), t.op),
                               os.str());
