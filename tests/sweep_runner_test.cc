@@ -8,6 +8,7 @@
  */
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +17,8 @@
 #include "core/sweep.h"
 #include "core/toolflow.h"
 #include "qec/code.h"
+#include "workloads/experiment.h"
+#include "workloads/program.h"
 
 namespace tiqec::core {
 namespace {
@@ -301,6 +304,152 @@ TEST(SweepRunnerTest, NullCodeIsReportedNotDereferenced)
     ASSERT_EQ(swept.size(), 1u);
     EXPECT_FALSE(swept[0].ok);
     EXPECT_FALSE(swept[0].error.empty());
+}
+
+/** The metric groups an outcome carries, as space-separated words:
+ *  compile (round time), noise (two-qubit error), dem (hyperedge count)
+ *  and shots (a Monte-Carlo estimate). */
+std::string
+CarriedMetrics(const Metrics& m)
+{
+    std::string words;
+    const auto add = [&](bool present, const char* word) {
+        if (present) {
+            words += words.empty() ? "" : " ";
+            words += word;
+        }
+    };
+    add(m.round_time > 0.0, "compile");
+    add(m.mean_two_qubit_error > 0.0, "noise");
+    add(m.dem_hyperedges > 0, "dem");
+    add(m.shots > 0, "shots");
+    return words;
+}
+
+/** Exact outcomes of one mixed batch: every up-front rejection, a
+ *  compile failure, a certification failure after the compile metrics
+ *  are filled, and each success shape (full, compile-only, multi-round
+ *  block, zero-shot). Each candidate's `ok`, error text and carried
+ *  metric groups, and the run's stage counters, are pinned at pool
+ *  widths 1 and 4, so the failure-precedence rules of the staged
+ *  runner cannot drift. */
+TEST(SweepRunnerTest, MixedBatchOutcomesAndCountersArePinned)
+{
+    const std::shared_ptr<const qec::StabilizerCode> rotated =
+        qec::MakeCode("rotated", 3);
+    std::vector<SweepCandidate> candidates;
+    const auto add = [&](const std::string& label) -> SweepCandidate& {
+        SweepCandidate c;
+        c.code = rotated;
+        c.arch.trap_capacity = 2;
+        c.options.max_shots = 512;
+        c.options.target_logical_errors = 0;
+        c.options.validate_artifacts = false;
+        c.label = label;
+        candidates.push_back(std::move(c));
+        return candidates.back();
+    };
+    add("no_code").code = nullptr;
+    add("compile_rounds_0").compile_rounds = 0;
+    add("compile_rounds_3").compile_rounds = 3;
+    add("capacity_1").arch.trap_capacity = 1;
+    add("no_program").options.workload =
+        workloads::WorkloadSpec(workloads::WorkloadKind::kProgram);
+    add("wrong_primary").options.workload = workloads::WorkloadSpec::Program(
+        workloads::BoundProgram::Bind(
+            workloads::CanonicalProgram("single_merge"), 3));
+    {
+        SweepCandidate& c = add("sub_distance");
+        c.code = qec::MakeCode("merged_zz", 3);
+        c.options.workload = workloads::WorkloadKind::kSurgery;
+        c.options.rounds = 2;
+        c.options.certify_distance = true;
+    }
+    {
+        SweepCandidate& c = add("clean");
+        c.options.validate_artifacts = true;
+        c.options.certify_distance = true;
+    }
+    add("compile_only").options.compile_only = true;
+    {
+        SweepCandidate& c = add("block");
+        c.compile_rounds = 3;
+        c.options.compile_only = true;
+    }
+    add("zero_shots").options.max_shots = 0;
+
+    struct Expected
+    {
+        bool ok;
+        std::string error;
+        std::string carried;
+    };
+    const std::vector<Expected> expected = {
+        {false, "candidate has no code", ""},
+        {false, "compile_rounds must be >= 1", ""},
+        {false,
+         "multi-round compilation is compile-only (the noise annotator "
+         "requires a one-round schedule)",
+         ""},
+        {false,
+         "trap capacity must be at least 2 (one slot is reserved for "
+         "communication)",
+         ""},
+        {false,
+         "program workload requires a bound program "
+         "(WorkloadSpec::Program)",
+         ""},
+        {false,
+         "program workload: candidate code \"rotated_surface\" is not the "
+         "primary phase code \"rectangular_surface\" of program "
+         "'single_merge'",
+         ""},
+        {false,
+         "artifact validation failed: distance certification has 1 error: "
+         "[dem.distance] observable 0: effective distance 2 below "
+         "expected 3; witness mechanism set {edge 71 (dets 14, obs 0x0), "
+         "hyperedge mechanism 129 (dets 14, obs 0x1)}",
+         "compile noise"},
+        {true, "", "compile noise dem shots"},
+        {true, "", "compile noise"},
+        {true, "", "compile"},
+        {true, "", "compile noise dem"},
+    };
+    ASSERT_EQ(candidates.size(), expected.size());
+
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE("pool width " + std::to_string(threads));
+        SweepRunnerOptions opts;
+        opts.num_threads = threads;
+        SweepRunner runner(opts);
+        const std::vector<SweepOutcome> outcomes =
+            runner.RunDetailed(candidates);
+        ASSERT_EQ(outcomes.size(), expected.size());
+        for (size_t i = 0; i < outcomes.size(); ++i) {
+            SCOPED_TRACE(candidates[i].label);
+            const Metrics& m = outcomes[i].metrics;
+            EXPECT_EQ(m.ok, expected[i].ok);
+            EXPECT_EQ(m.error, expected[i].error);
+            EXPECT_EQ(CarriedMetrics(m), expected[i].carried);
+            EXPECT_EQ(outcomes[i].label, candidates[i].label);
+            ASSERT_NE(outcomes[i].compile, nullptr);
+        }
+        EXPECT_EQ(outcomes.back().metrics.shots, 0);
+        EXPECT_TRUE(outcomes.back().metrics.per_observable_errors.empty());
+
+        const SweepRunStats& stats = runner.last_run_stats();
+        EXPECT_EQ(stats.compiles, 4);
+        EXPECT_EQ(stats.annotates, 2);
+        EXPECT_EQ(stats.sim_builds, 2);
+        EXPECT_EQ(stats.validations, 2);
+        EXPECT_EQ(stats.validation_failures, 0);
+        EXPECT_EQ(stats.certifies, 2);
+        EXPECT_EQ(stats.certify_failures, 1);
+        EXPECT_EQ(stats.store_hits + stats.store_misses +
+                      stats.store_corrupt + stats.store_writes +
+                      stats.store_validated,
+                  0);
+    }
 }
 
 }  // namespace
