@@ -122,8 +122,8 @@ main(int argc, char** argv)
     if (smoke) {
         return 0;
     }
-    // Sweep-engine bench mode: serial Evaluate loop vs SweepRunner over
-    // the fig9 capacity sweep (bit-identity + wall-clock).
+    // Sweep-engine bench mode: one runner call per candidate vs one
+    // batch over the fig9 capacity sweep (bit-identity + wall-clock).
     tiqec::bench::PrintSweepEngineBench(8);
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();

@@ -328,16 +328,16 @@ struct SweepEngineBenchResult
 };
 
 /**
- * Sweep-engine bench mode (ISSUE 3 acceptance): the Figure 9 capacity
- * sweep — (trap capacity x code distance) on the grid at 5X, replicated
- * across `seeds_per_point` Monte-Carlo seeds the way a threshold scan
- * replicates points — run once through the historical serial
- * `core::Evaluate` loop and once through `core::SweepRunner` on
- * `num_threads` threads. Verifies the engine's bit-identity contract on
- * every candidate and reports both wall-clocks; the engine's edge is
- * the keyed artifact cache (the serial loop recompiles, re-annotates,
- * and rebuilds the DEM for every seed replica) plus cross-candidate
- * shard interleaving.
+ * Sweep-engine bench mode: the Figure 9 capacity sweep — (trap capacity
+ * x code distance) on the grid at 5X, replicated across
+ * `seeds_per_point` Monte-Carlo seeds the way a threshold scan
+ * replicates points — run once as one runner call per candidate
+ * (`core::Evaluate`, nothing shared between candidates) and once as a
+ * single `core::SweepRunner` batch, both on `num_threads` threads.
+ * Verifies that no candidate's metrics depend on the batch it runs in
+ * and reports both wall-clocks; the batch's edge is the keyed artifact
+ * cache (per-candidate runs recompile, re-annotate, and rebuild the DEM
+ * for every seed replica) plus cross-candidate shard interleaving.
  */
 inline SweepEngineBenchResult
 RunSweepEngineBench(int num_threads, std::int64_t max_shots = 1 << 12,
@@ -404,12 +404,12 @@ RunSweepEngineBench(int num_threads, std::int64_t max_shots = 1 << 12,
 inline void
 PrintSweepEngineBench(int num_threads)
 {
-    std::printf("\n=== Sweep engine: fig9 capacity sweep, serial Evaluate "
-                "loop vs SweepRunner (%d threads) ===\n",
+    std::printf("\n=== Sweep engine: fig9 capacity sweep, one run per "
+                "candidate vs one batch (%d threads) ===\n",
                 num_threads);
     const SweepEngineBenchResult r = RunSweepEngineBench(num_threads);
-    std::printf("%d candidates: serial %.3f s, sweep %.3f s -> %.2fx; "
-                "bit-identical: %s\n",
+    std::printf("%d candidates: per candidate %.3f s, batch %.3f s -> "
+                "%.2fx; bit-identical: %s\n",
                 r.num_candidates, r.serial_seconds, r.sweep_seconds,
                 r.speedup(), r.bit_identical ? "yes" : "NO");
 }

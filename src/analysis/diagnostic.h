@@ -106,11 +106,11 @@ bool HasErrors(const std::vector<Diagnostic>& diagnostics);
 
 /**
  * Renders error diagnostics into the one-line failure message a failing
- * candidate carries through `Metrics::error`. Shared by `core::Evaluate`
- * and `core::SweepRunner` so serial and sweep failure text is identical
- * byte for byte. `subject` names the artifact ("compiled schedule",
- * "simulation artifacts"). At most `max_listed` diagnostics are spelled
- * out; the remainder is summarised as a count.
+ * candidate carries through `Metrics::error`: the sweep engine's
+ * checks, the artifact store's load-time re-validation and
+ * `tiqec_certify` all report through it. `subject` names the artifact
+ * ("compiled schedule", "simulation artifacts"). At most `max_listed`
+ * diagnostics are spelled out; the remainder is summarised as a count.
  */
 std::string FormatDiagnostics(std::string_view subject,
                               const std::vector<Diagnostic>& diagnostics,

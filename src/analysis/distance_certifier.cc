@@ -418,14 +418,19 @@ CollectMechanisms(const DetectorErrorModel& dem)
     return mechanisms;
 }
 
+int
+SearchWeightFor(const DistanceCertifierOptions& options)
+{
+    return std::clamp(options.max_search_weight, 2, kMaxSearchWeight);
+}
+
 DistanceCertificate
 CertifyDistance(const DetectorErrorModel& dem,
                 const DistanceCertifierOptions& options)
 {
     DistanceCertificate certificate;
     certificate.mechanisms = CollectMechanisms(dem);
-    certificate.searched_weight =
-        std::clamp(options.max_search_weight, 2, kMaxSearchWeight);
+    certificate.searched_weight = SearchWeightFor(options);
     certificate.graph_like = true;
     for (const DemMechanism& m : certificate.mechanisms) {
         if (m.dets.size() > 2) {

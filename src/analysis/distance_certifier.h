@@ -99,6 +99,11 @@ struct DistanceCertifierOptions
     int max_search_weight = kMaxSearchWeight;
 };
 
+/** The exhaustive search weight `options` selects: `max_search_weight`
+ *  clamped to [2, kMaxSearchWeight]. A certificate records it as
+ *  `searched_weight`, and the artifact store keys certificates by it. */
+int SearchWeightFor(const DistanceCertifierOptions& options);
+
 /** Flattens `dem` into the mechanism list certificates index into: every
  *  elementary edge in order, then one entry per hyperedge mechanism
  *  group (variants of one mechanism share detector signature and

@@ -6,12 +6,12 @@
  *   annotate — schedule walk -> per-gate / per-idle noise profile
  *   build-sim — noisy memory experiment + detector error model
  *
- * `core::Evaluate` chains the stages for one candidate;
- * `core::SweepRunner` memoises each stage behind a keyed artifact cache
- * so a design-space sweep compiles, annotates, and extracts the DEM
- * once per unique candidate. Every stage is a pure function of its
- * inputs, which is what makes the cache transparent: a sweep is
- * bit-identical to the serial `Evaluate` loop over the same candidates.
+ * `core::SweepRunner` chains the stages, memoising each behind a keyed
+ * artifact cache so a design-space sweep compiles, annotates, and
+ * extracts the DEM once per unique candidate; `core::Evaluate` is a
+ * one-candidate run of it. Every stage is a pure function of its
+ * inputs, which is what makes the cache transparent: a candidate's
+ * result does not depend on the batch it runs in.
  */
 #ifndef TIQEC_CORE_PIPELINE_H
 #define TIQEC_CORE_PIPELINE_H
@@ -105,10 +105,10 @@ void FillCompileMetrics(const qec::StabilizerCode& code,
                         int rounds, Metrics& metrics);
 
 /**
- * Candidate-shape check shared verbatim by `Evaluate` and the sweep
- * engine (the serial-vs-sweep byte-identical failure-text contract):
- * returns a non-empty error for a program-workload spec with no bound
- * program, or whose primary phase code is not `code`; empty otherwise.
+ * Candidate-shape check the sweep engine runs before any stage: returns
+ * a non-empty error for a program-workload spec with no bound program,
+ * or whose primary phase code is not `code` (compared by address);
+ * empty otherwise.
  */
 std::string CheckProgramCandidate(const qec::StabilizerCode& code,
                                   const workloads::WorkloadSpec& spec);

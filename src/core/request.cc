@@ -77,6 +77,9 @@ ParseRequestLine(const std::string& line, RequestSpec* out,
 {
     RequestSpec spec;
     try {
+        // Applied after the loop: `workload=` resets the whole spec, so
+        // `basis=` holds in either order.
+        sim::MemoryBasis basis = sim::MemoryBasis::kZ;
         std::istringstream tokens(line);
         std::string token;
         while (tokens >> token) {
@@ -117,7 +120,7 @@ ParseRequestLine(const std::string& line, RequestSpec* out,
                 spec.options.seed = static_cast<std::uint64_t>(
                     text::ParseInt64(value, "seed"));
             } else if (key == "basis") {
-                spec.options.basis = ParseBasis(value);
+                basis = ParseBasis(value);
             } else if (key == "workload") {
                 spec.options.workload =
                     workloads::ParseWorkloadKind(value);
@@ -133,6 +136,7 @@ ParseRequestLine(const std::string& line, RequestSpec* out,
                 throw std::invalid_argument("unknown key '" + key + "'");
             }
         }
+        spec.options.workload.basis = basis;
         if (spec.options.workload.kind ==
             workloads::WorkloadKind::kProgram) {
             if (!spec.family.empty()) {

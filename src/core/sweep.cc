@@ -5,6 +5,7 @@
 #include <exception>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -59,20 +60,45 @@ SimKeyOf(const NoiseKey& primary_nk, const workloads::WorkloadSpec& spec,
                                     : std::string()};
 }
 
+/** One unique compile, run on the first (candidate, unit) pair whose
+ *  content key it is. */
+struct CompileEntry
+{
+    const SweepCandidate* exemplar = nullptr;
+    const qec::StabilizerCode* unit = nullptr;
+    store::StoreKey key;
+    std::shared_ptr<CompileArtifacts> arts;
+    /** Schedule-validation verdict: unset until a validating candidate
+     *  needs it, then empty on a pass or the formatted diagnostics. */
+    std::optional<std::string> validation;
+};
+
+/** One unique annotation, run on the first (candidate, unit) pair that
+ *  needs it. */
 struct NoiseEntry
 {
+    const SweepCandidate* exemplar = nullptr;
+    const qec::StabilizerCode* unit = nullptr;
     bool ok = false;
     std::string error;
     noise::RoundNoiseProfile profile;
 };
 
+/** One unique experiment + DEM, run on the first candidate (by index)
+ *  that needs it. Candidates sharing the entry share code content and
+ *  workload, so the exemplar also stands in for the checks. */
 struct SimEntry
 {
+    size_t exemplar = 0;
     bool ok = false;
     std::string error;
     SimArtifacts arts;
     /** The entry's store key (set only when a store is attached). */
     store::StoreKey store_key;
+    /** Sim-validation and certification verdicts, as for
+     *  `CompileEntry::validation`. */
+    std::optional<std::string> validation;
+    std::optional<std::string> certification;
 };
 
 /** Per-candidate Monte-Carlo state driven by the shared pool. A decode
@@ -80,7 +106,6 @@ struct SimEntry
 struct ShardState
 {
     std::unique_ptr<sim::LerShardRun> run;
-    int rounds = 1;
     std::atomic<bool> failed{false};
     std::mutex mu;
     std::string error;
@@ -102,6 +127,22 @@ ParallelForIndex(int num_threads, std::int64_t n, const Fn& fn)
             fn(i);
         }
     });
+}
+
+/** Runs `fn(key, entry)` once per entry of `map` across the pool. */
+template <typename Map, typename Fn>
+void
+ParallelForEachEntry(int num_threads, Map& map, const Fn& fn)
+{
+    std::vector<typename Map::value_type*> entries;
+    entries.reserve(map.size());
+    for (auto& entry : map) {
+        entries.push_back(&entry);
+    }
+    ParallelForIndex(num_threads, static_cast<std::int64_t>(entries.size()),
+                     [&](std::int64_t t) {
+                         fn(entries[t]->first, entries[t]->second);
+                     });
 }
 
 int
@@ -141,61 +182,59 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
         astore != nullptr ? astore->counters()
                           : store::ArtifactStore::Counters{};
 
-    // Reject malformed candidates up front; everything else flows through
-    // the staged cache. `invalid[i]` short-circuits the later phases.
-    // The program-shape check is `CheckProgramCandidate`, shared with the
-    // serial `Evaluate` so both paths fail with byte-identical text.
-    std::vector<std::string> invalid(n);
-    std::vector<workloads::WorkloadSpec> specs(n);
+    // `failed[i]` is candidate i's error. Each stage fills it right after
+    // it runs, for the candidates it failed, and every later stage skips
+    // a failed candidate; so the reported error is the first failure
+    // along the chain, and within a stage the first failing unit in
+    // `UnitCodesFor` order. Malformed candidates fail up front.
+    std::vector<std::optional<std::string>> failed(n);
     std::vector<std::vector<const qec::StabilizerCode*>> units(n);
-    std::vector<size_t> primary(n, 0);
     // Content keys, one per (candidate, unit): `unit_keys[i][u]` indexes
-    // `compile_keys`, the distinct canonical compile-key strings in
-    // first-seen order, whose first (candidate, unit) is the exemplar the
-    // compile stage runs on. CodeFingerprint serialises the whole code,
-    // so each string is built and hashed once here, never per lookup.
+    // `compiles`, the distinct canonical compile keys in first-seen
+    // order. CodeFingerprint serialises the whole code, so each key is
+    // built and hashed once here, never per lookup.
     std::vector<std::vector<CompileKey>> unit_keys(n);
-    std::vector<store::StoreKey> compile_keys;
-    using UnitExemplar =
-        std::pair<const SweepCandidate*, const qec::StabilizerCode*>;
-    std::vector<UnitExemplar> compile_exemplar;
+    std::vector<CompileKey> primary_key(n, 0);
+    std::vector<CompileEntry> compiles;
     std::unordered_map<std::string, CompileKey> compile_ids;
     for (size_t i = 0; i < n; ++i) {
         const SweepCandidate& c = candidates[i];
         if (!c.code) {
-            invalid[i] = "candidate has no code";
+            failed[i] = "candidate has no code";
             continue;
         }
         if (c.compile_rounds < 1) {
-            invalid[i] = "compile_rounds must be >= 1";
+            failed[i] = "compile_rounds must be >= 1";
             continue;
         }
         if (c.compile_rounds != 1 && !c.options.compile_only) {
-            invalid[i] = "multi-round compilation is compile-only (the "
-                         "noise annotator requires a one-round schedule)";
+            failed[i] = "multi-round compilation is compile-only (the "
+                        "noise annotator requires a one-round schedule)";
             continue;
         }
-        specs[i] = c.options.workload_spec();
-        invalid[i] = CheckProgramCandidate(*c.code, specs[i]);
-        if (!invalid[i].empty()) {
+        const workloads::WorkloadSpec& spec = c.options.workload;
+        std::string spec_error = CheckProgramCandidate(*c.code, spec);
+        if (!spec_error.empty()) {
+            failed[i] = std::move(spec_error);
             continue;
         }
-        units[i] = UnitCodesFor(*c.code, specs[i]);
-        if (specs[i].program != nullptr) {
-            primary[i] =
-                static_cast<size_t>(specs[i].program->primary_index());
-        }
+        units[i] = UnitCodesFor(*c.code, spec);
         for (const qec::StabilizerCode* unit : units[i]) {
             store::StoreKey key = store::CompileStoreKey(
                 *unit, c.arch, c.compile_rounds, c.device.get());
             const auto [it, inserted] =
-                compile_ids.try_emplace(key.canonical, compile_keys.size());
+                compile_ids.try_emplace(key.canonical, compiles.size());
             if (inserted) {
-                compile_keys.push_back(std::move(key));
-                compile_exemplar.emplace_back(&c, unit);
+                CompileEntry& entry = compiles.emplace_back();
+                entry.exemplar = &c;
+                entry.unit = unit;
+                entry.key = std::move(key);
             }
             unit_keys[i].push_back(it->second);
         }
+        const int primary =
+            spec.program != nullptr ? spec.program->primary_index() : 0;
+        primary_key[i] = unit_keys[i][static_cast<size_t>(primary)];
     }
 
     // ---- Stage 1: compile once per unique key, pool-parallel. With a
@@ -203,432 +242,337 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
     // skips the compiler entirely, a corrupt artifact isolates the
     // candidate with the store's diagnostic (exactly like a compile
     // error), and a miss compiles and persists the successful bundle.
-    std::vector<std::shared_ptr<CompileArtifacts>> compile_cache(
-        compile_keys.size());
     ParallelForIndex(
-        threads, static_cast<std::int64_t>(compile_keys.size()),
+        threads, static_cast<std::int64_t>(compiles.size()),
         [&](std::int64_t t) {
-            const auto k = static_cast<CompileKey>(t);
-            const auto& [candidate, unit] = compile_exemplar[k];
-            const SweepCandidate& c = *candidate;
-            auto arts = std::make_shared<CompileArtifacts>();
-            compile_cache[k] = arts;
+            CompileEntry& entry = compiles[static_cast<size_t>(t)];
+            const SweepCandidate& c = *entry.exemplar;
+            entry.arts = std::make_shared<CompileArtifacts>();
+            CompileArtifacts& arts = *entry.arts;
             if (astore != nullptr) {
                 std::string err;
                 const store::LoadStatus status = astore->LoadCompile(
-                    compile_keys[k], *unit, c.arch, c.compile_rounds,
-                    c.device.get(), arts.get(), &err);
+                    entry.key, *entry.unit, c.arch, c.compile_rounds,
+                    c.device.get(), &arts, &err);
                 if (status == store::LoadStatus::kHit) {
                     return;
                 }
                 if (status == store::LoadStatus::kCorrupt) {
-                    *arts = CompileArtifacts{};
-                    arts->error = err;
+                    arts = CompileArtifacts{};
+                    arts.error = err;
                     return;
                 }
             }
-            *arts = CompileCandidate(*unit, c.arch, c.compile_rounds,
-                                     c.device.get());
+            arts = CompileCandidate(*entry.unit, c.arch, c.compile_rounds,
+                                    c.device.get());
             num_compiles.fetch_add(1, std::memory_order_relaxed);
-            if (astore != nullptr && arts->ok) {
-                astore->StoreCompile(compile_keys[k], *arts);
+            if (astore != nullptr && arts.ok) {
+                astore->StoreCompile(entry.key, arts);
             }
         });
-
-    // ---- Stage 1b: artifact validation once per compile key that any
-    // validating candidate references. A failure gates only candidates
-    // with validate_artifacts set (the cached artifacts stay shared), and
-    // its formatted diagnostics flow through failure isolation exactly
-    // like a compile error — byte-identical to the serial Evaluate path.
-    std::map<CompileKey, std::string> compile_validation;
-    {
-        for (size_t i = 0; i < n; ++i) {
-            if (invalid[i].empty() &&
-                candidates[i].options.validate_artifacts) {
-                for (const CompileKey ck : unit_keys[i]) {
-                    if (compile_cache[ck]->ok) {
-                        compile_validation.try_emplace(ck);
-                    }
-                }
+    for (size_t i = 0; i < n; ++i) {
+        for (const CompileKey ck : unit_keys[i]) {
+            if (!failed[i] && !compiles[ck].arts->ok) {
+                failed[i] = compiles[ck].arts->error;
             }
         }
-        std::vector<std::pair<CompileKey, std::string*>> tasks;
-        tasks.reserve(compile_validation.size());
-        for (auto& [key, error] : compile_validation) {
-            tasks.emplace_back(key, &error);
-        }
-        ParallelForIndex(
-            threads, static_cast<std::int64_t>(tasks.size()),
-            [&](std::int64_t t) {
-                // The key covers the wiring, so any exemplar's will do.
-                const CompileKey ck = tasks[t].first;
-                const CompileArtifacts& arts = *compile_cache[ck];
-                const std::vector<analysis::Diagnostic> diags =
-                    analysis::ValidateCompiledArtifacts(
-                        arts.compiled, arts.graph, arts.timing,
-                        compile_exemplar[ck].first->arch.wiring ==
-                            WiringKind::kWise);
-                num_validations.fetch_add(1, std::memory_order_relaxed);
-                if (!diags.empty()) {
-                    num_validation_failures.fetch_add(
-                        1, std::memory_order_relaxed);
-                    *tasks[t].second = analysis::FormatDiagnostics(
-                        analysis::kCompiledSubject, diags);
-                }
-            });
     }
-    // Per-candidate gates over every unit, in `UnitCodesFor` order — the
-    // same order the serial `Evaluate` walks its unit loops, so the first
-    // failing unit (and hence the reported error text) matches
-    // byte-for-byte. Single-unit candidates reduce to the old
-    // one-key checks.
-    const auto unit_compile_error = [&](size_t i) -> const std::string* {
+
+    // ---- Stage 1b: validate each compile a validating candidate needs,
+    // once. A failure fails only the validating candidates (the cached
+    // artifacts stay shared), with the formatted diagnostics as error.
+    const auto validating = [&](size_t i) {
+        return !failed[i] && candidates[i].options.validate_artifacts;
+    };
+    for (size_t i = 0; i < n; ++i) {
         for (const CompileKey ck : unit_keys[i]) {
-            const CompileArtifacts& arts = *compile_cache[ck];
-            if (!arts.ok) {
-                return &arts.error;
+            if (validating(i)) {
+                compiles[ck].validation.emplace();
             }
         }
-        return nullptr;
-    };
-    const auto unit_validation_error = [&](size_t i) -> const std::string* {
-        if (!candidates[i].options.validate_artifacts) {
-            return nullptr;
-        }
+    }
+    ParallelForIndex(
+        threads, static_cast<std::int64_t>(compiles.size()),
+        [&](std::int64_t t) {
+            CompileEntry& entry = compiles[static_cast<size_t>(t)];
+            if (!entry.validation) {
+                return;
+            }
+            // The key covers the wiring, so the exemplar's will do.
+            const CompileArtifacts& arts = *entry.arts;
+            const std::vector<analysis::Diagnostic> diags =
+                analysis::ValidateCompiledArtifacts(
+                    arts.compiled, arts.graph, arts.timing,
+                    entry.exemplar->arch.wiring == WiringKind::kWise);
+            num_validations.fetch_add(1, std::memory_order_relaxed);
+            if (!diags.empty()) {
+                num_validation_failures.fetch_add(1,
+                                                  std::memory_order_relaxed);
+                *entry.validation = analysis::FormatDiagnostics(
+                    analysis::kCompiledSubject, diags);
+            }
+        });
+    for (size_t i = 0; i < n; ++i) {
         for (const CompileKey ck : unit_keys[i]) {
-            const auto it = compile_validation.find(ck);
-            if (it != compile_validation.end() && !it->second.empty()) {
-                return &it->second;
+            if (validating(i) && !compiles[ck].validation->empty()) {
+                failed[i] = *compiles[ck].validation;
             }
         }
-        return nullptr;
-    };
+    }
 
     // ---- Stage 2: annotate once per unique noise scenario (per unit).
     std::map<NoiseKey, NoiseEntry> noise_cache;
-    {
-        std::map<NoiseKey, UnitExemplar> exemplar;
-        for (size_t i = 0; i < n; ++i) {
-            const SweepCandidate& c = candidates[i];
-            if (!invalid[i].empty() || c.compile_rounds != 1) {
-                continue;
-            }
-            if (unit_compile_error(i) != nullptr ||
-                unit_validation_error(i) != nullptr) {
-                continue;
-            }
-            for (size_t u = 0; u < units[i].size(); ++u) {
-                const NoiseKey nk{unit_keys[i][u], c.arch.gate_improvement};
-                noise_cache.try_emplace(nk);
-                exemplar.try_emplace(nk, UnitExemplar{&c, units[i][u]});
-            }
-        }
-        std::vector<std::pair<const NoiseKey*, NoiseEntry*>> tasks;
-        tasks.reserve(noise_cache.size());
-        for (auto& [key, entry] : noise_cache) {
-            tasks.emplace_back(&key, &entry);
-        }
-        ParallelForIndex(
-            threads, static_cast<std::int64_t>(tasks.size()),
-            [&](std::int64_t t) {
-                const auto& [candidate, unit] = exemplar.at(*tasks[t].first);
-                const SweepCandidate& c = *candidate;
-                NoiseEntry& entry = *tasks[t].second;
-                const CompileKey ck = std::get<0>(*tasks[t].first);
-                const CompileArtifacts& comp = *compile_cache[ck];
-                store::StoreKey nkey;
-                if (astore != nullptr) {
-                    nkey = store::NoiseStoreKey(compile_keys[ck],
-                                                c.arch.gate_improvement);
-                    std::string err;
-                    const store::LoadStatus status = astore->LoadNoise(
-                        nkey, comp.compiled.qec_circuit.size(),
-                        unit->num_qubits(), &entry.profile, &err);
-                    if (status == store::LoadStatus::kHit) {
-                        entry.ok = true;
-                        return;
-                    }
-                    if (status == store::LoadStatus::kCorrupt) {
-                        entry.error = err;
-                        return;
-                    }
-                }
-                try {
-                    entry.profile = AnnotateCandidate(*unit, c.arch, comp);
-                    num_annotates.fetch_add(1, std::memory_order_relaxed);
-                    entry.ok = true;
-                    if (astore != nullptr) {
-                        astore->StoreNoise(nkey, entry.profile);
-                    }
-                } catch (const std::exception& e) {
-                    entry.error = e.what();
-                }
-            });
-    }
-    const auto unit_noise_error = [&](size_t i) -> const std::string* {
-        for (const CompileKey ck : unit_keys[i]) {
-            const NoiseEntry& entry = noise_cache.at(
-                NoiseKey{ck, candidates[i].arch.gate_improvement});
-            if (!entry.ok) {
-                return &entry.error;
-            }
-        }
-        return nullptr;
+    const auto noise_of = [&](size_t i, CompileKey ck) -> NoiseEntry& {
+        return noise_cache.at(
+            NoiseKey{ck, candidates[i].arch.gate_improvement});
     };
+    for (size_t i = 0; i < n; ++i) {
+        const SweepCandidate& c = candidates[i];
+        if (failed[i] || c.compile_rounds != 1) {
+            continue;
+        }
+        for (size_t u = 0; u < units[i].size(); ++u) {
+            const auto [it, inserted] = noise_cache.try_emplace(
+                NoiseKey{unit_keys[i][u], c.arch.gate_improvement});
+            if (inserted) {
+                it->second.exemplar = &c;
+                it->second.unit = units[i][u];
+            }
+        }
+    }
+    ParallelForEachEntry(
+        threads, noise_cache, [&](const NoiseKey& nk, NoiseEntry& entry) {
+            const SweepCandidate& c = *entry.exemplar;
+            const CompileEntry& comp = compiles[std::get<0>(nk)];
+            store::StoreKey nkey;
+            if (astore != nullptr) {
+                nkey = store::NoiseStoreKey(comp.key, c.arch.gate_improvement);
+                std::string err;
+                const store::LoadStatus status = astore->LoadNoise(
+                    nkey, comp.arts->compiled.qec_circuit.size(),
+                    entry.unit->num_qubits(), &entry.profile, &err);
+                if (status == store::LoadStatus::kHit) {
+                    entry.ok = true;
+                    return;
+                }
+                if (status == store::LoadStatus::kCorrupt) {
+                    entry.error = err;
+                    return;
+                }
+            }
+            try {
+                entry.profile =
+                    AnnotateCandidate(*entry.unit, c.arch, *comp.arts);
+                num_annotates.fetch_add(1, std::memory_order_relaxed);
+                entry.ok = true;
+                if (astore != nullptr) {
+                    astore->StoreNoise(nkey, entry.profile);
+                }
+            } catch (const std::exception& e) {
+                entry.error = e.what();
+            }
+        });
+    // The compile metrics are filled here, so a candidate that fails a
+    // later stage still reports them.
+    for (size_t i = 0; i < n; ++i) {
+        const SweepCandidate& c = candidates[i];
+        const noise::RoundNoiseProfile* profile = nullptr;
+        if (!failed[i] && c.compile_rounds == 1) {
+            for (const CompileKey ck : unit_keys[i]) {
+                const NoiseEntry& entry = noise_of(i, ck);
+                if (!failed[i] && !entry.ok) {
+                    failed[i] = entry.error;
+                }
+            }
+            profile = &noise_of(i, primary_key[i]).profile;
+        }
+        if (!failed[i]) {
+            FillCompileMetrics(*c.code, c.arch, *compiles[primary_key[i]].arts,
+                               profile, RoundsOf(c), outcomes[i].metrics);
+        }
+    }
 
     // ---- Stage 3: experiment + DEM once per unique experiment shape.
     // The primary unit's noise key leads the sim key; a program
     // candidate additionally needs every phase unit's artifacts, which
     // the exemplar's candidate index recovers.
-    const auto primary_nk_of = [&](size_t i) {
-        return NoiseKey{unit_keys[i][primary[i]],
-                        candidates[i].arch.gate_improvement};
-    };
     std::map<SimKey, SimEntry> sim_cache;
-    {
-        std::map<SimKey, size_t> exemplar;
-        for (size_t i = 0; i < n; ++i) {
+    std::vector<SimEntry*> sims(n, nullptr);
+    for (size_t i = 0; i < n; ++i) {
+        const SweepCandidate& c = candidates[i];
+        if (failed[i] || c.options.compile_only) {
+            continue;
+        }
+        const auto [it, inserted] = sim_cache.try_emplace(
+            SimKeyOf(NoiseKey{primary_key[i], c.arch.gate_improvement},
+                     c.options.workload, RoundsOf(c)));
+        if (inserted) {
+            it->second.exemplar = i;
+        }
+        sims[i] = &it->second;
+    }
+    ParallelForEachEntry(
+        threads, sim_cache, [&](const SimKey& sk, SimEntry& entry) {
+            const size_t i = entry.exemplar;
             const SweepCandidate& c = candidates[i];
-            if (!invalid[i].empty() || c.options.compile_only ||
-                c.compile_rounds != 1) {
-                continue;
-            }
-            if (unit_compile_error(i) != nullptr ||
-                unit_validation_error(i) != nullptr ||
-                unit_noise_error(i) != nullptr) {
-                continue;
-            }
-            const SimKey sk =
-                SimKeyOf(primary_nk_of(i), specs[i], RoundsOf(c));
-            sim_cache.try_emplace(sk);
-            exemplar.try_emplace(sk, i);
-        }
-        std::vector<std::pair<const SimKey*, SimEntry*>> tasks;
-        tasks.reserve(sim_cache.size());
-        for (auto& [key, entry] : sim_cache) {
-            tasks.emplace_back(&key, &entry);
-        }
-        ParallelForIndex(
-            threads, static_cast<std::int64_t>(tasks.size()),
-            [&](std::int64_t t) {
-                const SimKey& sk = *tasks[t].first;
-                const size_t i = exemplar.at(sk);
-                const SweepCandidate& c = candidates[i];
-                SimEntry& entry = *tasks[t].second;
-                const NoiseKey& nk = std::get<0>(sk);
-                const CompileKey ck = std::get<0>(nk);
-                if (astore != nullptr) {
-                    // The store key is built off the in-memory key, so
-                    // the store shares exactly what the cache shares.
-                    entry.store_key = store::SimStoreKey(
-                        store::NoiseStoreKey(compile_keys[ck],
-                                             std::get<1>(nk)),
-                        std::get<1>(sk), std::get<2>(sk), std::get<3>(sk),
-                        std::get<4>(sk));
-                    std::string err;
-                    const store::LoadStatus status =
-                        astore->LoadSim(entry.store_key, &entry.arts, &err);
-                    if (status == store::LoadStatus::kHit) {
-                        entry.ok = true;
-                        return;
-                    }
-                    if (status == store::LoadStatus::kCorrupt) {
-                        entry.error = err;
-                        return;
-                    }
-                }
-                try {
-                    if (specs[i].program != nullptr) {
-                        std::vector<ProgramUnit> punits;
-                        punits.reserve(units[i].size());
-                        for (size_t u = 0; u < units[i].size(); ++u) {
-                            const CompileKey uck = unit_keys[i][u];
-                            punits.push_back(ProgramUnit{
-                                units[i][u], compile_cache[uck].get(),
-                                &noise_cache
-                                     .at(NoiseKey{uck,
-                                                  c.arch.gate_improvement})
-                                     .profile});
-                        }
-                        entry.arts = BuildProgramSimArtifacts(
-                            *specs[i].program, punits, c.arch, RoundsOf(c));
-                    } else {
-                        entry.arts = BuildSimArtifacts(
-                            *c.code, *compile_cache[ck],
-                            noise_cache.at(nk).profile, c.arch, RoundsOf(c),
-                            specs[i]);
-                    }
-                    num_sim_builds.fetch_add(1, std::memory_order_relaxed);
+            const workloads::WorkloadSpec& spec = c.options.workload;
+            const NoiseKey& nk = std::get<0>(sk);
+            const CompileEntry& comp = compiles[std::get<0>(nk)];
+            if (astore != nullptr) {
+                // The store key is built off the in-memory key, so the
+                // store shares exactly what the cache shares.
+                entry.store_key = store::SimStoreKey(
+                    store::NoiseStoreKey(comp.key, std::get<1>(nk)),
+                    std::get<1>(sk), std::get<2>(sk), std::get<3>(sk),
+                    std::get<4>(sk));
+                std::string err;
+                const store::LoadStatus status =
+                    astore->LoadSim(entry.store_key, &entry.arts, &err);
+                if (status == store::LoadStatus::kHit) {
                     entry.ok = true;
-                    if (astore != nullptr) {
-                        astore->StoreSim(entry.store_key, entry.arts);
-                    }
-                } catch (const std::exception& e) {
-                    entry.error = e.what();
+                    return;
                 }
-            });
+                if (status == store::LoadStatus::kCorrupt) {
+                    entry.error = err;
+                    return;
+                }
+            }
+            try {
+                if (spec.program != nullptr) {
+                    std::vector<ProgramUnit> punits;
+                    punits.reserve(units[i].size());
+                    for (size_t u = 0; u < units[i].size(); ++u) {
+                        const CompileKey uck = unit_keys[i][u];
+                        punits.push_back(ProgramUnit{
+                            units[i][u], compiles[uck].arts.get(),
+                            &noise_of(i, uck).profile});
+                    }
+                    entry.arts = BuildProgramSimArtifacts(
+                        *spec.program, punits, c.arch, RoundsOf(c));
+                } else {
+                    entry.arts = BuildSimArtifacts(
+                        *c.code, *comp.arts, noise_cache.at(nk).profile,
+                        c.arch, RoundsOf(c), spec);
+                }
+                num_sim_builds.fetch_add(1, std::memory_order_relaxed);
+                entry.ok = true;
+                if (astore != nullptr) {
+                    astore->StoreSim(entry.store_key, entry.arts);
+                }
+            } catch (const std::exception& e) {
+                entry.error = e.what();
+            }
+        });
+    // From here on, only candidates that reached the sim stage and have
+    // not failed are live.
+    const auto simulated = [&](size_t i) {
+        return sims[i] != nullptr && !failed[i];
+    };
+    for (size_t i = 0; i < n; ++i) {
+        if (simulated(i) && !sims[i]->ok) {
+            failed[i] = sims[i]->error;
+        }
     }
 
-    // ---- Stage 3b: validate the simulation artifacts once per sim key
-    // any validating candidate references (circuit + DEM rules, plus the
-    // workload-aware unreferenced-record check). Candidates sharing a
-    // sim key share code content and workload, so the exemplar's
-    // validation options are the key's options.
-    std::map<SimKey, std::string> sim_validation;
-    {
-        std::map<SimKey, size_t> exemplar;
-        for (size_t i = 0; i < n; ++i) {
-            const SweepCandidate& c = candidates[i];
-            if (!invalid[i].empty() || c.options.compile_only ||
-                c.compile_rounds != 1 || !c.options.validate_artifacts) {
-                continue;
-            }
-            if (unit_compile_error(i) != nullptr ||
-                unit_validation_error(i) != nullptr ||
-                unit_noise_error(i) != nullptr) {
-                continue;
-            }
-            const SimKey sk =
-                SimKeyOf(primary_nk_of(i), specs[i], RoundsOf(c));
-            if (sim_cache.at(sk).ok) {
-                sim_validation.try_emplace(sk);
-                exemplar.try_emplace(sk, i);
-            }
-        }
-        std::vector<std::pair<const SimKey*, std::string*>> tasks;
-        tasks.reserve(sim_validation.size());
-        for (auto& [key, error] : sim_validation) {
-            tasks.emplace_back(&key, &error);
-        }
-        ParallelForIndex(
-            threads, static_cast<std::int64_t>(tasks.size()),
-            [&](std::int64_t t) {
-                const size_t i = exemplar.at(*tasks[t].first);
-                const SweepCandidate& c = candidates[i];
-                const SimEntry& entry = sim_cache.at(*tasks[t].first);
-                const std::vector<analysis::Diagnostic> diags =
-                    analysis::ValidateSimArtifacts(
-                        entry.arts.experiment, entry.arts.dem,
-                        analysis::SimValidationOptionsFor(*c.code,
-                                                          specs[i]));
-                num_validations.fetch_add(1, std::memory_order_relaxed);
-                if (!diags.empty()) {
-                    num_validation_failures.fetch_add(
-                        1, std::memory_order_relaxed);
-                    *tasks[t].second = analysis::FormatDiagnostics(
-                        analysis::kSimSubject, diags);
-                }
-            });
-    }
-    const auto sim_invalidated = [&](const SweepCandidate& c,
-                                     const SimKey& sk) {
-        if (!c.options.validate_artifacts) {
-            return false;
-        }
-        const auto it = sim_validation.find(sk);
-        return it != sim_validation.end() && !it->second.empty();
+    // ---- Stage 3b: validate the simulation artifacts once per sim
+    // entry any validating candidate needs (circuit + DEM rules, plus
+    // the workload-aware unreferenced-record check).
+    const auto sim_validating = [&](size_t i) {
+        return simulated(i) && candidates[i].options.validate_artifacts;
     };
+    for (size_t i = 0; i < n; ++i) {
+        if (sim_validating(i)) {
+            sims[i]->validation.emplace();
+        }
+    }
+    ParallelForEachEntry(
+        threads, sim_cache, [&](const SimKey&, SimEntry& entry) {
+            if (!entry.validation) {
+                return;
+            }
+            const SweepCandidate& c = candidates[entry.exemplar];
+            const std::vector<analysis::Diagnostic> diags =
+                analysis::ValidateSimArtifacts(
+                    entry.arts.experiment, entry.arts.dem,
+                    analysis::SimValidationOptionsFor(*c.code,
+                                                      c.options.workload));
+            num_validations.fetch_add(1, std::memory_order_relaxed);
+            if (!diags.empty()) {
+                num_validation_failures.fetch_add(1,
+                                                  std::memory_order_relaxed);
+                *entry.validation = analysis::FormatDiagnostics(
+                    analysis::kSimSubject, diags);
+            }
+        });
+    for (size_t i = 0; i < n; ++i) {
+        if (sim_validating(i) && !sims[i]->validation->empty()) {
+            failed[i] = *sims[i]->validation;
+        }
+    }
 
     // ---- Stage 3c: certify the effective fault distance once per sim
-    // key any certifying candidate references. With a store attached the
+    // entry any certifying candidate needs. With a store attached the
     // certificate is probed first: a hit skips the certifier, a corrupt
     // one isolates the candidate with the store's diagnostic, and a miss
     // certifies and persists. Computed or loaded, one `JudgeDistance`
     // call judges it against the code distance, so cold and warm runs
     // fail with byte-identical text; a sub-distance (or uncertifiable)
-    // result isolates the candidate exactly like a compile error,
-    // byte-identical to the serial Evaluate path.
+    // result isolates the candidate exactly like a compile error.
     const analysis::DistanceCertifierOptions certifier;
-    std::map<SimKey, std::string> sim_certification;
-    {
-        std::map<SimKey, size_t> exemplar;
-        for (size_t i = 0; i < n; ++i) {
-            const SweepCandidate& c = candidates[i];
-            if (!invalid[i].empty() || c.options.compile_only ||
-                c.compile_rounds != 1 || !c.options.certify_distance) {
-                continue;
-            }
-            if (unit_compile_error(i) != nullptr ||
-                unit_validation_error(i) != nullptr ||
-                unit_noise_error(i) != nullptr) {
-                continue;
-            }
-            const SimKey sk =
-                SimKeyOf(primary_nk_of(i), specs[i], RoundsOf(c));
-            if (sim_cache.at(sk).ok && !sim_invalidated(c, sk)) {
-                sim_certification.try_emplace(sk);
-                exemplar.try_emplace(sk, i);
-            }
-        }
-        std::vector<std::pair<const SimKey*, std::string*>> tasks;
-        tasks.reserve(sim_certification.size());
-        for (auto& [key, error] : sim_certification) {
-            tasks.emplace_back(&key, &error);
-        }
-        ParallelForIndex(
-            threads, static_cast<std::int64_t>(tasks.size()),
-            [&](std::int64_t t) {
-                const SweepCandidate& c =
-                    candidates[exemplar.at(*tasks[t].first)];
-                const SimEntry& entry = sim_cache.at(*tasks[t].first);
-                analysis::DistanceCertificate cert;
-                std::string err;
-                const store::LoadStatus status = store::LoadOrCertify(
-                    astore, entry.store_key, entry.arts.dem, certifier,
-                    &cert, &err);
-                if (status == store::LoadStatus::kCorrupt) {
-                    *tasks[t].second = err;
-                    return;
-                }
-                if (status == store::LoadStatus::kMiss) {
-                    num_certifies.fetch_add(1, std::memory_order_relaxed);
-                }
-                const std::vector<analysis::Diagnostic> diags =
-                    analysis::JudgeDistance(entry.arts.dem, cert,
-                                            c.code->distance());
-                if (!diags.empty()) {
-                    num_certify_failures.fetch_add(
-                        1, std::memory_order_relaxed);
-                    *tasks[t].second = analysis::FormatDiagnostics(
-                        analysis::kCertifySubject, diags);
-                }
-            });
-    }
-    const auto certify_failed = [&](const SweepCandidate& c,
-                                    const SimKey& sk) {
-        if (!c.options.certify_distance) {
-            return false;
-        }
-        const auto it = sim_certification.find(sk);
-        return it != sim_certification.end() && !it->second.empty();
+    const auto certifying = [&](size_t i) {
+        return simulated(i) && candidates[i].options.certify_distance;
     };
+    for (size_t i = 0; i < n; ++i) {
+        if (certifying(i)) {
+            sims[i]->certification.emplace();
+        }
+    }
+    ParallelForEachEntry(
+        threads, sim_cache, [&](const SimKey&, SimEntry& entry) {
+            if (!entry.certification) {
+                return;
+            }
+            analysis::DistanceCertificate cert;
+            std::string err;
+            const store::LoadStatus status =
+                store::LoadOrCertify(astore, entry.store_key, entry.arts.dem,
+                                     certifier, &cert, &err);
+            if (status == store::LoadStatus::kCorrupt) {
+                *entry.certification = err;
+                return;
+            }
+            if (status == store::LoadStatus::kMiss) {
+                num_certifies.fetch_add(1, std::memory_order_relaxed);
+            }
+            const std::vector<analysis::Diagnostic> diags =
+                analysis::JudgeDistance(
+                    entry.arts.dem, cert,
+                    candidates[entry.exemplar].code->distance());
+            if (!diags.empty()) {
+                num_certify_failures.fetch_add(1, std::memory_order_relaxed);
+                *entry.certification = analysis::FormatDiagnostics(
+                    analysis::kCertifySubject, diags);
+            }
+        });
+    for (size_t i = 0; i < n; ++i) {
+        if (certifying(i) && !sims[i]->certification->empty()) {
+            failed[i] = *sims[i]->certification;
+        }
+    }
 
     // ---- Stage 4: interleave every candidate's Monte-Carlo shards on
     // the shared pool. Each candidate's shard streams and in-order
     // commit logic are its own (sim::LerShardRun), so the totals are
-    // bit-identical to a serial Evaluate loop for every pool width.
+    // bit-identical for every pool width.
     std::vector<std::unique_ptr<ShardState>> shard_states(n);
     std::vector<size_t> active;
     std::int64_t total_shards = 0;
     for (size_t i = 0; i < n; ++i) {
         const SweepCandidate& c = candidates[i];
-        if (!invalid[i].empty() || c.options.compile_only ||
-            c.compile_rounds != 1 || c.options.max_shots <= 0) {
-            continue;
-        }
-        if (unit_compile_error(i) != nullptr ||
-            unit_validation_error(i) != nullptr ||
-            unit_noise_error(i) != nullptr) {
-            continue;
-        }
-        const SimKey sk = SimKeyOf(primary_nk_of(i), specs[i], RoundsOf(c));
-        const SimEntry& sim_entry = sim_cache.at(sk);
-        if (!sim_entry.ok || sim_invalidated(c, sk) ||
-            certify_failed(c, sk)) {
+        if (!simulated(i) || c.options.max_shots <= 0) {
             continue;
         }
         auto state = std::make_unique<ShardState>();
-        state->rounds = RoundsOf(c);
         sim::ParallelSamplerOptions sopts;
         sopts.seed = c.options.seed;
         sopts.shard_shots = c.options.shard_shots;
@@ -636,16 +580,14 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
         sopts.correlated = c.options.correlated;
         try {
             state->run = std::make_unique<sim::LerShardRun>(
-                sim_entry.arts.experiment, sim_entry.arts.dem, sopts,
+                sims[i]->arts.experiment, sims[i]->arts.dem, sopts,
                 c.options.max_shots, c.options.target_logical_errors);
         } catch (const std::exception& e) {
-            state->failed.store(true, std::memory_order_relaxed);
-            state->error = e.what();
+            failed[i] = e.what();
+            continue;
         }
-        if (state->run) {
-            total_shards += state->run->num_shards();
-            active.push_back(i);
-        }
+        total_shards += state->run->num_shards();
+        active.push_back(i);
         shard_states[i] = std::move(state);
     }
     if (!active.empty()) {
@@ -701,108 +643,52 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
         RunWorkers(threads, total_shards, worker);
     }
 
-    // ---- Assemble outcomes in candidate order.
-    auto failed_stub = [](const std::string& error) {
-        auto stub = std::make_shared<CompileArtifacts>();
-        stub->error = error;
-        return stub;
-    };
+    // ---- Assemble outcomes in candidate order. The reported compile
+    // artifacts are the primary unit's; a candidate rejected before
+    // compiling gets a stub that carries its error.
     for (size_t i = 0; i < n; ++i) {
         const SweepCandidate& c = candidates[i];
         SweepOutcome& out = outcomes[i];
-        out.label = c.label;
         Metrics& metrics = out.metrics;
-        if (!invalid[i].empty()) {
-            metrics.error = invalid[i];
-            out.compile = failed_stub(invalid[i]);
+        out.label = c.label;
+        if (unit_keys[i].empty()) {
+            auto stub = std::make_shared<CompileArtifacts>();
+            stub->error = *failed[i];
+            out.compile = std::move(stub);
+        } else {
+            out.compile = compiles[primary_key[i]].arts;
+        }
+        ShardState* st = shard_states[i].get();
+        if (st != nullptr && st->failed.load(std::memory_order_relaxed)) {
+            failed[i] = st->error;
+        }
+        if (failed[i]) {
+            metrics.error = *failed[i];
             continue;
         }
-        // The candidate's reported compile artifacts are its *primary*
-        // unit's; failure texts follow the serial `Evaluate` unit-loop
-        // precedence (first failing unit per phase, compile before
-        // validation before noise).
-        const CompileKey pck = unit_keys[i][primary[i]];
-        out.compile = compile_cache[pck];
-        if (const std::string* err = unit_compile_error(i)) {
-            metrics.error = *err;
-            continue;
+        metrics.ok = true;
+        if (sims[i] == nullptr) {
+            continue;  // compile-only
         }
-        if (const std::string* err = unit_validation_error(i)) {
-            metrics.error = *err;
-            continue;
-        }
-        const noise::RoundNoiseProfile* profile = nullptr;
-        if (c.compile_rounds == 1) {
-            if (const std::string* err = unit_noise_error(i)) {
-                metrics.error = *err;
-                continue;
-            }
-            profile = &noise_cache
-                           .at(NoiseKey{pck, c.arch.gate_improvement})
-                           .profile;
-        }
-        FillCompileMetrics(*c.code, c.arch, *out.compile, profile,
-                           RoundsOf(c), metrics);
-        if (c.options.compile_only) {
-            metrics.ok = true;
-            continue;
-        }
-        const SimKey sk = SimKeyOf(primary_nk_of(i), specs[i], RoundsOf(c));
-        const SimEntry& sim_entry = sim_cache.at(sk);
-        if (!sim_entry.ok) {
-            metrics.error = sim_entry.error;
-            continue;
-        }
-        if (sim_invalidated(c, sk)) {
-            metrics.error = sim_validation.at(sk);
-            continue;
-        }
-        if (certify_failed(c, sk)) {
-            metrics.error = sim_certification.at(sk);
-            continue;
-        }
-        if (c.options.max_shots <= 0) {
-            // The sampler reports an empty estimate for a non-positive
-            // budget (Evaluate parity; sim artifacts are still built,
-            // validated, and reported on).
-            const LerEstimate ler =
-                FinishLerEstimate(0, 0, {}, 0, false, RoundsOf(c));
-            metrics.shots = ler.shots;
-            metrics.logical_errors = ler.logical_errors;
-            metrics.ler_per_shot = ler.ler_per_shot;
-            metrics.ler_per_round = ler.ler_per_round;
-            metrics.dem_hyperedges = sim_entry.arts.dem.num_hyperedges;
-            metrics.dem_undecomposable =
-                sim_entry.arts.dem.num_undecomposable;
-            metrics.dem_dropped_probability =
-                sim_entry.arts.dem.dropped_probability;
-            metrics.dem_undecomposable_probability =
-                sim_entry.arts.dem.undecomposable_probability;
-            metrics.ok = true;
-            continue;
-        }
-        ShardState& st = *shard_states[i];
-        if (st.failed.load(std::memory_order_relaxed)) {
-            metrics.error = st.error;
-            continue;
-        }
-        const sim::LogicalErrorEstimate run = st.run->Finish();
+        // A non-positive budget reports an empty estimate; its sim
+        // artifacts are still built, checked and reported on.
+        const sim::LogicalErrorEstimate run =
+            st != nullptr ? st->run->Finish() : sim::LogicalErrorEstimate{};
         const LerEstimate ler = FinishLerEstimate(
             run.shots, run.logical_errors, run.per_observable_errors,
-            run.shards, run.early_stopped, st.rounds);
+            run.shards, run.early_stopped, RoundsOf(c));
+        const sim::DetectorErrorModel& dem = sims[i]->arts.dem;
         metrics.shots = ler.shots;
         metrics.logical_errors = ler.logical_errors;
         metrics.ler_per_shot = ler.ler_per_shot;
         metrics.ler_per_round = ler.ler_per_round;
         metrics.per_observable_errors = ler.per_observable_errors;
         metrics.per_observable_ler = ler.per_observable_ler;
-        metrics.dem_hyperedges = sim_entry.arts.dem.num_hyperedges;
-        metrics.dem_undecomposable = sim_entry.arts.dem.num_undecomposable;
-        metrics.dem_dropped_probability =
-            sim_entry.arts.dem.dropped_probability;
+        metrics.dem_hyperedges = dem.num_hyperedges;
+        metrics.dem_undecomposable = dem.num_undecomposable;
+        metrics.dem_dropped_probability = dem.dropped_probability;
         metrics.dem_undecomposable_probability =
-            sim_entry.arts.dem.undecomposable_probability;
-        metrics.ok = true;
+            dem.undecomposable_probability;
     }
 
     last_run_stats_.compiles = num_compiles.load();

@@ -12,19 +12,21 @@
  *    stages and then interleaves the Monte-Carlo shards of all
  *    candidates, instead of nesting a thread pool per candidate.
  *
- * Results are bit-identical to the serial `core::Evaluate` loop over
- * the same candidates for every pool width: each candidate's shard
+ * This is the toolflow's one stage chain: `core::Evaluate` is a
+ * one-candidate run of it. Results are bit-identical for every pool
+ * width, and to running each candidate alone: each candidate's shard
  * streams are a pure function of its own seed, and shard outcomes
  * commit in shard-index order (see sim::LerShardRun). A candidate that
- * fails to compile is reported with `ok == false` and a message; the
- * rest of the sweep proceeds.
+ * fails any stage is reported with `ok == false` and the first failing
+ * stage's message (compile metrics stay filled when the failure comes
+ * after annotation); the rest of the sweep proceeds.
  *
  * Candidates choose their simulated workload through
- * `EvaluationOptions::workload` (memory | stability | surgery, see
- * workloads/experiment.h and DESIGN.md §5). The workload enters only
- * the experiment/DEM cache key, so e.g. a surgery and a stability
- * candidate on the same merged code share the compiled schedule and
- * noise profile.
+ * `EvaluationOptions::workload` (memory | stability | surgery |
+ * program, see workloads/experiment.h and DESIGN.md §5). The workload
+ * enters only the experiment/DEM cache key, so e.g. a surgery and a
+ * stability candidate on the same merged code share the compiled
+ * schedule and noise profile.
  */
 #ifndef TIQEC_CORE_SWEEP_H
 #define TIQEC_CORE_SWEEP_H

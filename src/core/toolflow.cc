@@ -1,21 +1,20 @@
 #include "core/toolflow.h"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <memory>
 #include <stdexcept>
 
-#include "analysis/analysis.h"
 #include "common/check.h"
 #include "compiler/compiler.h"
 #include "core/pipeline.h"
+#include "core/sweep.h"
 #include "noise/annotator.h"
 #include "sim/dem.h"
-#include "sim/memory_experiment.h"
 #include "sim/parallel_sampler.h"
 
 namespace tiqec::core {
@@ -278,129 +277,28 @@ Metrics
 Evaluate(const qec::StabilizerCode& code, const ArchitectureConfig& arch,
          const EvaluationOptions& options)
 {
-    Metrics metrics;
-    const workloads::WorkloadSpec spec = options.workload_spec();
-    {
-        const std::string spec_error = CheckProgramCandidate(code, spec);
-        if (!spec_error.empty()) {
-            metrics.error = spec_error;
-            return metrics;
-        }
-    }
-    // A program candidate stitches several phase codes; every other
-    // workload is the single-unit special case of the same loop.
-    const std::vector<const qec::StabilizerCode*> units =
-        UnitCodesFor(code, spec);
-    const int primary =
-        spec.kind == workloads::WorkloadKind::kProgram
-            ? spec.program->primary_index()
-            : 0;
-    std::vector<CompileArtifacts> unit_arts;
-    unit_arts.reserve(units.size());
-    for (const qec::StabilizerCode* unit : units) {
-        unit_arts.push_back(CompileCandidate(*unit, arch));
-        if (!unit_arts.back().ok) {
-            metrics.error = unit_arts.back().error;
-            return metrics;
-        }
-    }
-    if (options.validate_artifacts) {
-        for (const CompileArtifacts& arts : unit_arts) {
-            const std::vector<analysis::Diagnostic> diags =
-                analysis::ValidateCompiledArtifacts(
-                    arts.compiled, arts.graph, arts.timing,
-                    arch.wiring == WiringKind::kWise);
-            if (!diags.empty()) {
-                metrics.error = analysis::FormatDiagnostics(
-                    analysis::kCompiledSubject, diags);
-                return metrics;
-            }
-        }
-    }
-    const int rounds = options.rounds > 0 ? options.rounds : code.distance();
-    // Post-compile failures (a workload the code cannot host, a decode
-    // failure) report like compile failures instead of throwing, so the
-    // serial entry point isolates a broken candidate exactly as the
-    // sweep engine does.
-    try {
-        std::vector<noise::RoundNoiseProfile> profiles;
-        profiles.reserve(units.size());
-        for (size_t i = 0; i < units.size(); ++i) {
-            profiles.push_back(
-                AnnotateCandidate(*units[i], arch, unit_arts[i]));
-        }
-        FillCompileMetrics(code, arch, unit_arts[primary],
-                           &profiles[primary], rounds, metrics);
-        if (options.compile_only) {
-            metrics.ok = true;
-            return metrics;
-        }
-
-        SimArtifacts sim_arts;
-        if (spec.kind == workloads::WorkloadKind::kProgram) {
-            std::vector<ProgramUnit> program_units;
-            program_units.reserve(units.size());
-            for (size_t i = 0; i < units.size(); ++i) {
-                program_units.push_back(
-                    {units[i], &unit_arts[i], &profiles[i]});
-            }
-            sim_arts = BuildProgramSimArtifacts(*spec.program,
-                                                program_units, arch,
-                                                rounds);
-        } else {
-            sim_arts = BuildSimArtifacts(code, unit_arts[0], profiles[0],
-                                         arch, rounds, spec);
-        }
-        if (options.validate_artifacts) {
-            const std::vector<analysis::Diagnostic> diags =
-                analysis::ValidateSimArtifacts(
-                    sim_arts.experiment, sim_arts.dem,
-                    analysis::SimValidationOptionsFor(code, spec));
-            if (!diags.empty()) {
-                metrics.error = analysis::FormatDiagnostics(
-                    analysis::kSimSubject, diags);
-                return metrics;
-            }
-        }
-        if (options.certify_distance) {
-            const std::vector<analysis::Diagnostic> diags =
-                analysis::CheckDistance(sim_arts.dem, code.distance());
-            if (!diags.empty()) {
-                metrics.error = analysis::FormatDiagnostics(
-                    analysis::kCertifySubject, diags);
-                return metrics;
-            }
-        }
-        const LerEstimate ler = EstimateLogicalErrorRate(
-            sim_arts.experiment, sim_arts.dem, rounds, options);
-        metrics.shots = ler.shots;
-        metrics.logical_errors = ler.logical_errors;
-        metrics.ler_per_shot = ler.ler_per_shot;
-        metrics.ler_per_round = ler.ler_per_round;
-        metrics.per_observable_errors = ler.per_observable_errors;
-        metrics.per_observable_ler = ler.per_observable_ler;
-        metrics.dem_hyperedges = sim_arts.dem.num_hyperedges;
-        metrics.dem_undecomposable = sim_arts.dem.num_undecomposable;
-        metrics.dem_dropped_probability = sim_arts.dem.dropped_probability;
-        metrics.dem_undecomposable_probability =
-            sim_arts.dem.undecomposable_probability;
-        metrics.ok = true;
-    } catch (const std::exception& e) {
-        metrics.ok = false;
-        metrics.error = e.what();
-    }
-    return metrics;
+    // A one-candidate sweep. The aliasing pointer owns nothing (`code`
+    // outlives the call) but keeps its address, which a program spec's
+    // primary-code check compares.
+    SweepCandidate candidate;
+    candidate.code = std::shared_ptr<const qec::StabilizerCode>(
+        std::shared_ptr<const void>(), &code);
+    candidate.arch = arch;
+    candidate.options = options;
+    SweepRunnerOptions runner;
+    runner.num_threads = options.num_threads;
+    return SweepRunner(runner).Run({candidate}).front();
 }
 
 LerEstimate
-EstimateLogicalErrorRate(const sim::NoisyCircuit& experiment,
-                         const sim::DetectorErrorModel& dem, int rounds,
+EstimateLogicalErrorRate(const sim::NoisyCircuit& experiment, int rounds,
                          const EvaluationOptions& options)
 {
     if (rounds < 1) {
         throw std::invalid_argument(
             "EstimateLogicalErrorRate: rounds must be >= 1");
     }
+    const sim::DetectorErrorModel dem = sim::BuildDem(experiment);
     sim::ParallelSamplerOptions sopts;
     sopts.seed = options.seed;
     sopts.num_threads = options.num_threads;
@@ -413,18 +311,6 @@ EstimateLogicalErrorRate(const sim::NoisyCircuit& experiment,
     return FinishLerEstimate(run.shots, run.logical_errors,
                              run.per_observable_errors, run.shards,
                              run.early_stopped, rounds);
-}
-
-LerEstimate
-EstimateLogicalErrorRate(const sim::NoisyCircuit& experiment, int rounds,
-                         const EvaluationOptions& options)
-{
-    if (rounds < 1) {
-        throw std::invalid_argument(
-            "EstimateLogicalErrorRate: rounds must be >= 1");
-    }
-    const sim::DetectorErrorModel dem = sim::BuildDem(experiment);
-    return EstimateLogicalErrorRate(experiment, dem, rounds, options);
 }
 
 }  // namespace tiqec::core

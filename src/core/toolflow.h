@@ -5,9 +5,11 @@
  * time, logical error rate (Monte-Carlo frame simulation + union-find
  * decoding), and control-hardware resource estimates.
  *
- * This is the library's primary public entry point; the benchmark
- * binaries in bench/ are thin drivers over `Evaluate` and
- * `EstimateLogicalErrorRate`.
+ * `Evaluate` is the one-candidate entry point: a run of the staged
+ * sweep engine (core/sweep.h), which chains the stages of
+ * core/pipeline.h. The benchmark binaries in bench/ are thin drivers
+ * over `Evaluate` and `SweepRunner`; `EstimateLogicalErrorRate` samples
+ * an already-built experiment.
  */
 #ifndef TIQEC_CORE_TOOLFLOW_H
 #define TIQEC_CORE_TOOLFLOW_H
@@ -53,20 +55,18 @@ struct EvaluationOptions
     /** Skip the (expensive) logical-error simulation. */
     bool compile_only = false;
     /** Simulated workload (DESIGN.md §5). Memory is the paper's
-     *  logical-identity benchmark; surgery and stability run the
-     *  joint-parity measurement on a merged double patch and require
-     *  the candidate's code to be a `qec::MergedPatchCode`; a program
-     *  workload carries a `workloads::BoundProgram` whose primary phase
-     *  code must be the candidate's code. A bare `WorkloadKind` assigns
-     *  here unchanged (the deprecated enum-era shim; DESIGN.md §5.4). */
+     *  logical-identity benchmark (`workload.basis` picks the protected
+     *  logical); surgery and stability run the joint-parity measurement
+     *  on a merged double patch and require the candidate's code to be
+     *  a `qec::MergedPatchCode`; a program workload carries a
+     *  `workloads::BoundProgram` whose primary phase code must be the
+     *  candidate's code. A bare `WorkloadKind` assigns here. */
     workloads::WorkloadSpec workload = workloads::WorkloadKind::kMemory;
-    /** Protected logical memory (memory workload only).
-     *  @deprecated Enum-era shim: prefer `workload.basis`. A kZ default
-     *  here lets `workload.basis` win; setting this field still works
-     *  through `workload_spec()`. */
-    sim::MemoryBasis basis = sim::MemoryBasis::kZ;
-    /** Monte-Carlo worker threads; 0 means hardware concurrency. The
-     *  result is bit-identical for every value (see DESIGN.md §3.4). */
+    /** Worker threads of `Evaluate` (its pool runs every stage and the
+     *  Monte-Carlo shards) and of `EstimateLogicalErrorRate`; 0 means
+     *  hardware concurrency. The result is bit-identical for every value
+     *  (see DESIGN.md §3.4). A `SweepRunner` ignores it: the runner's
+     *  own pool owns the threads. */
     int num_threads = 0;
     /** Shots per RNG shard (the sampler's determinism unit). */
     int shard_shots = 1 << 12;
@@ -86,25 +86,16 @@ struct EvaluationOptions
     bool validate_artifacts = DefaultValidateArtifacts();
     /** Statically certify the effective fault distance of the extracted
      *  DEM against the candidate code's distance
-     *  (`analysis::CheckDistance`, DESIGN.md §6.5); a sub-distance
-     *  observable fails the candidate with its witness mechanism set,
-     *  exactly like a compile error. Deliberately independent of
-     *  `rounds`: running fewer rounds than the code distance is
-     *  precisely the kind of silent distance loss the certifier exists
-     *  to catch. */
+     *  (`analysis::CertifyDistance` + `JudgeDistance`, DESIGN.md §6.5);
+     *  a sub-distance observable fails the candidate with its witness
+     *  mechanism set, exactly like a compile error. Deliberately
+     *  independent of `rounds`: running fewer rounds than the code
+     *  distance is precisely the kind of silent distance loss the
+     *  certifier exists to catch. */
     bool certify_distance = false;
 
-    /** The experiment shape these options select: the `workload` spec,
-     *  with the deprecated top-level `basis` field folded in when the
-     *  spec itself left the basis defaulted. */
-    workloads::WorkloadSpec workload_spec() const
-    {
-        workloads::WorkloadSpec spec = workload;
-        if (spec.basis == sim::MemoryBasis::kZ) {
-            spec.basis = basis;
-        }
-        return spec;
-    }
+    /** The experiment shape these options select: `workload`. */
+    workloads::WorkloadSpec workload_spec() const { return workload; }
 };
 
 struct Metrics
@@ -167,7 +158,9 @@ struct LerEstimate
     bool early_stopped = false;
 };
 
-/** Runs the full tool flow for one (code, architecture) pair. */
+/** Runs the full tool flow for one (code, architecture) pair: a
+ *  one-candidate `SweepRunner` run whose pool is `options.num_threads`
+ *  wide (core/sweep.h). */
 Metrics Evaluate(const qec::StabilizerCode& code,
                  const ArchitectureConfig& arch,
                  const EvaluationOptions& options = {});
@@ -180,13 +173,6 @@ Metrics Evaluate(const qec::StabilizerCode& code,
  * are bit-identical for every `options.num_threads`.
  */
 LerEstimate EstimateLogicalErrorRate(const sim::NoisyCircuit& experiment,
-                                     int rounds,
-                                     const EvaluationOptions& options);
-
-/** As above with a pre-built detector error model of `experiment` —
- *  the cached-DEM entry point the sweep engine uses. */
-LerEstimate EstimateLogicalErrorRate(const sim::NoisyCircuit& experiment,
-                                     const sim::DetectorErrorModel& dem,
                                      int rounds,
                                      const EvaluationOptions& options);
 

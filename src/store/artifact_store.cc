@@ -673,7 +673,7 @@ LoadOrCertify(const ArtifactStore* store, const StoreKey& sim_key,
         return LoadStatus::kMiss;
     }
     const StoreKey key =
-        CertificateStoreKey(sim_key, options.max_search_weight);
+        CertificateStoreKey(sim_key, analysis::SearchWeightFor(options));
     const LoadStatus status =
         store->LoadCertificate(key, dem, certificate, error);
     if (status == LoadStatus::kMiss) {

@@ -85,9 +85,9 @@ StoreKey NoiseStoreKey(const StoreKey& compile_key, double gate_improvement);
 StoreKey SimStoreKey(const StoreKey& noise_key, int rounds, int basis,
                      int workload, const std::string& program_canonical = "");
 
-/** Certificate key: sim key + the certifier's `max_search_weight` (a
- *  distance certificate is a pure function of the DEM and the certifier
- *  options). */
+/** Certificate key: sim key + the search weight the certifier applies,
+ *  `analysis::SearchWeightFor` of its options (a distance certificate is
+ *  a pure function of the DEM and that weight). */
 StoreKey CertificateStoreKey(const StoreKey& sim_key, int max_search_weight);
 
 }  // namespace tiqec::store

@@ -68,12 +68,10 @@ WorkloadKind ParseWorkloadKind(const std::string& name);
  * the pipeline compiles and stitches (the candidate's `code` must be
  * the program's primary phase code).
  *
- * This is the single workload-selection surface consumed uniformly by
- * `core::Evaluate`, `core::BuildSimArtifacts`, and `core::SweepRunner`
- * (the old bare-enum path on `EvaluationOptions` remains as a thin
- * deprecated shim; see the DESIGN.md §5.4 migration note). A bare
- * `WorkloadKind` converts implicitly, and `spec == WorkloadKind::k...`
- * comparisons keep working, so enum-era call sites compile unchanged.
+ * This is the single workload-selection surface, consumed by
+ * `core::BuildSimArtifacts` and `core::SweepRunner` (and so by
+ * `core::Evaluate`). A bare `WorkloadKind` converts implicitly, and
+ * `spec == WorkloadKind::k...` comparisons keep working.
  */
 struct WorkloadSpec
 {

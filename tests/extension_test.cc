@@ -193,7 +193,7 @@ TEST(MemoryXTest, SuppressionWithDistance)
         core::EvaluationOptions opts;
         opts.max_shots = 1 << 16;
         opts.target_logical_errors = 1 << 30;
-        opts.basis = sim::MemoryBasis::kX;
+        opts.workload.basis = sim::MemoryBasis::kX;
         const auto m = core::Evaluate(code, arch, opts);
         ASSERT_TRUE(m.ok) << m.error;
         ler[i] = m.ler_per_shot.rate;
@@ -214,7 +214,7 @@ TEST(MemoryXTest, BothBasesComparableAtSymmetricNoise)
     opts.max_shots = 1 << 15;
     opts.target_logical_errors = 1 << 30;
     const auto mz = core::Evaluate(code, arch, opts);
-    opts.basis = sim::MemoryBasis::kX;
+    opts.workload.basis = sim::MemoryBasis::kX;
     const auto mx = core::Evaluate(code, arch, opts);
     ASSERT_TRUE(mz.ok && mx.ok);
     ASSERT_GT(mz.ler_per_shot.rate, 0.0);

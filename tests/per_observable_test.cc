@@ -67,8 +67,8 @@ TEST(PerObservableTest, OneRunMatchesThreeSingleObservableRuns)
     opts.target_logical_errors = 0;  // fixed budget, no early stop
     opts.seed = 0xC0FFEE;
     opts.num_threads = 2;
-    const core::LerEstimate est = core::EstimateLogicalErrorRate(
-        w.circuit, w.dem, 3, opts);
+    const core::LerEstimate est =
+        core::EstimateLogicalErrorRate(w.circuit, 3, opts);
     ASSERT_EQ(est.shots, opts.max_shots);
     ASSERT_EQ(est.per_observable_errors.size(), 3u);
     ASSERT_EQ(est.per_observable_ler.size(), 3u);
@@ -105,8 +105,8 @@ TEST(PerObservableTest, SumAndAnyObservableConsistency)
     opts.max_shots = 1 << 13;
     opts.target_logical_errors = 0;
     opts.seed = 99;
-    const core::LerEstimate est = core::EstimateLogicalErrorRate(
-        w.circuit, w.dem, 3, opts);
+    const core::LerEstimate est =
+        core::EstimateLogicalErrorRate(w.circuit, 3, opts);
     ASSERT_EQ(est.per_observable_errors.size(), 3u);
     ASSERT_GT(est.logical_errors, 0);
     std::int64_t max_obs = 0;
@@ -140,8 +140,8 @@ TEST(PerObservableTest, BatchMatchesScalarAcrossThreads)
     opts.seed = 0xD15EA5E;
     opts.num_threads = 1;
     opts.decode_path = sim::DecodePath::kScalar;
-    const core::LerEstimate reference = core::EstimateLogicalErrorRate(
-        w.circuit, w.dem, 3, opts);
+    const core::LerEstimate reference =
+        core::EstimateLogicalErrorRate(w.circuit, 3, opts);
     ASSERT_GT(reference.shots, 0);
     ASSERT_EQ(reference.per_observable_errors.size(), 3u);
 
@@ -153,8 +153,8 @@ TEST(PerObservableTest, BatchMatchesScalarAcrossThreads)
                          std::to_string(threads) + " threads");
             opts.num_threads = threads;
             opts.decode_path = path;
-            const core::LerEstimate est = core::EstimateLogicalErrorRate(
-                w.circuit, w.dem, 3, opts);
+            const core::LerEstimate est =
+                core::EstimateLogicalErrorRate(w.circuit, 3, opts);
             EXPECT_EQ(est.shots, reference.shots);
             EXPECT_EQ(est.logical_errors, reference.logical_errors);
             EXPECT_EQ(est.shards, reference.shards);
@@ -175,11 +175,11 @@ TEST(PerObservableTest, CorrelatedImprovesSurgeryLer)
     opts.max_shots = 1 << 14;
     opts.target_logical_errors = 0;
     opts.seed = 7;
-    const core::LerEstimate correlated = core::EstimateLogicalErrorRate(
-        w.circuit, w.dem, 3, opts);
+    const core::LerEstimate correlated =
+        core::EstimateLogicalErrorRate(w.circuit, 3, opts);
     opts.correlated = false;
-    const core::LerEstimate plain = core::EstimateLogicalErrorRate(
-        w.circuit, w.dem, 3, opts);
+    const core::LerEstimate plain =
+        core::EstimateLogicalErrorRate(w.circuit, 3, opts);
     ASSERT_EQ(plain.shots, correlated.shots);
     EXPECT_LT(correlated.logical_errors, plain.logical_errors);
     // The joint parity (observable 0) itself must improve, not just the

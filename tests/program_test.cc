@@ -5,8 +5,8 @@
  * pinned instruction-identity of the `single_merge` program against
  * the PR-5 surgery workload, pool-width bit-identity for a CNOT
  * program sweep, finite joint-parity error rates with a passing
- * distance certificate at d=3 and d=5, and the serial-vs-sweep
- * byte-identical failure-text contract for broken program specs.
+ * distance certificate at d=3 and d=5, and identical failure text for
+ * broken program specs run alone (`core::Evaluate`) or in a batch.
  */
 #include <memory>
 #include <string>
@@ -183,9 +183,8 @@ TEST(ProgramPipelineTest, EveryCanonicalProgramRunsEndToEnd)
     }
 }
 
-/** The serial-vs-sweep failure-text contract (DESIGN.md §5.4): a
- *  broken program spec reports byte-identical error text through
- *  `core::Evaluate` and through the sweep engine. */
+/** A broken program spec reports byte-identical error text run alone
+ *  through `core::Evaluate` and through the sweep engine. */
 TEST(ProgramPipelineTest, SpecFailureTextIdenticalSerialVsSweep)
 {
     std::vector<core::SweepCandidate> broken;

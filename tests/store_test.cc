@@ -683,6 +683,44 @@ TEST(CertificateStoreTest, OptionOrSimKeyChangeIsAMiss)
         << error;
 }
 
+TEST(CertificateStoreTest, KeyIsTheSearchWeightActuallyUsed)
+{
+    // The certifier clamps `max_search_weight` to [2, 4], so weights 9
+    // and 4 run the same search and must share one stored certificate;
+    // likewise 1 and 2.
+    const PipelineArtifacts p = BuildPipelineArtifacts();
+    const store::StoreKey ck =
+        store::CompileStoreKey(*p.code, p.arch, 1, nullptr);
+    const store::StoreKey sk =
+        store::SimStoreKey(store::NoiseStoreKey(ck, 1.0), 3, 0, 0);
+    const store::ArtifactStore store(FreshDir("cert_clamp"));
+    struct Probe
+    {
+        int max_search_weight;
+        store::LoadStatus status;
+        int searched_weight;
+    };
+    const Probe probes[] = {
+        {4, store::LoadStatus::kMiss, 4},
+        {9, store::LoadStatus::kHit, 4},
+        {2, store::LoadStatus::kMiss, 2},
+        {1, store::LoadStatus::kHit, 2},
+    };
+    for (const Probe& probe : probes) {
+        SCOPED_TRACE("max_search_weight " +
+                     std::to_string(probe.max_search_weight));
+        analysis::DistanceCertifierOptions options;
+        options.max_search_weight = probe.max_search_weight;
+        analysis::DistanceCertificate cert;
+        std::string error;
+        const store::LoadStatus status = store::LoadOrCertify(
+            &store, sk, p.sim.dem, options, &cert, &error);
+        EXPECT_EQ(status, probe.status) << error;
+        EXPECT_EQ(cert.searched_weight, probe.searched_weight);
+    }
+    EXPECT_EQ(store.counters().writes, 2);
+}
+
 /** Two certified d=3 memory candidates — Z and X basis, so two sim keys
  *  and two certificates — on fresh code objects every call. */
 std::vector<core::SweepCandidate>
@@ -920,25 +958,32 @@ TEST(SweepServiceTest, ParseRejectsMalformedRequests)
 
 TEST(SweepServiceTest, ParseFillsCandidate)
 {
-    core::SweepCandidate c;
-    std::string error;
-    ASSERT_TRUE(store::ParseSweepRequest(
+    const std::string keys =
         "family=rotated distance=3 topology=switch capacity=4 "
         "wiring=wise improvement=5 shots=99 target_errors=7 seed=11 "
-        "basis=x compile_only=1 label=custom",
-        &c, &error))
-        << error;
-    EXPECT_EQ(c.code->distance(), 3);
-    EXPECT_EQ(c.arch.topology, qccd::TopologyKind::kSwitch);
-    EXPECT_EQ(c.arch.trap_capacity, 4);
-    EXPECT_EQ(c.arch.wiring, core::WiringKind::kWise);
-    EXPECT_EQ(c.arch.gate_improvement, 5.0);
-    EXPECT_EQ(c.options.max_shots, 99);
-    EXPECT_EQ(c.options.target_logical_errors, 7);
-    EXPECT_EQ(c.options.seed, 11u);
-    EXPECT_EQ(c.options.basis, sim::MemoryBasis::kX);
-    EXPECT_TRUE(c.options.compile_only);
-    EXPECT_EQ(c.label, "custom");
+        "compile_only=1 label=custom ";
+    // `workload=` resets the whole workload spec, so `basis=` must hold
+    // on either side of it.
+    for (const char* order :
+         {"basis=x workload=memory", "workload=memory basis=x"}) {
+        SCOPED_TRACE(order);
+        core::SweepCandidate c;
+        std::string error;
+        ASSERT_TRUE(store::ParseSweepRequest(keys + order, &c, &error))
+            << error;
+        EXPECT_EQ(c.code->distance(), 3);
+        EXPECT_EQ(c.arch.topology, qccd::TopologyKind::kSwitch);
+        EXPECT_EQ(c.arch.trap_capacity, 4);
+        EXPECT_EQ(c.arch.wiring, core::WiringKind::kWise);
+        EXPECT_EQ(c.arch.gate_improvement, 5.0);
+        EXPECT_EQ(c.options.max_shots, 99);
+        EXPECT_EQ(c.options.target_logical_errors, 7);
+        EXPECT_EQ(c.options.seed, 11u);
+        EXPECT_EQ(c.options.workload.kind, workloads::WorkloadKind::kMemory);
+        EXPECT_EQ(c.options.workload.basis, sim::MemoryBasis::kX);
+        EXPECT_TRUE(c.options.compile_only);
+        EXPECT_EQ(c.label, "custom");
+    }
 }
 
 TEST(SweepServiceTest, BatchIsolatesMalformedLines)

@@ -1,10 +1,12 @@
 /**
  * @file
- * Differential tests for the cached parallel sweep engine: a
- * `core::SweepRunner` pass over a candidate list must be bit-identical
- * to the serial `core::Evaluate` loop over the same candidates — for
- * every pool width, including the early-stop path — and a broken
- * candidate must fail alone without aborting the sweep.
+ * Tests for the cached parallel sweep engine. `core::Evaluate` is a
+ * one-candidate `core::SweepRunner` run, so a batch compared against a
+ * loop of `Evaluate` calls pins cache sharing (a candidate's result
+ * must not depend on the batch whose artifacts it shares) and pool-width
+ * identity, including the early-stop path. A broken candidate must fail
+ * alone without aborting the sweep, and one mixed batch pins every
+ * candidate's exact outcome and the stage counters.
  */
 #include <cstring>
 #include <memory>
@@ -182,8 +184,8 @@ TEST(SweepRunnerTest, CompileFailureMarksOnlyThatCandidate)
 
 TEST(SweepRunnerTest, EvaluateReportsCompileErrorInsteadOfCrashing)
 {
-    // The serial entry point gets the same fix: capacity < 2 used to
-    // divide by zero inside MakeDeviceFor.
+    // The one-candidate entry point reports it too: capacity < 2 used
+    // to divide by zero inside MakeDeviceFor.
     const auto code = qec::MakeCode("rotated", 3);
     ArchitectureConfig arch;
     arch.trap_capacity = 1;
