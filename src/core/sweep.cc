@@ -139,10 +139,10 @@ ParallelForEachEntry(int num_threads, Map& map, const Fn& fn)
     for (auto& entry : map) {
         entries.push_back(&entry);
     }
-    ParallelForIndex(num_threads, static_cast<std::int64_t>(entries.size()),
-                     [&](std::int64_t t) {
-                         fn(entries[t]->first, entries[t]->second);
-                     });
+    const auto count = static_cast<std::int64_t>(entries.size());
+    ParallelForIndex(num_threads, count, [&](std::int64_t t) {
+        fn(entries[t]->first, entries[t]->second);
+    });
 }
 
 int
@@ -340,38 +340,37 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
             }
         }
     }
-    ParallelForEachEntry(
-        threads, noise_cache, [&](const NoiseKey& nk, NoiseEntry& entry) {
-            const SweepCandidate& c = *entry.exemplar;
-            const CompileEntry& comp = compiles[std::get<0>(nk)];
-            store::StoreKey nkey;
-            if (astore != nullptr) {
-                nkey = store::NoiseStoreKey(comp.key, c.arch.gate_improvement);
-                std::string err;
-                const store::LoadStatus status = astore->LoadNoise(
-                    nkey, comp.arts->compiled.qec_circuit.size(),
-                    entry.unit->num_qubits(), &entry.profile, &err);
-                if (status == store::LoadStatus::kHit) {
-                    entry.ok = true;
-                    return;
-                }
-                if (status == store::LoadStatus::kCorrupt) {
-                    entry.error = err;
-                    return;
-                }
-            }
-            try {
-                entry.profile =
-                    AnnotateCandidate(*entry.unit, c.arch, *comp.arts);
-                num_annotates.fetch_add(1, std::memory_order_relaxed);
+    const auto annotate = [&](const NoiseKey& nk, NoiseEntry& entry) {
+        const SweepCandidate& c = *entry.exemplar;
+        const CompileEntry& comp = compiles[std::get<0>(nk)];
+        store::StoreKey nkey;
+        if (astore != nullptr) {
+            nkey = store::NoiseStoreKey(comp.key, c.arch.gate_improvement);
+            std::string err;
+            const store::LoadStatus status = astore->LoadNoise(
+                nkey, comp.arts->compiled.qec_circuit.size(),
+                entry.unit->num_qubits(), &entry.profile, &err);
+            if (status == store::LoadStatus::kHit) {
                 entry.ok = true;
-                if (astore != nullptr) {
-                    astore->StoreNoise(nkey, entry.profile);
-                }
-            } catch (const std::exception& e) {
-                entry.error = e.what();
+                return;
             }
-        });
+            if (status == store::LoadStatus::kCorrupt) {
+                entry.error = err;
+                return;
+            }
+        }
+        try {
+            entry.profile = AnnotateCandidate(*entry.unit, c.arch, *comp.arts);
+            num_annotates.fetch_add(1, std::memory_order_relaxed);
+            entry.ok = true;
+            if (astore != nullptr) {
+                astore->StoreNoise(nkey, entry.profile);
+            }
+        } catch (const std::exception& e) {
+            entry.error = e.what();
+        }
+    };
+    ParallelForEachEntry(threads, noise_cache, annotate);
     // The compile metrics are filled here, so a candidate that fails a
     // later stage still reports them.
     for (size_t i = 0; i < n; ++i) {
@@ -411,58 +410,58 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
         }
         sims[i] = &it->second;
     }
-    ParallelForEachEntry(
-        threads, sim_cache, [&](const SimKey& sk, SimEntry& entry) {
-            const size_t i = entry.exemplar;
-            const SweepCandidate& c = candidates[i];
-            const workloads::WorkloadSpec& spec = c.options.workload;
-            const NoiseKey& nk = std::get<0>(sk);
-            const CompileEntry& comp = compiles[std::get<0>(nk)];
-            if (astore != nullptr) {
-                // The store key is built off the in-memory key, so the
-                // store shares exactly what the cache shares.
-                entry.store_key = store::SimStoreKey(
-                    store::NoiseStoreKey(comp.key, std::get<1>(nk)),
-                    std::get<1>(sk), std::get<2>(sk), std::get<3>(sk),
-                    std::get<4>(sk));
-                std::string err;
-                const store::LoadStatus status =
-                    astore->LoadSim(entry.store_key, &entry.arts, &err);
-                if (status == store::LoadStatus::kHit) {
-                    entry.ok = true;
-                    return;
-                }
-                if (status == store::LoadStatus::kCorrupt) {
-                    entry.error = err;
-                    return;
-                }
-            }
-            try {
-                if (spec.program != nullptr) {
-                    std::vector<ProgramUnit> punits;
-                    punits.reserve(units[i].size());
-                    for (size_t u = 0; u < units[i].size(); ++u) {
-                        const CompileKey uck = unit_keys[i][u];
-                        punits.push_back(ProgramUnit{
-                            units[i][u], compiles[uck].arts.get(),
-                            &noise_of(i, uck).profile});
-                    }
-                    entry.arts = BuildProgramSimArtifacts(
-                        *spec.program, punits, c.arch, RoundsOf(c));
-                } else {
-                    entry.arts = BuildSimArtifacts(
-                        *c.code, *comp.arts, noise_cache.at(nk).profile,
-                        c.arch, RoundsOf(c), spec);
-                }
-                num_sim_builds.fetch_add(1, std::memory_order_relaxed);
+    const auto build_sim = [&](const SimKey& sk, SimEntry& entry) {
+        const size_t i = entry.exemplar;
+        const SweepCandidate& c = candidates[i];
+        const workloads::WorkloadSpec& spec = c.options.workload;
+        const NoiseKey& nk = std::get<0>(sk);
+        const CompileEntry& comp = compiles[std::get<0>(nk)];
+        if (astore != nullptr) {
+            // The store key is built off the in-memory key, so the
+            // store shares exactly what the cache shares.
+            entry.store_key = store::SimStoreKey(
+                store::NoiseStoreKey(comp.key, std::get<1>(nk)),
+                std::get<1>(sk), std::get<2>(sk), std::get<3>(sk),
+                std::get<4>(sk));
+            std::string err;
+            const store::LoadStatus status =
+                astore->LoadSim(entry.store_key, &entry.arts, &err);
+            if (status == store::LoadStatus::kHit) {
                 entry.ok = true;
-                if (astore != nullptr) {
-                    astore->StoreSim(entry.store_key, entry.arts);
-                }
-            } catch (const std::exception& e) {
-                entry.error = e.what();
+                return;
             }
-        });
+            if (status == store::LoadStatus::kCorrupt) {
+                entry.error = err;
+                return;
+            }
+        }
+        try {
+            if (spec.program != nullptr) {
+                std::vector<ProgramUnit> punits;
+                punits.reserve(units[i].size());
+                for (size_t u = 0; u < units[i].size(); ++u) {
+                    const CompileKey uck = unit_keys[i][u];
+                    punits.push_back(ProgramUnit{
+                        units[i][u], compiles[uck].arts.get(),
+                        &noise_of(i, uck).profile});
+                }
+                entry.arts = BuildProgramSimArtifacts(
+                    *spec.program, punits, c.arch, RoundsOf(c));
+            } else {
+                entry.arts = BuildSimArtifacts(
+                    *c.code, *comp.arts, noise_cache.at(nk).profile, c.arch,
+                    RoundsOf(c), spec);
+            }
+            num_sim_builds.fetch_add(1, std::memory_order_relaxed);
+            entry.ok = true;
+            if (astore != nullptr) {
+                astore->StoreSim(entry.store_key, entry.arts);
+            }
+        } catch (const std::exception& e) {
+            entry.error = e.what();
+        }
+    };
+    ParallelForEachEntry(threads, sim_cache, build_sim);
     // From here on, only candidates that reached the sim stage and have
     // not failed are live.
     const auto simulated = [&](size_t i) {
@@ -485,25 +484,24 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
             sims[i]->validation.emplace();
         }
     }
-    ParallelForEachEntry(
-        threads, sim_cache, [&](const SimKey&, SimEntry& entry) {
-            if (!entry.validation) {
-                return;
-            }
-            const SweepCandidate& c = candidates[entry.exemplar];
-            const std::vector<analysis::Diagnostic> diags =
-                analysis::ValidateSimArtifacts(
-                    entry.arts.experiment, entry.arts.dem,
-                    analysis::SimValidationOptionsFor(*c.code,
-                                                      c.options.workload));
-            num_validations.fetch_add(1, std::memory_order_relaxed);
-            if (!diags.empty()) {
-                num_validation_failures.fetch_add(1,
-                                                  std::memory_order_relaxed);
-                *entry.validation = analysis::FormatDiagnostics(
-                    analysis::kSimSubject, diags);
-            }
-        });
+    const auto validate_sim = [&](const SimKey&, SimEntry& entry) {
+        if (!entry.validation) {
+            return;
+        }
+        const SweepCandidate& c = candidates[entry.exemplar];
+        const std::vector<analysis::Diagnostic> diags =
+            analysis::ValidateSimArtifacts(
+                entry.arts.experiment, entry.arts.dem,
+                analysis::SimValidationOptionsFor(*c.code,
+                                                  c.options.workload));
+        num_validations.fetch_add(1, std::memory_order_relaxed);
+        if (!diags.empty()) {
+            num_validation_failures.fetch_add(1, std::memory_order_relaxed);
+            *entry.validation = analysis::FormatDiagnostics(
+                analysis::kSimSubject, diags);
+        }
+    };
+    ParallelForEachEntry(threads, sim_cache, validate_sim);
     for (size_t i = 0; i < n; ++i) {
         if (sim_validating(i) && !sims[i]->validation->empty()) {
             failed[i] = *sims[i]->validation;
@@ -527,33 +525,31 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
             sims[i]->certification.emplace();
         }
     }
-    ParallelForEachEntry(
-        threads, sim_cache, [&](const SimKey&, SimEntry& entry) {
-            if (!entry.certification) {
-                return;
-            }
-            analysis::DistanceCertificate cert;
-            std::string err;
-            const store::LoadStatus status =
-                store::LoadOrCertify(astore, entry.store_key, entry.arts.dem,
-                                     certifier, &cert, &err);
-            if (status == store::LoadStatus::kCorrupt) {
-                *entry.certification = err;
-                return;
-            }
-            if (status == store::LoadStatus::kMiss) {
-                num_certifies.fetch_add(1, std::memory_order_relaxed);
-            }
-            const std::vector<analysis::Diagnostic> diags =
-                analysis::JudgeDistance(
-                    entry.arts.dem, cert,
-                    candidates[entry.exemplar].code->distance());
-            if (!diags.empty()) {
-                num_certify_failures.fetch_add(1, std::memory_order_relaxed);
-                *entry.certification = analysis::FormatDiagnostics(
-                    analysis::kCertifySubject, diags);
-            }
-        });
+    const auto certify = [&](const SimKey&, SimEntry& entry) {
+        if (!entry.certification) {
+            return;
+        }
+        analysis::DistanceCertificate cert;
+        std::string err;
+        const store::LoadStatus status = store::LoadOrCertify(
+            astore, entry.store_key, entry.arts.dem, certifier, &cert, &err);
+        if (status == store::LoadStatus::kCorrupt) {
+            *entry.certification = err;
+            return;
+        }
+        if (status == store::LoadStatus::kMiss) {
+            num_certifies.fetch_add(1, std::memory_order_relaxed);
+        }
+        const int distance = candidates[entry.exemplar].code->distance();
+        const std::vector<analysis::Diagnostic> diags =
+            analysis::JudgeDistance(entry.arts.dem, cert, distance);
+        if (!diags.empty()) {
+            num_certify_failures.fetch_add(1, std::memory_order_relaxed);
+            *entry.certification = analysis::FormatDiagnostics(
+                analysis::kCertifySubject, diags);
+        }
+    };
+    ParallelForEachEntry(threads, sim_cache, certify);
     for (size_t i = 0; i < n; ++i) {
         if (certifying(i) && !sims[i]->certification->empty()) {
             failed[i] = *sims[i]->certification;
