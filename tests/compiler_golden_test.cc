@@ -232,6 +232,16 @@ TEST(CompilerDifferentialTest, OverhauledPipelineMatchesReferenceByteForByte)
         {9, qccd::TopologyKind::kGrid, 2, false, 1},
         {9, qccd::TopologyKind::kSwitch, 5, false, 1},
         {9, qccd::TopologyKind::kGrid, 2, false, 2},
+        // WISE on the linear topology, where the cross-kind conflict
+        // search sees the most intervals, and at capacity 5.
+        {7, qccd::TopologyKind::kLinear, 2, true, 1},
+        {7, qccd::TopologyKind::kLinear, 3, true, 1},
+        {9, qccd::TopologyKind::kLinear, 2, true, 1},
+        {9, qccd::TopologyKind::kLinear, 3, true, 1},
+        {7, qccd::TopologyKind::kGrid, 5, true, 1},
+        {7, qccd::TopologyKind::kSwitch, 5, true, 1},
+        {9, qccd::TopologyKind::kGrid, 5, true, 1},
+        {9, qccd::TopologyKind::kSwitch, 5, true, 1},
     };
     for (const Config& c : configs) {
         SCOPED_TRACE("d=" + std::to_string(c.distance) + " topology=" +
@@ -256,6 +266,60 @@ TEST(CompilerDifferentialTest, OverhauledPipelineMatchesReferenceByteForByte)
                                                   timing, ref_opts);
         ExpectByteIdentical(fast, ref);
     }
+}
+
+/** Compiles WISE rounds on d=3..7 x linear/grid/switch x capacities
+ *  2/3/5 under `timing` with both pipelines and expects bitwise-equal
+ *  schedules. */
+void
+ExpectWiseMatchesReferenceUnder(const qccd::TimingModel& timing)
+{
+    for (int d = 3; d <= 7; ++d) {
+        const qec::RotatedSurfaceCode code(d);
+        for (const auto topology :
+             {qccd::TopologyKind::kLinear, qccd::TopologyKind::kGrid,
+              qccd::TopologyKind::kSwitch}) {
+            for (const int capacity : {2, 3, 5}) {
+                SCOPED_TRACE("d=" + std::to_string(d) + " topology=" +
+                             qccd::TopologyKindName(topology) + " cap=" +
+                             std::to_string(capacity));
+                const auto graph = MakeDeviceFor(code, topology, capacity);
+                CompilerOptions fast_opts;
+                fast_opts.wise = true;
+                fast_opts.cooling_per_two_qubit_gate =
+                    timing.cooling_per_two_qubit_gate;
+                CompilerOptions ref_opts = fast_opts;
+                ref_opts.reference_pipeline = true;
+                ExpectByteIdentical(
+                    CompileParityCheckRounds(code, 1, graph, timing,
+                                             fast_opts),
+                    CompileParityCheckRounds(code, 1, graph, timing,
+                                             ref_opts));
+            }
+        }
+    }
+}
+
+TEST(CompilerDifferentialTest, WiseZeroLengthTransportMatchesReference)
+{
+    // Free shuttles and junction entries schedule zero-length transport
+    // intervals, which conflict only with ops that strictly contain
+    // their instant.
+    qccd::TimingModel timing;
+    timing.shuttle = 0.0;
+    timing.junction_entry = 0.0;
+    ExpectWiseMatchesReferenceUnder(timing);
+}
+
+TEST(CompilerDifferentialTest, WiseEqualTransportDurationsMatchReference)
+{
+    // With one duration for every transport kind, batched phases of
+    // different kinds end exactly where the next begins: the conflict
+    // search must treat touching intervals as disjoint.
+    qccd::TimingModel timing;
+    timing.shuttle = timing.split = timing.merge = timing.junction_entry =
+        timing.junction_exit = 50.0;
+    ExpectWiseMatchesReferenceUnder(timing);
 }
 
 TEST(CompilerDifferentialTest, RouterAblationOptionsAlsoMatchReference)
