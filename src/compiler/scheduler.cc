@@ -11,10 +11,12 @@
  *    which reproduces the reference's linear first-minimum scan;
  *  - per-op kind dispatch (durations incl. cooling, resource flags) is
  *    precomputed into dense lookup tables;
- *  - the WISE cross-kind conflict search processes the other kinds'
- *    scheduled intervals in nondecreasing start order (a single sweep
- *    reaches the same least fixpoint the reference's repeated full
- *    rescans converge to) over per-kind start-sorted interval lists;
+ *  - the WISE cross-kind conflict search keeps each transport kind's
+ *    intervals as their union (sorted segments, merged where they
+ *    strictly overlap), binary-searches the first segment that can
+ *    conflict, and sweeps the other kinds' segments in nondecreasing
+ *    start order (a single sweep reaches the same least fixpoint the
+ *    reference's repeated full rescans converge to);
  *  - all working state is thread_local and reused across calls, and the
  *    schedule stats are accumulated inline instead of via a second pass.
  */
@@ -208,14 +210,22 @@ ScheduleStream(const std::vector<PrimitiveOp>& ops,
     // WISE same-kind transport concurrency: transport ops of different
     // kinds may never overlap in time (all dynamic electrodes share the
     // demultiplexed DAC bus, which broadcasts one waveform type at a
-    // time), but any number of same-kind ops may co-occur. Scheduled
-    // transport intervals are kept per kind, sorted by start; a new op
+    // time), but any number of same-kind ops may co-occur. A new op
     // starts at the earliest instant where no other-kind interval
-    // overlaps it, found by one sweep over the other kinds' intervals in
-    // nondecreasing start order (the reference's repeated full rescans
-    // converge to the same least fixpoint), which makes the ASAP
-    // scheduler discover the odd-even-sort style phase batching (all
-    // splits, then all shuttles, ...).
+    // overlaps it, which makes the ASAP scheduler discover the
+    // odd-even-sort style phase batching (all splits, then all
+    // shuttles, ...).
+    //
+    // Other kinds only ever see a kind's union, so each kind keeps its
+    // intervals as segments sorted by (start, end) and merged where they
+    // strictly overlap. Touching and zero-length intervals stay separate
+    // segments (merging them would make the union conflict where no
+    // interval does), and a zero-length segment sorts before a segment
+    // with the same start, so segment ends are sorted too. The search
+    // binary-searches each other kind's first segment that ends after
+    // `lower` and sweeps the segments in nondecreasing start order; the
+    // reference's repeated full rescans converge to the same least
+    // fixpoint (DESIGN.md §1.1).
     constexpr int kNumTransportKinds = 5;
     auto transport_rank = [](OpKind kind) {
         switch (kind) {
@@ -227,48 +237,74 @@ ScheduleStream(const std::vector<PrimitiveOp>& ops,
           default: return -1;
         }
     };
-    using Interval = std::pair<Microseconds, Microseconds>;
-    thread_local std::vector<std::vector<Interval>> wise_intervals;
-    wise_intervals.resize(kNumTransportKinds);
-    for (auto& intervals : wise_intervals) {
-        intervals.clear();
+    using Segment = std::pair<Microseconds, Microseconds>;
+    using Segments = std::vector<Segment>;
+    thread_local std::vector<Segments> wise_segments;
+    wise_segments.resize(kNumTransportKinds);
+    for (Segments& segments : wise_segments) {
+        segments.clear();
     }
+    // First segment ending after `t`; every earlier one ends at or
+    // before `t`.
+    auto first_ending_after = [](Segments& segments, Microseconds t) {
+        return std::partition_point(
+            segments.begin(), segments.end(),
+            [t](const Segment& seg) { return seg.second <= t; });
+    };
     auto wise_earliest = [&](int rank, Microseconds lower,
                              Microseconds duration) {
         Microseconds s = lower;
-        // Merge-sweep the four other kinds' start-sorted interval lists.
-        size_t idx[kNumTransportKinds] = {};
+        // Segments ending at or before `lower` never conflict.
+        Segments::const_iterator head[kNumTransportKinds];
+        for (int k = 0; k < kNumTransportKinds; ++k) {
+            Segments& segments = wise_segments[k];
+            head[k] = k == rank ? segments.cend()
+                                : first_ending_after(segments, lower);
+        }
+        // Merge-sweep the other kinds' segments in start order.
         while (true) {
             int best = -1;
             for (int k = 0; k < kNumTransportKinds; ++k) {
-                if (k == rank || idx[k] >= wise_intervals[k].size()) {
+                if (head[k] == wise_segments[k].cend()) {
                     continue;
                 }
-                if (best < 0 || wise_intervals[k][idx[k]].first <
-                                    wise_intervals[best][idx[best]].first) {
+                if (best < 0 || head[k]->first < head[best]->first) {
                     best = k;
                 }
             }
             if (best < 0) {
                 break;
             }
-            const auto& [a, b] = wise_intervals[best][idx[best]];
+            const auto& [a, b] = *head[best];
             if (a >= s + duration) {
                 break;  // sorted: nothing later can overlap either
             }
             if (b > s) {
                 s = b;
             }
-            ++idx[best];
+            ++head[best];
         }
         return s;
     };
     auto wise_insert = [&](int rank, Microseconds start, Microseconds end) {
-        auto& intervals = wise_intervals[rank];
-        const auto pos = std::upper_bound(
-            intervals.begin(), intervals.end(), start,
-            [](Microseconds s, const Interval& iv) { return s < iv.first; });
-        intervals.insert(pos, {start, end});
+        Segments& segments = wise_segments[rank];
+        // From `first` on, every segment ends after `start`, so it
+        // strictly overlaps the growing merged segment iff it starts
+        // before the merged end.
+        const auto first = first_ending_after(segments, start);
+        auto last = first;
+        Segment merged{start, end};
+        while (last != segments.end() && last->first < merged.second) {
+            merged.first = std::min(merged.first, last->first);
+            merged.second = std::max(merged.second, last->second);
+            ++last;
+        }
+        if (first == last) {
+            segments.insert(first, merged);
+        } else {
+            *first = merged;
+            segments.erase(first + 1, last);
+        }
     };
 
     for (const PrimitiveOp& op : ops) {
@@ -280,12 +316,10 @@ ScheduleStream(const std::vector<PrimitiveOp>& ops,
             cur_pass = op.pass;
             if (options.wise) {
                 // Movement in this pass starts at or after the barrier,
-                // so finished WISE intervals can no longer conflict.
-                // erase_if keeps each list start-sorted.
-                for (auto& intervals : wise_intervals) {
-                    std::erase_if(intervals, [&](const auto& iv) {
-                        return iv.second <= barrier;
-                    });
+                // so segments ending by then can no longer conflict.
+                for (Segments& segments : wise_segments) {
+                    segments.erase(segments.begin(),
+                                   first_ending_after(segments, barrier));
                 }
             }
         }
