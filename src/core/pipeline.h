@@ -63,10 +63,11 @@ CompileArtifacts CompileCandidate(const qec::StabilizerCode& code,
 
 /**
  * Annotate stage: schedule-derived noise profile for a successful
- * one-round compilation (`arts.ok && arts.compile_rounds == 1`). Works
- * on an internal copy of the compilation result, so a cached
- * `CompileArtifacts` can be annotated concurrently under several noise
- * scenarios (gate-improvement factors) without aliasing.
+ * one-round compilation (`arts.ok && arts.compile_rounds == 1`). Reads
+ * the compilation result without copying or modifying it
+ * (`noise::ProfileRound`), so a cached `CompileArtifacts` can be
+ * annotated concurrently under several noise scenarios
+ * (gate-improvement factors).
  */
 noise::RoundNoiseProfile AnnotateCandidate(const qec::StabilizerCode& code,
                                            const ArchitectureConfig& arch,

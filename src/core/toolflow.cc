@@ -131,12 +131,10 @@ AnnotateCandidate(const qec::StabilizerCode& code,
             "AnnotateCandidate: requires a successful one-round "
             "compilation");
     }
-    // AnnotateRound back-fills chain_size / nbar on the schedule ops, so
-    // work on a copy: the cached compile artifact stays pristine and
+    // The const walk leaves the cached compile artifact untouched, so
     // several noise scenarios can annotate it concurrently.
-    compiler::CompilationResult scratch = arts.compiled;
-    return noise::AnnotateRound(code, arts.graph, scratch,
-                                NoiseParamsFor(arch), arts.timing);
+    return noise::ProfileRound(code, arts.graph, arts.compiled,
+                               NoiseParamsFor(arch), arts.timing);
 }
 
 SimArtifacts

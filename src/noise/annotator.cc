@@ -11,11 +11,16 @@ namespace tiqec::noise {
 using qccd::DeviceState;
 using qccd::OpKind;
 
+namespace {
+
+/** The schedule walk behind both entry points. With `backfill` non-null
+ *  (the schedule's own op vector), each gate's chain size and n-bar are
+ *  written back to it; the walk itself never reads those fields. */
 RoundNoiseProfile
-AnnotateRound(const qec::StabilizerCode& code,
-              const qccd::DeviceGraph& graph,
-              compiler::CompilationResult& result, const NoiseParams& params,
-              const qccd::TimingModel& timing)
+WalkRound(const qec::StabilizerCode& code, const qccd::DeviceGraph& graph,
+          const compiler::CompilationResult& result,
+          const NoiseParams& params, const qccd::TimingModel& timing,
+          std::vector<compiler::TimedOp>* backfill)
 {
     assert(result.ok);
     RoundNoiseProfile profile;
@@ -42,7 +47,14 @@ AnnotateRound(const qec::StabilizerCode& code,
         return peak;
     };
 
-    for (auto& timed : result.schedule.ops) {
+    const auto record = [&](size_t i, int chain_size, double chain_nbar) {
+        if (backfill != nullptr) {
+            (*backfill)[i].chain_size = chain_size;
+            (*backfill)[i].nbar = chain_nbar;
+        }
+    };
+    for (size_t i = 0; i < result.schedule.ops.size(); ++i) {
+        const compiler::TimedOp& timed = result.schedule.ops[i];
         const qccd::PrimitiveOp& op = timed.op;
         busy[op.ion0.value] += timed.duration;
         if (op.ion1.valid()) {
@@ -57,8 +69,7 @@ AnnotateRound(const qec::StabilizerCode& code,
                 params.TwoQubitError(timing.ms_gate, n, nb);
             const double p = 1.0 - std::pow(1.0 - p_ms, 3.0);
             profile.swaps.push_back({op.ion0, op.ion1, p, last_qec_gate});
-            timed.chain_size = n;
-            timed.nbar = nb;
+            record(i, n, nb);
             const auto err = state.TryApply(op);
             assert(!err.has_value());
             (void)err;
@@ -76,8 +87,7 @@ AnnotateRound(const qec::StabilizerCode& code,
         const NodeId trap = state.NodeOf(op.ion0);
         const int n = state.Occupancy(trap);
         const double nb = chain_nbar(trap);
-        timed.chain_size = n;
-        timed.nbar = nb;
+        record(i, n, nb);
         GateId qec_gate;
         if (op.source_gate.valid()) {
             qec_gate = result.native.gate(op.source_gate).source;
@@ -139,6 +149,26 @@ AnnotateRound(const qec::StabilizerCode& code,
         profile.mean_two_qubit_error = ms_error_sum / ms_count;
     }
     return profile;
+}
+
+}  // namespace
+
+RoundNoiseProfile
+ProfileRound(const qec::StabilizerCode& code, const qccd::DeviceGraph& graph,
+             const compiler::CompilationResult& result,
+             const NoiseParams& params, const qccd::TimingModel& timing)
+{
+    return WalkRound(code, graph, result, params, timing, nullptr);
+}
+
+RoundNoiseProfile
+AnnotateRound(const qec::StabilizerCode& code,
+              const qccd::DeviceGraph& graph,
+              compiler::CompilationResult& result, const NoiseParams& params,
+              const qccd::TimingModel& timing)
+{
+    return WalkRound(code, graph, result, params, timing,
+                     &result.schedule.ops);
 }
 
 }  // namespace tiqec::noise

@@ -59,8 +59,22 @@ struct RoundNoiseProfile
 };
 
 /**
- * Builds the noise profile for a one-round compilation result. Also
- * back-fills `chain_size` and `nbar` on the schedule's gate ops.
+ * Builds the noise profile for a one-round compilation result without
+ * modifying it, so one cached result can be profiled under several
+ * noise scenarios concurrently.
+ *
+ * @param result Must be a successful one-round compilation.
+ */
+RoundNoiseProfile ProfileRound(const qec::StabilizerCode& code,
+                               const qccd::DeviceGraph& graph,
+                               const compiler::CompilationResult& result,
+                               const NoiseParams& params,
+                               const qccd::TimingModel& timing);
+
+/**
+ * `ProfileRound`, and also back-fills `chain_size` and `nbar` on the
+ * schedule's gate ops (the toolflow reads neither; schedule export and
+ * the tests do).
  *
  * @param result Must be a successful one-round compilation.
  */
