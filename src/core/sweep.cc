@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <exception>
 #include <map>
 #include <mutex>
@@ -61,24 +62,32 @@ SimKeyOf(const NoiseKey& primary_nk, const workloads::WorkloadSpec& spec,
 }
 
 /** One unique compile, run on the first (candidate, unit) pair whose
- *  content key it is. */
+ *  content key it is. Entries live in a deque: the atomics and the
+ *  once_flag pin them in place. */
 struct CompileEntry
 {
     const SweepCandidate* exemplar = nullptr;
     const qec::StabilizerCode* unit = nullptr;
     store::StoreKey key;
+    /** The bundle; a metrics-only run drops it after its last consumer. */
     std::shared_ptr<CompileArtifacts> arts;
-    /** Schedule-validation verdict: unset until a validating candidate
-     *  needs it, then empty on a pass or the formatted diagnostics. */
-    std::optional<std::string> validation;
+    /** The candidates whose compile chain waits on this compile, once
+     *  per referencing unit, in candidate order. */
+    std::vector<size_t> waiters;
+    /** Readers of `arts` still to come: one per referencing unit for its
+     *  candidate's compile chain, plus one more per unit of a candidate
+     *  that may go on to build a simulation from it. */
+    std::atomic<int> consumers{0};
+    /** Schedule validation, run by the first validating candidate that
+     *  needs it: empty on a pass, else the formatted diagnostics. */
+    std::once_flag validate_once;
+    std::string validation;
 };
 
-/** One unique annotation, run on the first (candidate, unit) pair that
- *  needs it. */
+/** One unique annotation, run by the first candidate that needs it. */
 struct NoiseEntry
 {
-    const SweepCandidate* exemplar = nullptr;
-    const qec::StabilizerCode* unit = nullptr;
+    std::once_flag once;
     bool ok = false;
     std::string error;
     noise::RoundNoiseProfile profile;
@@ -159,7 +168,8 @@ SweepRunner::SweepRunner(const SweepRunnerOptions& options)
 }
 
 std::vector<SweepOutcome>
-SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
+SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
+                     bool keep_bundles)
 {
     const int threads = ResolveWorkerThreads(options_.num_threads);
     const size_t n = candidates.size();
@@ -177,6 +187,8 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
     std::atomic<std::int64_t> num_validation_failures{0};
     std::atomic<std::int64_t> num_certifies{0};
     std::atomic<std::int64_t> num_certify_failures{0};
+    std::atomic<std::int64_t> live_bundles{0};
+    std::atomic<std::int64_t> peak_bundles{0};
     const store::ArtifactStore* astore = options_.store.get();
     const store::ArtifactStore::Counters store_before =
         astore != nullptr ? astore->counters()
@@ -195,8 +207,15 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
     // built and hashed once here, never per lookup.
     std::vector<std::vector<CompileKey>> unit_keys(n);
     std::vector<CompileKey> primary_key(n, 0);
-    std::vector<CompileEntry> compiles;
+    std::deque<CompileEntry> compiles;
     std::unordered_map<std::string, CompileKey> compile_ids;
+    // Unit compiles each candidate still waits for.
+    std::vector<std::atomic<size_t>> pending(n);
+    // `unit_noise[i][u]` is the noise entry of (candidate, unit) for a
+    // one-round candidate; entries are annotated only when a candidate
+    // that has passed its compile checks reaches them.
+    std::map<NoiseKey, NoiseEntry> noise_cache;
+    std::vector<std::vector<NoiseEntry*>> unit_noise(n);
     for (size_t i = 0; i < n; ++i) {
         const SweepCandidate& c = candidates[i];
         if (!c.code) {
@@ -230,126 +249,103 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
                 entry.unit = unit;
                 entry.key = std::move(key);
             }
+            CompileEntry& entry = compiles[it->second];
+            entry.waiters.push_back(i);
+            entry.consumers.fetch_add(c.options.compile_only ? 1 : 2,
+                                      std::memory_order_relaxed);
             unit_keys[i].push_back(it->second);
+            if (c.compile_rounds == 1) {
+                unit_noise[i].push_back(&noise_cache[NoiseKey{
+                    it->second, c.arch.gate_improvement}]);
+            }
         }
+        pending[i].store(units[i].size(), std::memory_order_relaxed);
         const int primary =
             spec.program != nullptr ? spec.program->primary_index() : 0;
         primary_key[i] = unit_keys[i][static_cast<size_t>(primary)];
     }
 
-    // ---- Stage 1: compile once per unique key, pool-parallel. With a
-    // store attached, each unique compile probes the store first: a hit
-    // skips the compiler entirely, a corrupt artifact isolates the
-    // candidate with the store's diagnostic (exactly like a compile
-    // error), and a miss compiles and persists the successful bundle.
-    ParallelForIndex(
-        threads, static_cast<std::int64_t>(compiles.size()),
-        [&](std::int64_t t) {
-            CompileEntry& entry = compiles[static_cast<size_t>(t)];
-            const SweepCandidate& c = *entry.exemplar;
-            entry.arts = std::make_shared<CompileArtifacts>();
-            CompileArtifacts& arts = *entry.arts;
-            if (astore != nullptr) {
-                std::string err;
-                const store::LoadStatus status = astore->LoadCompile(
-                    entry.key, *entry.unit, c.arch, c.compile_rounds,
-                    c.device.get(), &arts, &err);
-                if (status == store::LoadStatus::kHit) {
-                    return;
-                }
-                if (status == store::LoadStatus::kCorrupt) {
-                    arts = CompileArtifacts{};
-                    arts.error = err;
-                    return;
-                }
+    // A consumer is done with compile entry `ck`. In a metrics-only run
+    // the last one drops the bundle, so a compile-only sweep holds about
+    // one bundle per worker instead of every bundle of the batch.
+    const auto release = [&](CompileKey ck) {
+        CompileEntry& entry = compiles[ck];
+        if (entry.consumers.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
+            !keep_bundles) {
+            entry.arts.reset();
+            live_bundles.fetch_sub(1, std::memory_order_relaxed);
+        }
+    };
+
+    // ---- Stage 1: compile once per unique key. With a store attached,
+    // each unique compile probes the store first: a hit skips the
+    // compiler entirely, a corrupt artifact isolates the candidate with
+    // the store's diagnostic (exactly like a compile error), and a miss
+    // compiles and persists the successful bundle.
+    const auto compile = [&](CompileEntry& entry) {
+        const SweepCandidate& c = *entry.exemplar;
+        entry.arts = std::make_shared<CompileArtifacts>();
+        const std::int64_t live =
+            live_bundles.fetch_add(1, std::memory_order_relaxed) + 1;
+        std::int64_t peak = peak_bundles.load(std::memory_order_relaxed);
+        while (live > peak && !peak_bundles.compare_exchange_weak(
+                                  peak, live, std::memory_order_relaxed)) {
+        }
+        CompileArtifacts& arts = *entry.arts;
+        if (astore != nullptr) {
+            std::string err;
+            const store::LoadStatus status = astore->LoadCompile(
+                entry.key, *entry.unit, c.arch, c.compile_rounds,
+                c.device.get(), &arts, &err);
+            if (status == store::LoadStatus::kHit) {
+                return;
             }
-            arts = CompileCandidate(*entry.unit, c.arch, c.compile_rounds,
-                                    c.device.get());
-            num_compiles.fetch_add(1, std::memory_order_relaxed);
-            if (astore != nullptr && arts.ok) {
-                astore->StoreCompile(entry.key, arts);
-            }
-        });
-    for (size_t i = 0; i < n; ++i) {
-        for (const CompileKey ck : unit_keys[i]) {
-            if (!failed[i] && !compiles[ck].arts->ok) {
-                failed[i] = compiles[ck].arts->error;
+            if (status == store::LoadStatus::kCorrupt) {
+                arts = CompileArtifacts{};
+                arts.error = err;
+                return;
             }
         }
-    }
+        arts = CompileCandidate(*entry.unit, c.arch, c.compile_rounds,
+                                c.device.get());
+        num_compiles.fetch_add(1, std::memory_order_relaxed);
+        if (astore != nullptr && arts.ok) {
+            astore->StoreCompile(entry.key, arts);
+        }
+    };
 
     // ---- Stage 1b: validate each compile a validating candidate needs,
     // once. A failure fails only the validating candidates (the cached
     // artifacts stay shared), with the formatted diagnostics as error.
-    const auto validating = [&](size_t i) {
-        return !failed[i] && candidates[i].options.validate_artifacts;
+    const auto validate = [&](CompileEntry& entry) {
+        // The key covers the wiring, so the exemplar's will do.
+        const CompileArtifacts& arts = *entry.arts;
+        const std::vector<analysis::Diagnostic> diags =
+            analysis::ValidateCompiledArtifacts(
+                arts.compiled, arts.graph, arts.timing,
+                entry.exemplar->arch.wiring == WiringKind::kWise);
+        num_validations.fetch_add(1, std::memory_order_relaxed);
+        if (!diags.empty()) {
+            num_validation_failures.fetch_add(1, std::memory_order_relaxed);
+            entry.validation = analysis::FormatDiagnostics(
+                analysis::kCompiledSubject, diags);
+        }
     };
-    for (size_t i = 0; i < n; ++i) {
-        for (const CompileKey ck : unit_keys[i]) {
-            if (validating(i)) {
-                compiles[ck].validation.emplace();
-            }
-        }
-    }
-    ParallelForIndex(
-        threads, static_cast<std::int64_t>(compiles.size()),
-        [&](std::int64_t t) {
-            CompileEntry& entry = compiles[static_cast<size_t>(t)];
-            if (!entry.validation) {
-                return;
-            }
-            // The key covers the wiring, so the exemplar's will do.
-            const CompileArtifacts& arts = *entry.arts;
-            const std::vector<analysis::Diagnostic> diags =
-                analysis::ValidateCompiledArtifacts(
-                    arts.compiled, arts.graph, arts.timing,
-                    entry.exemplar->arch.wiring == WiringKind::kWise);
-            num_validations.fetch_add(1, std::memory_order_relaxed);
-            if (!diags.empty()) {
-                num_validation_failures.fetch_add(1,
-                                                  std::memory_order_relaxed);
-                *entry.validation = analysis::FormatDiagnostics(
-                    analysis::kCompiledSubject, diags);
-            }
-        });
-    for (size_t i = 0; i < n; ++i) {
-        for (const CompileKey ck : unit_keys[i]) {
-            if (validating(i) && !compiles[ck].validation->empty()) {
-                failed[i] = *compiles[ck].validation;
-            }
-        }
-    }
 
     // ---- Stage 2: annotate once per unique noise scenario (per unit).
-    std::map<NoiseKey, NoiseEntry> noise_cache;
-    const auto noise_of = [&](size_t i, CompileKey ck) -> NoiseEntry& {
-        return noise_cache.at(
-            NoiseKey{ck, candidates[i].arch.gate_improvement});
-    };
-    for (size_t i = 0; i < n; ++i) {
-        const SweepCandidate& c = candidates[i];
-        if (failed[i] || c.compile_rounds != 1) {
-            continue;
-        }
-        for (size_t u = 0; u < units[i].size(); ++u) {
-            const auto [it, inserted] = noise_cache.try_emplace(
-                NoiseKey{unit_keys[i][u], c.arch.gate_improvement});
-            if (inserted) {
-                it->second.exemplar = &c;
-                it->second.unit = units[i][u];
-            }
-        }
-    }
-    const auto annotate = [&](const NoiseKey& nk, NoiseEntry& entry) {
-        const SweepCandidate& c = *entry.exemplar;
-        const CompileEntry& comp = compiles[std::get<0>(nk)];
+    // The key covers the unit's content, wiring and improvement factor,
+    // so the first candidate to arrive annotates for all of them.
+    const auto annotate = [&](NoiseEntry& entry, CompileKey ck,
+                              const SweepCandidate& c,
+                              const qec::StabilizerCode& unit) {
+        const CompileEntry& comp = compiles[ck];
         store::StoreKey nkey;
         if (astore != nullptr) {
             nkey = store::NoiseStoreKey(comp.key, c.arch.gate_improvement);
             std::string err;
             const store::LoadStatus status = astore->LoadNoise(
                 nkey, comp.arts->compiled.qec_circuit.size(),
-                entry.unit->num_qubits(), &entry.profile, &err);
+                unit.num_qubits(), &entry.profile, &err);
             if (status == store::LoadStatus::kHit) {
                 entry.ok = true;
                 return;
@@ -360,7 +356,7 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
             }
         }
         try {
-            entry.profile = AnnotateCandidate(*entry.unit, c.arch, *comp.arts);
+            entry.profile = AnnotateCandidate(unit, c.arch, *comp.arts);
             num_annotates.fetch_add(1, std::memory_order_relaxed);
             entry.ok = true;
             if (astore != nullptr) {
@@ -370,26 +366,78 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
             entry.error = e.what();
         }
     };
-    ParallelForEachEntry(threads, noise_cache, annotate);
-    // The compile metrics are filled here, so a candidate that fails a
-    // later stage still reports them.
-    for (size_t i = 0; i < n; ++i) {
+
+    // Candidate i's compile chain, run by the worker that finishes its
+    // last unit compile: the compile check, schedule validation,
+    // annotation and compile metrics, each checking the units in
+    // `UnitCodesFor` order. The compile metrics are filled here, so a
+    // candidate that fails a later stage still reports them.
+    const auto finish_compile_chain = [&](size_t i) {
         const SweepCandidate& c = candidates[i];
-        const noise::RoundNoiseProfile* profile = nullptr;
-        if (!failed[i] && c.compile_rounds == 1) {
+        for (const CompileKey ck : unit_keys[i]) {
+            if (!failed[i] && !compiles[ck].arts->ok) {
+                failed[i] = compiles[ck].arts->error;
+            }
+        }
+        if (!failed[i] && c.options.validate_artifacts) {
             for (const CompileKey ck : unit_keys[i]) {
-                const NoiseEntry& entry = noise_of(i, ck);
-                if (!failed[i] && !entry.ok) {
-                    failed[i] = entry.error;
+                CompileEntry& entry = compiles[ck];
+                std::call_once(entry.validate_once,
+                               [&] { validate(entry); });
+            }
+            for (const CompileKey ck : unit_keys[i]) {
+                if (!failed[i] && !compiles[ck].validation.empty()) {
+                    failed[i] = compiles[ck].validation;
                 }
             }
-            profile = &noise_of(i, primary_key[i]).profile;
+        }
+        const noise::RoundNoiseProfile* profile = nullptr;
+        if (!failed[i] && c.compile_rounds == 1) {
+            for (size_t u = 0; u < units[i].size(); ++u) {
+                NoiseEntry& entry = *unit_noise[i][u];
+                std::call_once(entry.once, [&] {
+                    annotate(entry, unit_keys[i][u], c, *units[i][u]);
+                });
+            }
+            for (const NoiseEntry* entry : unit_noise[i]) {
+                if (!failed[i] && !entry->ok) {
+                    failed[i] = entry->error;
+                }
+            }
+            profile = &noise_cache
+                           .at(NoiseKey{primary_key[i],
+                                        c.arch.gate_improvement})
+                           .profile;
         }
         if (!failed[i]) {
             FillCompileMetrics(*c.code, c.arch, *compiles[primary_key[i]].arts,
                                profile, RoundsOf(c), outcomes[i].metrics);
         }
-    }
+        // The chain is done with each unit, and a candidate that will
+        // not build a simulation gives up its sim-stage reads too.
+        const bool sim_read_unused = !c.options.compile_only && failed[i];
+        for (const CompileKey ck : unit_keys[i]) {
+            release(ck);
+            if (sim_read_unused) {
+                release(ck);
+            }
+        }
+    };
+
+    // Stages 1-2 stream: workers claim unique compiles, and each
+    // finished compile runs the compile chain of every candidate it was
+    // the last missing unit of.
+    ParallelForIndex(
+        threads, static_cast<std::int64_t>(compiles.size()),
+        [&](std::int64_t t) {
+            CompileEntry& entry = compiles[static_cast<size_t>(t)];
+            compile(entry);
+            for (const size_t i : entry.waiters) {
+                if (pending[i].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+                    finish_compile_chain(i);
+                }
+            }
+        });
 
     // ---- Stage 3: experiment + DEM once per unique experiment shape.
     // The primary unit's noise key leads the sim key; a program
@@ -443,7 +491,7 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
                     const CompileKey uck = unit_keys[i][u];
                     punits.push_back(ProgramUnit{
                         units[i][u], compiles[uck].arts.get(),
-                        &noise_of(i, uck).profile});
+                        &unit_noise[i][u]->profile});
                 }
                 entry.arts = BuildProgramSimArtifacts(
                     *spec.program, punits, c.arch, RoundsOf(c));
@@ -462,6 +510,14 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
         }
     };
     ParallelForEachEntry(threads, sim_cache, build_sim);
+    // The sim builds were the last readers of their candidates' bundles.
+    for (size_t i = 0; i < n; ++i) {
+        if (sims[i] != nullptr) {
+            for (const CompileKey ck : unit_keys[i]) {
+                release(ck);
+            }
+        }
+    }
     // From here on, only candidates that reached the sim stage and have
     // not failed are live.
     const auto simulated = [&](size_t i) {
@@ -639,19 +695,19 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
         RunWorkers(threads, total_shards, worker);
     }
 
-    // ---- Assemble outcomes in candidate order. The reported compile
-    // artifacts are the primary unit's; a candidate rejected before
-    // compiling gets a stub that carries its error.
+    // ---- Assemble outcomes in candidate order. When bundles are kept,
+    // the reported compile artifacts are the primary unit's; a candidate
+    // rejected before compiling gets a stub that carries its error.
     for (size_t i = 0; i < n; ++i) {
         const SweepCandidate& c = candidates[i];
         SweepOutcome& out = outcomes[i];
         Metrics& metrics = out.metrics;
         out.label = c.label;
-        if (unit_keys[i].empty()) {
+        if (keep_bundles && unit_keys[i].empty()) {
             auto stub = std::make_shared<CompileArtifacts>();
             stub->error = *failed[i];
             out.compile = std::move(stub);
-        } else {
+        } else if (keep_bundles) {
             out.compile = compiles[primary_key[i]].arts;
         }
         ShardState* st = shard_states[i].get();
@@ -694,6 +750,7 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
     last_run_stats_.validation_failures = num_validation_failures.load();
     last_run_stats_.certifies = num_certifies.load();
     last_run_stats_.certify_failures = num_certify_failures.load();
+    last_run_stats_.peak_compile_bundles = peak_bundles.load();
     if (astore != nullptr) {
         const store::ArtifactStore::Counters after = astore->counters();
         last_run_stats_.store_hits = after.hits - store_before.hits;
@@ -706,10 +763,17 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
     return outcomes;
 }
 
+std::vector<SweepOutcome>
+SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
+{
+    return Execute(candidates, /*keep_bundles=*/true);
+}
+
 std::vector<Metrics>
 SweepRunner::Run(const std::vector<SweepCandidate>& candidates)
 {
-    std::vector<SweepOutcome> outcomes = RunDetailed(candidates);
+    std::vector<SweepOutcome> outcomes =
+        Execute(candidates, /*keep_bundles=*/false);
     std::vector<Metrics> metrics;
     metrics.reserve(outcomes.size());
     for (auto& outcome : outcomes) {

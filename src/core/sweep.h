@@ -134,6 +134,10 @@ struct SweepRunStats
     /** Store loads the store itself re-validated before serving (warm
      *  runs re-check every load; see store::ArtifactStore). */
     std::int64_t store_validated = 0;
+    /** Most compile bundles alive at once. `Run` drops each bundle after
+     *  its last consumer, so a compile-only batch of single-unit
+     *  candidates peaks at the pool width; `RunDetailed` keeps them all. */
+    std::int64_t peak_compile_bundles = 0;
 };
 
 class SweepRunner
@@ -141,17 +145,25 @@ class SweepRunner
   public:
     explicit SweepRunner(const SweepRunnerOptions& options = {});
 
-    /** Evaluates every candidate; outcomes are in candidate order. */
+    /** Evaluates every candidate; outcomes are in candidate order and
+     *  share one compile bundle per compile key. Every bundle stays
+     *  alive until the outcomes are dropped. */
     std::vector<SweepOutcome> RunDetailed(
         const std::vector<SweepCandidate>& candidates);
 
-    /** Metrics-only convenience wrapper over `RunDetailed`. */
+    /** Metrics-only run: the same metrics and `SweepRunStats` counters
+     *  as `RunDetailed`, but each compile bundle is dropped after its
+     *  last consumer, so peak memory is about the pool width times the
+     *  largest bundle instead of the sum of all bundles. */
     std::vector<Metrics> Run(const std::vector<SweepCandidate>& candidates);
 
     /** Accounting for the most recent Run/RunDetailed call. */
     const SweepRunStats& last_run_stats() const { return last_run_stats_; }
 
   private:
+    std::vector<SweepOutcome> Execute(
+        const std::vector<SweepCandidate>& candidates, bool keep_bundles);
+
     SweepRunnerOptions options_;
     SweepRunStats last_run_stats_;
 };

@@ -17,12 +17,12 @@ namespace {
  *  deterministic function of the request (the engine's bit-identity
  *  contract), so repeated service runs emit byte-identical lines. */
 std::string
-ResultLine(const std::string& request, const core::SweepOutcome& outcome)
+ResultLine(const std::string& request, const std::string& label,
+           const core::Metrics& m)
 {
     common::JsonRecord r;
-    r.Add("label", outcome.label);
+    r.Add("label", label);
     r.Add("request", request);
-    const core::Metrics& m = outcome.metrics;
     r.Add("ok", m.ok);
     if (!m.ok) {
         r.Add("error", m.error);
@@ -98,8 +98,9 @@ RunSweepService(const std::string& request_text,
     ropts.num_threads = options.num_threads;
     ropts.store = options.store;
     core::SweepRunner runner(ropts);
-    const std::vector<core::SweepOutcome> outcomes =
-        runner.RunDetailed(candidates);
+    // Metrics-only: the service never reads a compile bundle, so the
+    // runner drops each one after its last consumer.
+    const std::vector<core::Metrics> metrics = runner.Run(candidates);
     result.stats = runner.last_run_stats();
 
     result.result_lines.reserve(requests.size());
@@ -113,12 +114,12 @@ RunSweepService(const std::string& request_text,
             result.result_lines.push_back(r.Object());
             continue;
         }
-        const core::SweepOutcome& outcome =
-            outcomes[req.candidate_index];
-        if (outcome.metrics.ok) {
+        const core::Metrics& m = metrics[req.candidate_index];
+        if (m.ok) {
             ++result.num_ok;
         }
-        result.result_lines.push_back(ResultLine(req.line, outcome));
+        result.result_lines.push_back(ResultLine(
+            req.line, candidates[req.candidate_index].label, m));
     }
 
     common::JsonRecord summary;

@@ -328,14 +328,12 @@ CarriedMetrics(const Metrics& m)
     return words;
 }
 
-/** Exact outcomes of one mixed batch: every up-front rejection, a
- *  compile failure, a certification failure after the compile metrics
- *  are filled, and each success shape (full, compile-only, multi-round
- *  block, zero-shot). Each candidate's `ok`, error text and carried
- *  metric groups, and the run's stage counters, are pinned at pool
- *  widths 1 and 4, so the failure-precedence rules of the staged
- *  runner cannot drift. */
-TEST(SweepRunnerTest, MixedBatchOutcomesAndCountersArePinned)
+/** One mixed batch: every up-front rejection, a compile failure, a
+ *  certification failure after the compile metrics are filled, and
+ *  each success shape (full, compile-only, multi-round block,
+ *  zero-shot). */
+std::vector<SweepCandidate>
+PinnedMixedBatch()
 {
     const std::shared_ptr<const qec::StabilizerCode> rotated =
         qec::MakeCode("rotated", 3);
@@ -379,7 +377,16 @@ TEST(SweepRunnerTest, MixedBatchOutcomesAndCountersArePinned)
         c.options.compile_only = true;
     }
     add("zero_shots").options.max_shots = 0;
+    return candidates;
+}
 
+/** The exact outcomes of `PinnedMixedBatch`: each candidate's `ok`,
+ *  error text and carried metric groups, and the run's stage counters,
+ *  are pinned at pool widths 1 and 4, so the failure-precedence rules
+ *  of the staged runner cannot drift. */
+TEST(SweepRunnerTest, MixedBatchOutcomesAndCountersArePinned)
+{
+    const std::vector<SweepCandidate> candidates = PinnedMixedBatch();
     struct Expected
     {
         bool ok;
@@ -451,6 +458,145 @@ TEST(SweepRunnerTest, MixedBatchOutcomesAndCountersArePinned)
                       stats.store_corrupt + stats.store_writes +
                       stats.store_validated,
                   0);
+    }
+}
+
+void
+ExpectSameCounters(const SweepRunStats& a, const SweepRunStats& b)
+{
+    EXPECT_EQ(a.compiles, b.compiles);
+    EXPECT_EQ(a.annotates, b.annotates);
+    EXPECT_EQ(a.sim_builds, b.sim_builds);
+    EXPECT_EQ(a.store_hits, b.store_hits);
+    EXPECT_EQ(a.store_misses, b.store_misses);
+    EXPECT_EQ(a.store_corrupt, b.store_corrupt);
+    EXPECT_EQ(a.store_writes, b.store_writes);
+    EXPECT_EQ(a.validations, b.validations);
+    EXPECT_EQ(a.validation_failures, b.validation_failures);
+    EXPECT_EQ(a.certifies, b.certifies);
+    EXPECT_EQ(a.certify_failures, b.certify_failures);
+    EXPECT_EQ(a.store_validated, b.store_validated);
+}
+
+/** Compile-only d=11/13 blocks on grid and switch at capacities 2 and
+ *  5 (eight compile keys, more than the widest pool tested), each key
+ *  shared by a plain 1X candidate and a validated 5X one. */
+std::vector<SweepCandidate>
+CompileOnlyBlocks()
+{
+    std::vector<SweepCandidate> candidates;
+    for (const int d : {11, 13}) {
+        const std::shared_ptr<const qec::StabilizerCode> code =
+            qec::MakeCode("rotated", d);
+        for (const auto topology :
+             {qccd::TopologyKind::kGrid, qccd::TopologyKind::kSwitch}) {
+            for (const int capacity : {2, 5}) {
+                for (const bool validated : {false, true}) {
+                    SweepCandidate c;
+                    c.code = code;
+                    c.arch.topology = topology;
+                    c.arch.trap_capacity = capacity;
+                    c.arch.gate_improvement = validated ? 5.0 : 1.0;
+                    c.compile_rounds = d;
+                    c.options.compile_only = true;
+                    c.options.validate_artifacts = validated;
+                    candidates.push_back(std::move(c));
+                }
+            }
+        }
+    }
+    return candidates;
+}
+
+/** A metrics-only `Run` drops each compile bundle after its last
+ *  consumer, so a compile-only batch never holds more bundles than the
+ *  pool has workers, while `RunDetailed` keeps one shared bundle per
+ *  key; both report the same metrics and counters. */
+TEST(SweepRunnerTest, RunStreamsCompileBundlesAndRunDetailedSharesThem)
+{
+    const std::vector<SweepCandidate> candidates = CompileOnlyBlocks();
+    const std::int64_t keys =
+        static_cast<std::int64_t>(candidates.size()) / 2;
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE("pool width " + std::to_string(threads));
+        SweepRunnerOptions opts;
+        opts.num_threads = threads;
+        SweepRunner streaming(opts);
+        const std::vector<Metrics> metrics = streaming.Run(candidates);
+        const SweepRunStats streamed = streaming.last_run_stats();
+        EXPECT_GE(streamed.peak_compile_bundles, 1);
+        EXPECT_LE(streamed.peak_compile_bundles, threads);
+        EXPECT_EQ(streamed.compiles, keys);
+        EXPECT_EQ(streamed.validations, keys);
+
+        SweepRunner detailed(opts);
+        const std::vector<SweepOutcome> outcomes =
+            detailed.RunDetailed(candidates);
+        EXPECT_EQ(detailed.last_run_stats().peak_compile_bundles, keys);
+        ExpectSameCounters(streamed, detailed.last_run_stats());
+        ASSERT_EQ(outcomes.size(), candidates.size());
+        ASSERT_EQ(metrics.size(), candidates.size());
+        for (size_t i = 0; i < outcomes.size(); ++i) {
+            SCOPED_TRACE("candidate " + std::to_string(i));
+            ASSERT_TRUE(outcomes[i].metrics.ok) << outcomes[i].metrics.error;
+            ExpectBitIdentical(outcomes[i].metrics, metrics[i]);
+            // Candidates 2k and 2k+1 share a compile key.
+            EXPECT_EQ(outcomes[i].compile.get(),
+                      outcomes[i ^ 1].compile.get());
+            if (i >= 2) {
+                EXPECT_NE(outcomes[i].compile.get(),
+                          outcomes[i - 2].compile.get());
+            }
+        }
+    }
+}
+
+/** `Run` and `RunDetailed` agree on the pinned mixed batch plus a
+ *  three-phase program (cnot, whose primary phase is the last), whose
+ *  compile chain starts only once all of its phase compiles are done
+ *  and whose bundles feed the program's sim build after the chain. */
+TEST(SweepRunnerTest, RunMatchesRunDetailedOnMixedBatchWithProgram)
+{
+    std::vector<SweepCandidate> candidates = PinnedMixedBatch();
+    const std::shared_ptr<const workloads::BoundProgram> program =
+        workloads::BoundProgram::Bind(
+            workloads::CanonicalProgram("cnot"), 3);
+    SweepCandidate cnot;
+    cnot.code = std::shared_ptr<const qec::StabilizerCode>(
+        program, program->primary_code());
+    cnot.arch.trap_capacity = 2;
+    cnot.options.workload = workloads::WorkloadSpec::Program(program);
+    cnot.options.max_shots = 512;
+    cnot.options.target_logical_errors = 0;
+    cnot.options.validate_artifacts = true;
+    cnot.label = "cnot";
+    candidates.push_back(cnot);
+    ASSERT_GT(program->phase_codes().size(), 1u);
+
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE("pool width " + std::to_string(threads));
+        SweepRunnerOptions opts;
+        opts.num_threads = threads;
+        SweepRunner detailed(opts);
+        const std::vector<SweepOutcome> outcomes =
+            detailed.RunDetailed(candidates);
+        SweepRunner streaming(opts);
+        const std::vector<Metrics> metrics = streaming.Run(candidates);
+        ExpectSameCounters(detailed.last_run_stats(),
+                           streaming.last_run_stats());
+        ASSERT_EQ(outcomes.size(), candidates.size());
+        ASSERT_EQ(metrics.size(), candidates.size());
+        for (size_t i = 0; i < outcomes.size(); ++i) {
+            SCOPED_TRACE(candidates[i].label);
+            ExpectBitIdentical(outcomes[i].metrics, metrics[i]);
+            EXPECT_EQ(outcomes[i].metrics.per_observable_errors,
+                      metrics[i].per_observable_errors);
+            EXPECT_EQ(outcomes[i].metrics.dem_hyperedges,
+                      metrics[i].dem_hyperedges);
+        }
+        const Metrics& m = metrics.back();
+        ASSERT_TRUE(m.ok) << m.error;
+        EXPECT_EQ(m.shots, 512);
     }
 }
 
