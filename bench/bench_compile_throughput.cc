@@ -1,9 +1,12 @@
 /**
  * @file
- * Compile-throughput benchmark (ISSUE 4 acceptance): rounds-compiled/sec
- * for one parity-check round of the rotated surface code at d=3/5/7/9 on
- * the grid and switch topologies (trap capacity 2, the paper's optimal
- * design point), before vs after the router/scheduler hot-path overhaul.
+ * Compile-throughput benchmark: rounds-compiled/sec for one parity-check
+ * round of the rotated surface code at d=3/5/7/9 on the grid and switch
+ * topologies (trap capacity 2, the paper's optimal design point,
+ * standard wiring), plus WISE wiring on the linear topology at capacity
+ * 2 (d=7 in smoke mode, d=7 and d=9 in the full run), where the
+ * scheduler's cross-kind conflict search does the most work — before vs
+ * after the router/scheduler hot-path overhaul.
  *
  * "Before" is the pre-overhaul compiler preserved verbatim behind
  * `CompilerOptions::reference_pipeline` (reference router + scheduler +
@@ -87,13 +90,28 @@ BitIdentical(const compiler::CompilationResult& a,
     return true;
 }
 
-double
-BatchSeconds(const qec::StabilizerCode& code,
-             const qccd::DeviceGraph& graph, bool reference, int reps)
+/** Compiler options for one side of a row: the reference or fast
+ *  pipeline, with WISE cooling when `wise`. */
+compiler::CompilerOptions
+OptionsFor(bool wise, bool reference)
 {
-    const qccd::TimingModel timing;
     compiler::CompilerOptions opts;
     opts.reference_pipeline = reference;
+    opts.wise = wise;
+    if (wise) {
+        opts.cooling_per_two_qubit_gate =
+            qccd::TimingModel{}.cooling_per_two_qubit_gate;
+    }
+    return opts;
+}
+
+double
+BatchSeconds(const qec::StabilizerCode& code,
+             const qccd::DeviceGraph& graph, bool wise, bool reference,
+             int reps)
+{
+    const qccd::TimingModel timing;
+    const compiler::CompilerOptions opts = OptionsFor(wise, reference);
     const auto t0 = clk::now();
     for (int i = 0; i < reps; ++i) {
         const auto r =
@@ -105,36 +123,44 @@ BatchSeconds(const qec::StabilizerCode& code,
     return std::chrono::duration<double>(clk::now() - t0).count();
 }
 
-struct Row
+struct Config
 {
     int distance;
     qccd::TopologyKind topology;
+    bool wise;
+};
+
+struct Row
+{
+    Config config;
     double ref_rounds_per_sec;
     double fast_rounds_per_sec;
     bool identical;
 };
 
+constexpr int kCapacity = 2;
+
 Row
-MeasureOne(int distance, qccd::TopologyKind topology, bool smoke)
+MeasureOne(const Config& config, bool smoke)
 {
+    const int distance = config.distance;
     const qec::RotatedSurfaceCode code(distance);
-    const auto graph = compiler::MakeDeviceFor(code, topology, 2);
+    const auto graph =
+        compiler::MakeDeviceFor(code, config.topology, kCapacity);
     const qccd::TimingModel timing;
 
-    Row row{distance, topology, 0.0, 0.0, false};
+    Row row{config, 0.0, 0.0, false};
 
     // Bit-identity first: the ratio is only meaningful for equal output.
     // A configuration that fails to compile at all is a hard failure too
     // (identical brokenness must not keep CI green).
-    compiler::CompilerOptions ref_opts;
-    ref_opts.reference_pipeline = true;
-    const auto ref_out =
-        compiler::CompileParityCheckRounds(code, 1, graph, timing, ref_opts);
-    const auto fast_out =
-        compiler::CompileParityCheckRounds(code, 1, graph, timing);
+    const auto ref_out = compiler::CompileParityCheckRounds(
+        code, 1, graph, timing, OptionsFor(config.wise, true));
+    const auto fast_out = compiler::CompileParityCheckRounds(
+        code, 1, graph, timing, OptionsFor(config.wise, false));
     if (!ref_out.ok || !fast_out.ok) {
         std::fprintf(stderr, "d=%d %s: compilation failed: %s\n", distance,
-                     qccd::TopologyKindName(topology).c_str(),
+                     qccd::TopologyKindName(config.topology).c_str(),
                      (!ref_out.ok ? ref_out.error : fast_out.error).c_str());
         return row;
     }
@@ -144,18 +170,23 @@ MeasureOne(int distance, qccd::TopologyKind topology, bool smoke)
     }
 
     const int base = smoke ? 60 : 2000;
-    const int reps = distance <= 3   ? base
-                     : distance == 5 ? base * 3 / 10
-                     : distance == 7 ? base / 8
-                                     : base / 16;
+    int reps = distance <= 3   ? base
+               : distance == 5 ? base * 3 / 10
+               : distance == 7 ? base / 8
+                               : base / 16;
+    if (config.wise && config.topology == qccd::TopologyKind::kLinear) {
+        // A linear WISE round costs about ten grid rounds of equal d.
+        reps = std::max(2, reps / 8);
+    }
     const int trials = smoke ? 2 : 5;
-    BatchSeconds(code, graph, true, std::max(1, reps / 4));   // warm-up
-    BatchSeconds(code, graph, false, std::max(1, reps / 4));
+    const bool wise = config.wise;
+    BatchSeconds(code, graph, wise, true, std::max(1, reps / 4));  // warm-up
+    BatchSeconds(code, graph, wise, false, std::max(1, reps / 4));
     double best_ref = 1e300;
     double best_fast = 1e300;
     for (int t = 0; t < trials; ++t) {
-        const double ref_s = BatchSeconds(code, graph, true, reps);
-        const double fast_s = BatchSeconds(code, graph, false, reps);
+        const double ref_s = BatchSeconds(code, graph, wise, true, reps);
+        const double fast_s = BatchSeconds(code, graph, wise, false, reps);
         if (ref_s < 0.0 || fast_s < 0.0) {
             row.identical = false;  // mid-run compile failure
             return row;
@@ -179,46 +210,58 @@ main(int argc, char** argv)
                 "surface code, capacity 2 ===\n");
     std::printf("=== reference (pre-overhaul) vs overhauled pipeline, "
                 "best of %d interleaved trials ===\n\n", smoke ? 2 : 5);
-    std::printf("%-4s %-8s %16s %16s %10s %10s\n", "d", "topology",
-                "ref rounds/s", "fast rounds/s", "speedup", "identical");
-    tiqec::bench::Rule(70);
+    std::printf("%-4s %-8s %-8s %16s %16s %10s %10s\n", "d", "topology",
+                "wiring", "ref rounds/s", "fast rounds/s", "speedup",
+                "identical");
+    tiqec::bench::Rule(79);
+
+    using tiqec::qccd::TopologyKind;
+    std::vector<Config> configs;
+    for (const int d :
+         smoke ? std::vector<int>{3, 7} : std::vector<int>{3, 5, 7, 9}) {
+        for (const auto topology :
+             {TopologyKind::kGrid, TopologyKind::kSwitch}) {
+            configs.push_back({d, topology, false});
+        }
+    }
+    // The regression gate compares a smoke run with the committed full
+    // run, so the full run measures the smoke WISE row too.
+    for (const int d : smoke ? std::vector<int>{7} : std::vector<int>{7, 9}) {
+        configs.push_back({d, TopologyKind::kLinear, true});
+    }
 
     bool all_identical = true;
     std::vector<tiqec::bench::JsonRecord> records;
-    const std::vector<int> distances =
-        smoke ? std::vector<int>{3, 7} : std::vector<int>{3, 5, 7, 9};
-    for (const int d : distances) {
-        for (const auto topology :
-             {tiqec::qccd::TopologyKind::kGrid,
-              tiqec::qccd::TopologyKind::kSwitch}) {
-            const Row row = MeasureOne(d, topology, smoke);
-            all_identical = all_identical && row.identical;
-            const double speedup =
-                row.ref_rounds_per_sec > 0.0
-                    ? row.fast_rounds_per_sec / row.ref_rounds_per_sec
-                    : 0.0;
-            std::printf("%-4d %-8s %16.0f %16.0f %9.2fx %10s\n",
-                        row.distance,
-                        tiqec::qccd::TopologyKindName(row.topology).c_str(),
-                        row.ref_rounds_per_sec, row.fast_rounds_per_sec,
-                        speedup, row.identical ? "yes" : "NO");
-            tiqec::bench::JsonRecord r;
-            r.Add("distance", row.distance);
-            r.Add("topology",
-                  tiqec::qccd::TopologyKindName(row.topology));
-            r.Add("trap_capacity", 2);
-            r.Add("metric", "rounds_per_sec");
-            r.Add("reference", row.ref_rounds_per_sec);
-            r.Add("fast", row.fast_rounds_per_sec);
-            // The speedup ratio is the machine-portable figure: the
-            // regression gate compares it across hosts, where absolute
-            // rounds/sec are not comparable.
-            r.Add("speedup", speedup);
-            r.Add("identical", row.identical);
-            r.Add("best_of", smoke ? 2 : 5);
-            r.Add("smoke", smoke);
-            records.push_back(std::move(r));
-        }
+    for (const Config& config : configs) {
+        const Row row = MeasureOne(config, smoke);
+        all_identical = all_identical && row.identical;
+        const double speedup =
+            row.ref_rounds_per_sec > 0.0
+                ? row.fast_rounds_per_sec / row.ref_rounds_per_sec
+                : 0.0;
+        const std::string topology =
+            tiqec::qccd::TopologyKindName(config.topology);
+        const char* wiring = config.wise ? "wise" : "standard";
+        std::printf("%-4d %-8s %-8s %16.0f %16.0f %9.2fx %10s\n",
+                    config.distance, topology.c_str(), wiring,
+                    row.ref_rounds_per_sec, row.fast_rounds_per_sec,
+                    speedup, row.identical ? "yes" : "NO");
+        tiqec::bench::JsonRecord r;
+        r.Add("distance", config.distance);
+        r.Add("topology", topology);
+        r.Add("trap_capacity", kCapacity);
+        r.Add("wiring", wiring);
+        r.Add("metric", "rounds_per_sec");
+        r.Add("reference", row.ref_rounds_per_sec);
+        r.Add("fast", row.fast_rounds_per_sec);
+        // The speedup ratio is the machine-portable figure: the
+        // regression gate compares it across hosts, where absolute
+        // rounds/sec are not comparable.
+        r.Add("speedup", speedup);
+        r.Add("identical", row.identical);
+        r.Add("best_of", smoke ? 2 : 5);
+        r.Add("smoke", smoke);
+        records.push_back(std::move(r));
     }
     std::printf("\n(the overhaul targets >= 3x at d=7; output "
                 "byte-identity is the hard invariant — timing is "

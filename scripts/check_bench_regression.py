@@ -7,8 +7,10 @@ committed snapshots and a CI runner are different hosts — so the gate
 compares *within-host ratios*, which are portable:
 
   compile: speedup = fast_rounds_per_sec / reference_rounds_per_sec
-           (both sides measured in the same process on the same host;
-           the ratio is the hot-path overhaul's figure of merit)
+           per (distance, topology, capacity, wiring) row; a row without
+           a wiring field measured standard wiring (both sides measured
+           in the same process on the same host; the ratio is the
+           hot-path overhaul's figure of merit)
   decode:  path_ratio = shots_per_sec[path] / shots_per_sec[legacy]
            per (workload, distance, gate_improvement) config, for the
            scalar / batch / batch_correlated paths
@@ -132,7 +134,10 @@ def check_compile(baseline_dir, fresh_dir, threshold, failures):
     fresh = load_results(os.path.join(fresh_dir, "BENCH_compile.json"))
 
     def key(r):
-        return (r["distance"], r["topology"])
+        # Rows written before the wiring axis existed measured standard
+        # wiring.
+        return (r["distance"], r["topology"], r.get("trap_capacity"),
+                r.get("wiring", "standard"))
 
     base_by_key = {key(r): r for r in base}
     print("compile_throughput (fast/reference speedup):")
@@ -148,8 +153,9 @@ def check_compile(baseline_dir, fresh_dir, threshold, failures):
             continue  # axis mismatch (smoke subset), not a failure
         # gate.add flags a missing/zero/null speedup as a correctness
         # failure; the old `<= 0` pre-check silently skipped it.
-        gate.add(f"d={r['distance']} {r['topology']}", b.get("speedup"),
-                 r.get("speedup"))
+        gate.add(f"d={r['distance']} {r['topology']} "
+                 f"c{r.get('trap_capacity')} {r.get('wiring', 'standard')}",
+                 b.get("speedup"), r.get("speedup"))
     gate.verdict(failures)
 
 
