@@ -1,5 +1,6 @@
 #include "core/sweep.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -426,11 +427,25 @@ SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
 
     // Stages 1-2 stream: workers claim unique compiles, and each
     // finished compile runs the compile chain of every candidate it was
-    // the last missing unit of.
+    // the last missing unit of. The largest compiles (by rounds times
+    // qubits) are claimed first, so the batch does not end with one
+    // worker compiling and validating a large block alone.
+    std::vector<CompileEntry*> claim_order;
+    for (CompileEntry& entry : compiles) {
+        claim_order.push_back(&entry);
+    }
+    const auto cost = [](const CompileEntry* entry) {
+        return std::int64_t{entry->exemplar->compile_rounds} *
+               entry->unit->num_qubits();
+    };
+    std::stable_sort(claim_order.begin(), claim_order.end(),
+                     [&](const CompileEntry* a, const CompileEntry* b) {
+                         return cost(a) > cost(b);
+                     });
     ParallelForIndex(
         threads, static_cast<std::int64_t>(compiles.size()),
         [&](std::int64_t t) {
-            CompileEntry& entry = compiles[static_cast<size_t>(t)];
+            CompileEntry& entry = *claim_order[static_cast<size_t>(t)];
             compile(entry);
             for (const size_t i : entry.waiters) {
                 if (pending[i].fetch_sub(1, std::memory_order_acq_rel) == 1) {
