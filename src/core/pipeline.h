@@ -97,7 +97,9 @@ SimArtifacts BuildSimArtifacts(const qec::StabilizerCode& code,
  * for multi-round compile-only candidates. For `compile_rounds == 1`,
  * `round_time` is the schedule makespan and `shot_time` is
  * `rounds * round_time`; for a multi-round block, `shot_time` is the
- * block's elapsed makespan and `round_time` its per-round mean.
+ * block's elapsed makespan and `round_time` its per-round mean, while
+ * `movement_ops_per_round` and `movement_time_per_round` are block
+ * totals (see `Metrics`).
  */
 void FillCompileMetrics(const qec::StabilizerCode& code,
                         const ArchitectureConfig& arch,

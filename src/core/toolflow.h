@@ -103,7 +103,12 @@ struct Metrics
     bool ok = false;
     std::string error;
 
-    // Compiler outputs (paper §6.3).
+    // Compiler outputs (paper §6.3). For a multi-round compile-only
+    // block (`SweepCandidate::compile_rounds` > 1), `round_time` is the
+    // per-round mean and `shot_time` the block makespan, but the two
+    // movement fields are block totals despite their names: a d=11
+    // block of 11 rounds on grid capacity 2 reports 58,080 movement
+    // ops, 11 rounds' worth.
     Microseconds round_time = 0.0;
     Microseconds shot_time = 0.0;  ///< rounds * round_time
     int movement_ops_per_round = 0;
