@@ -289,8 +289,8 @@ SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
         const std::int64_t live =
             live_bundles.fetch_add(1, std::memory_order_relaxed) + 1;
         std::int64_t peak = peak_bundles.load(std::memory_order_relaxed);
-        while (live > peak && !peak_bundles.compare_exchange_weak(
-                                  peak, live, std::memory_order_relaxed)) {
+        while (live > peak &&
+               !peak_bundles.compare_exchange_weak(peak, live)) {
         }
         CompileArtifacts& arts = *entry.arts;
         if (astore != nullptr) {
@@ -405,10 +405,8 @@ SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
                     failed[i] = entry->error;
                 }
             }
-            profile = &noise_cache
-                           .at(NoiseKey{primary_key[i],
-                                        c.arch.gate_improvement})
-                           .profile;
+            const NoiseKey primary{primary_key[i], c.arch.gate_improvement};
+            profile = &noise_cache.at(primary).profile;
         }
         if (!failed[i]) {
             FillCompileMetrics(*c.code, c.arch, *compiles[primary_key[i]].arts,
@@ -431,6 +429,7 @@ SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
     // qubits) are claimed first, so the batch does not end with one
     // worker compiling and validating a large block alone.
     std::vector<CompileEntry*> claim_order;
+    claim_order.reserve(compiles.size());
     for (CompileEntry& entry : compiles) {
         claim_order.push_back(&entry);
     }
