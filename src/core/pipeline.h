@@ -50,16 +50,18 @@ struct CompileArtifacts
 /**
  * Compile stage. Synthesises a device for (code, arch) — or compiles
  * onto `device` when non-null (hand-built devices, e.g. single ion
- * chains) — and runs the QEC compiler for `compile_rounds` rounds.
- * Never throws: invalid configurations (trap capacity < 2, too few
- * traps, routing failures) and compiler exceptions all come back as
- * `ok == false` with a message, so one broken candidate cannot abort a
- * sweep.
+ * chains) — and runs the QEC compiler for `compile_rounds` rounds,
+ * through the frozen reference pipeline when `reference_pipeline` is
+ * set (`compiler::CompilerOptions::reference_pipeline`). Never throws:
+ * invalid configurations (trap capacity < 2, too few traps, routing
+ * failures) and compiler exceptions all come back as `ok == false`
+ * with a message, so one broken candidate cannot abort a sweep.
  */
 CompileArtifacts CompileCandidate(const qec::StabilizerCode& code,
                                   const ArchitectureConfig& arch,
                                   int compile_rounds = 1,
-                                  const qccd::DeviceGraph* device = nullptr);
+                                  const qccd::DeviceGraph* device = nullptr,
+                                  bool reference_pipeline = false);
 
 /**
  * Annotate stage: schedule-derived noise profile for a successful

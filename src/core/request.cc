@@ -1,11 +1,13 @@
 #include "core/request.h"
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "common/json.h"
 #include "common/text_format.h"
 #include "qec/code.h"
 #include "workloads/experiment.h"
@@ -106,6 +108,14 @@ ParseRequestLine(const std::string& line, RequestSpec* out,
             } else if (key == "improvement") {
                 spec.arch.gate_improvement =
                     text::ParseDouble(value, "improvement");
+                // A NaN key would also break the strict weak ordering
+                // of the runner's noise and sim caches.
+                if (!std::isfinite(spec.arch.gate_improvement) ||
+                    spec.arch.gate_improvement <= 0.0) {
+                    throw std::invalid_argument(
+                        "improvement must be finite and positive, got '" +
+                        value + "'");
+                }
             } else if (key == "rounds") {
                 spec.options.rounds = text::ParseInt32(value, "rounds");
             } else if (key == "compile_rounds") {
@@ -218,6 +228,40 @@ ParseRequestCandidate(const std::string& line, SweepCandidate* out,
         return false;
     }
     return true;
+}
+
+RequestBatch
+ReadRequestBatch(const std::string& request_text)
+{
+    RequestBatch batch;
+    std::istringstream stream(request_text);
+    std::string line;
+    while (std::getline(stream, line)) {
+        text::StripCr(line);
+        const size_t first = line.find_first_not_of(" \t");
+        if (first == std::string::npos || line[first] == '#') {
+            continue;
+        }
+        BatchRequest& req = batch.requests.emplace_back();
+        req.line = line;
+        SweepCandidate candidate;
+        if (ParseRequestCandidate(line, &candidate, &req.parse_error)) {
+            req.candidate = batch.candidates.size();
+            batch.candidates.push_back(std::move(candidate));
+        }
+    }
+    return batch;
+}
+
+std::string
+ParseErrorLine(const BatchRequest& request)
+{
+    common::JsonRecord r;
+    r.Add("label", "");
+    r.Add("request", request.line);
+    r.Add("ok", false);
+    r.Add("error", "request parse: " + request.parse_error);
+    return r.Object();
 }
 
 }  // namespace tiqec::core

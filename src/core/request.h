@@ -1,13 +1,14 @@
 /**
  * @file
- * The one `key=value` request-line parser (DESIGN.md §7.4): the sweep
- * service, the `tiqec_certify` driver, and anything else that turns
- * text lines into `core::SweepCandidate`s all parse through here, so
- * field names, the `std::from_chars` numeric discipline, and the error
- * message format are defined exactly once.
+ * The one `key=value` request-line parser and batch reader (DESIGN.md
+ * §7.4): the sweep service, the `tiqec_certify` driver, and anything
+ * else that turns text lines into `core::SweepCandidate`s all parse
+ * through here, so field names, the `std::from_chars` numeric
+ * discipline, the error message format and the parse-failure result
+ * line are defined exactly once.
  *
  * Line format — one candidate per line, `key=value` tokens separated by
- * whitespace:
+ * whitespace; in a batch, blank lines and `#` comments are skipped:
  *
  *   family=rotated distance=3 capacity=2 shots=4096 seed=7 label=a
  *   workload=program program=cnot distance=3 certify=1
@@ -16,8 +17,8 @@
  * distance (required), program (canonical program name,
  * workloads/program.h; requires workload=program, which in turn forbids
  * family), topology (linear|grid|switch), capacity, wiring
- * (standard|wise), improvement, rounds, compile_rounds, shots,
- * target_errors, seed, basis (z|x), workload
+ * (standard|wise), improvement (finite, > 0), rounds, compile_rounds,
+ * shots, target_errors, seed, basis (z|x), workload
  * (memory|stability|surgery|program), compile_only (0|1), validate
  * (0|1), certify (0|1), label. Unknown keys are an error.
  */
@@ -25,6 +26,7 @@
 #define TIQEC_CORE_REQUEST_H
 
 #include <string>
+#include <vector>
 
 #include "core/architecture.h"
 #include "core/sweep.h"
@@ -69,10 +71,38 @@ bool ParseRequestLine(const std::string& line, RequestSpec* out,
 SweepCandidate MakeSweepCandidate(const RequestSpec& spec);
 
 /** `ParseRequestLine` + `MakeSweepCandidate` with every failure — parse
- *  or build — reported through `*error` (the historical
- *  `store::ParseSweepRequest` contract, byte-identical messages). */
+ *  or build — reported through `*error`. Returns false on failure;
+ *  `*out` is untouched then. */
 bool ParseRequestCandidate(const std::string& line, SweepCandidate* out,
                            std::string* error);
+
+/** One request line of a batch. */
+struct BatchRequest
+{
+    std::string line;
+    /** Empty when the line parsed; else the parse or build error. */
+    std::string parse_error;
+    /** The line's index in `RequestBatch::candidates` when it parsed. */
+    size_t candidate = 0;
+};
+
+struct RequestBatch
+{
+    /** Every line that is neither blank nor a `#` comment, in order. */
+    std::vector<BatchRequest> requests;
+    /** The candidates of the lines that parsed, in line order. */
+    std::vector<SweepCandidate> candidates;
+};
+
+/** Splits a batch into request lines (CR stripped; blank and `#` lines
+ *  skipped) and parses each through `ParseRequestCandidate`. A malformed
+ *  line stays in `requests` with its error and adds no candidate, so it
+ *  never reaches the runner and the rest of the batch proceeds. */
+RequestBatch ReadRequestBatch(const std::string& request_text);
+
+/** The JSON result line of a request that did not parse: an empty
+ *  label, the request text, `ok:false`, and `request parse: <error>`. */
+std::string ParseErrorLine(const BatchRequest& request);
 
 }  // namespace tiqec::core
 

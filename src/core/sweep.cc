@@ -100,15 +100,18 @@ struct NoiseEntry
 struct SimEntry
 {
     size_t exemplar = 0;
-    bool ok = false;
+    /** Null until built or loaded; `error` says why it stayed null. */
+    std::shared_ptr<const SimArtifacts> arts;
     std::string error;
-    SimArtifacts arts;
     /** The entry's store key (set only when a store is attached). */
     store::StoreKey store_key;
     /** Sim-validation and certification verdicts, as for
      *  `CompileEntry::validation`. */
     std::optional<std::string> validation;
     std::optional<std::string> certification;
+    /** The judged certificate; null unless certification reached the
+     *  verdict. */
+    std::shared_ptr<const analysis::DistanceCertificate> certificate;
 };
 
 /** Per-candidate Monte-Carlo state driven by the shared pool. A decode
@@ -308,7 +311,7 @@ SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
             }
         }
         arts = CompileCandidate(*entry.unit, c.arch, c.compile_rounds,
-                                c.device.get());
+                                c.device.get(), options_.reference_compiler);
         num_compiles.fetch_add(1, std::memory_order_relaxed);
         if (astore != nullptr && arts.ok) {
             astore->StoreCompile(entry.key, arts);
@@ -478,6 +481,7 @@ SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
         const workloads::WorkloadSpec& spec = c.options.workload;
         const NoiseKey& nk = std::get<0>(sk);
         const CompileEntry& comp = compiles[std::get<0>(nk)];
+        auto arts = std::make_shared<SimArtifacts>();
         if (astore != nullptr) {
             // The store key is built off the in-memory key, so the
             // store shares exactly what the cache shares.
@@ -487,9 +491,9 @@ SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
                 std::get<4>(sk));
             std::string err;
             const store::LoadStatus status =
-                astore->LoadSim(entry.store_key, &entry.arts, &err);
+                astore->LoadSim(entry.store_key, arts.get(), &err);
             if (status == store::LoadStatus::kHit) {
-                entry.ok = true;
+                entry.arts = std::move(arts);
                 return;
             }
             if (status == store::LoadStatus::kCorrupt) {
@@ -507,17 +511,17 @@ SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
                         units[i][u], compiles[uck].arts.get(),
                         &unit_noise[i][u]->profile});
                 }
-                entry.arts = BuildProgramSimArtifacts(
-                    *spec.program, punits, c.arch, RoundsOf(c));
+                *arts = BuildProgramSimArtifacts(*spec.program, punits,
+                                                 c.arch, RoundsOf(c));
             } else {
-                entry.arts = BuildSimArtifacts(
-                    *c.code, *comp.arts, noise_cache.at(nk).profile, c.arch,
-                    RoundsOf(c), spec);
+                *arts = BuildSimArtifacts(*c.code, *comp.arts,
+                                          noise_cache.at(nk).profile, c.arch,
+                                          RoundsOf(c), spec);
             }
             num_sim_builds.fetch_add(1, std::memory_order_relaxed);
-            entry.ok = true;
+            entry.arts = std::move(arts);
             if (astore != nullptr) {
-                astore->StoreSim(entry.store_key, entry.arts);
+                astore->StoreSim(entry.store_key, *entry.arts);
             }
         } catch (const std::exception& e) {
             entry.error = e.what();
@@ -538,8 +542,11 @@ SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
         return sims[i] != nullptr && !failed[i];
     };
     for (size_t i = 0; i < n; ++i) {
-        if (simulated(i) && !sims[i]->ok) {
-            failed[i] = sims[i]->error;
+        if (simulated(i)) {
+            outcomes[i].sim = sims[i]->arts;
+            if (sims[i]->arts == nullptr) {
+                failed[i] = sims[i]->error;
+            }
         }
     }
 
@@ -561,7 +568,7 @@ SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
         const SweepCandidate& c = candidates[entry.exemplar];
         const std::vector<analysis::Diagnostic> diags =
             analysis::ValidateSimArtifacts(
-                entry.arts.experiment, entry.arts.dem,
+                entry.arts->experiment, entry.arts->dem,
                 analysis::SimValidationOptionsFor(*c.code,
                                                   c.options.workload));
         num_validations.fetch_add(1, std::memory_order_relaxed);
@@ -586,7 +593,6 @@ SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
     // call judges it against the code distance, so cold and warm runs
     // fail with byte-identical text; a sub-distance (or uncertifiable)
     // result isolates the candidate exactly like a compile error.
-    const analysis::DistanceCertifierOptions certifier;
     const auto certifying = [&](size_t i) {
         return simulated(i) && candidates[i].options.certify_distance;
     };
@@ -599,10 +605,11 @@ SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
         if (!entry.certification) {
             return;
         }
-        analysis::DistanceCertificate cert;
+        auto cert = std::make_shared<analysis::DistanceCertificate>();
         std::string err;
-        const store::LoadStatus status = store::LoadOrCertify(
-            astore, entry.store_key, entry.arts.dem, certifier, &cert, &err);
+        const store::LoadStatus status =
+            store::LoadOrCertify(astore, entry.store_key, entry.arts->dem,
+                                 options_.certifier, cert.get(), &err);
         if (status == store::LoadStatus::kCorrupt) {
             *entry.certification = err;
             return;
@@ -612,17 +619,21 @@ SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
         }
         const int distance = candidates[entry.exemplar].code->distance();
         const std::vector<analysis::Diagnostic> diags =
-            analysis::JudgeDistance(entry.arts.dem, cert, distance);
+            analysis::JudgeDistance(entry.arts->dem, *cert, distance);
         if (!diags.empty()) {
             num_certify_failures.fetch_add(1, std::memory_order_relaxed);
             *entry.certification = analysis::FormatDiagnostics(
                 analysis::kCertifySubject, diags);
         }
+        entry.certificate = std::move(cert);
     };
     ParallelForEachEntry(threads, sim_cache, certify);
     for (size_t i = 0; i < n; ++i) {
-        if (certifying(i) && !sims[i]->certification->empty()) {
-            failed[i] = *sims[i]->certification;
+        if (certifying(i)) {
+            outcomes[i].certificate = sims[i]->certificate;
+            if (!sims[i]->certification->empty()) {
+                failed[i] = *sims[i]->certification;
+            }
         }
     }
 
@@ -646,7 +657,7 @@ SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
         sopts.correlated = c.options.correlated;
         try {
             state->run = std::make_unique<sim::LerShardRun>(
-                sims[i]->arts.experiment, sims[i]->arts.dem, sopts,
+                sims[i]->arts->experiment, sims[i]->arts->dem, sopts,
                 c.options.max_shots, c.options.target_logical_errors);
         } catch (const std::exception& e) {
             failed[i] = e.what();
@@ -743,7 +754,7 @@ SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
         const LerEstimate ler = FinishLerEstimate(
             run.shots, run.logical_errors, run.per_observable_errors,
             run.shards, run.early_stopped, RoundsOf(c));
-        const sim::DetectorErrorModel& dem = sims[i]->arts.dem;
+        const sim::DetectorErrorModel& dem = sims[i]->arts->dem;
         metrics.shots = ler.shots;
         metrics.logical_errors = ler.logical_errors;
         metrics.ler_per_shot = ler.ler_per_shot;

@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/distance_certifier.h"
 #include "core/architecture.h"
 #include "core/pipeline.h"
 #include "core/toolflow.h"
@@ -73,14 +74,23 @@ struct SweepCandidate
 };
 
 /** Result for one candidate: the `Evaluate` metrics plus the cached
- *  compile artifacts for drivers that interrogate the mapping
- *  (partition sizes, theoretical bounds, schedule export). */
+ *  artifacts for drivers that interrogate them: the compile bundle
+ *  (partition sizes, theoretical bounds, schedule export), and the
+ *  experiment, DEM and distance certificate (`tiqec_certify`). */
 struct SweepOutcome
 {
     Metrics metrics;
     std::string label;
     /** Shared cache entry; never null. `compile->ok` mirrors failure. */
     std::shared_ptr<const CompileArtifacts> compile;
+    /** Experiment + DEM, shared per sim key; null when the candidate is
+     *  compile-only or failed before or at the sim stage. */
+    std::shared_ptr<const SimArtifacts> sim;
+    /** The certificate `JudgeDistance` judged this candidate by (computed
+     *  or loaded), shared per sim key; null unless the candidate has
+     *  `certify_distance` and reached the certify stage. A sub-distance
+     *  candidate has `metrics.ok == false` and still carries it. */
+    std::shared_ptr<const analysis::DistanceCertificate> certificate;
 };
 
 struct SweepRunnerOptions
@@ -103,11 +113,19 @@ struct SweepRunnerOptions
      * `EvaluationOptions::validate_artifacts`.
      */
     std::shared_ptr<const store::ArtifactStore> store;
+    /** Search settings for candidates with `certify_distance`
+     *  (`tiqec_certify --max-weight`). */
+    analysis::DistanceCertifierOptions certifier;
+    /** Compile through the frozen reference pipeline
+     *  (`compiler::CompilerOptions::reference_pipeline`,
+     *  `tiqec_certify --reference`). Store keys do not encode the
+     *  pipeline, so such a run should attach no store. */
+    bool reference_compiler = false;
 };
 
-/** Work/cache accounting for one `RunDetailed` call (store CI gates and
- *  the sweep service report these; the warm-store acceptance contract is
- *  literally `compiles == 0`). */
+/** Work/cache accounting for one `Run` or `RunDetailed` call (store CI
+ *  gates and the sweep service report these; the warm-store acceptance
+ *  contract is literally `compiles == 0`). */
 struct SweepRunStats
 {
     /** Stage executions this run (cache + store misses only). */
@@ -146,8 +164,9 @@ class SweepRunner
     explicit SweepRunner(const SweepRunnerOptions& options = {});
 
     /** Evaluates every candidate; outcomes are in candidate order and
-     *  share one compile bundle per compile key. Every bundle stays
-     *  alive until the outcomes are dropped. */
+     *  share one compile bundle per compile key, and one sim bundle and
+     *  certificate per sim key. Every bundle stays alive until the
+     *  outcomes are dropped. */
     std::vector<SweepOutcome> RunDetailed(
         const std::vector<SweepCandidate>& candidates);
 

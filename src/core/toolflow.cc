@@ -81,7 +81,7 @@ NoiseParamsFor(const ArchitectureConfig& arch)
 CompileArtifacts
 CompileCandidate(const qec::StabilizerCode& code,
                  const ArchitectureConfig& arch, int compile_rounds,
-                 const qccd::DeviceGraph* device)
+                 const qccd::DeviceGraph* device, bool reference_pipeline)
 {
     CompileArtifacts arts;
     arts.compile_rounds = compile_rounds;
@@ -107,6 +107,7 @@ CompileCandidate(const qec::StabilizerCode& code,
             copts.cooling_per_two_qubit_gate =
                 arts.timing.cooling_per_two_qubit_gate;
         }
+        copts.reference_pipeline = reference_pipeline;
         arts.compiled = compiler::CompileParityCheckRounds(
             code, compile_rounds, arts.graph, arts.timing, copts);
         if (!arts.compiled.ok) {

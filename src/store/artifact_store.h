@@ -156,12 +156,12 @@ class ArtifactStore
 };
 
 /**
- * The certify stage over an optional store, shared by the sweep engine
- * and `tiqec_certify`: with a `store`, loads the certificate keyed by
- * `sim_key` + the search weight `options` select and, on a miss,
- * certifies `dem` and persists the result; without one, certifies.
- * Returns kHit (loaded), kMiss (computed), or kCorrupt (`*error` holds
- * the store's diagnostic and nothing was computed).
+ * The certify stage over an optional store (the sweep engine's stage
+ * 3c, which `tiqec_certify` runs through): with a `store`, loads the
+ * certificate keyed by `sim_key` + the search weight `options` select
+ * and, on a miss, certifies `dem` and persists the result; without one,
+ * certifies. Returns kHit (loaded), kMiss (computed), or kCorrupt
+ * (`*error` holds the store's diagnostic and nothing was computed).
  */
 LoadStatus LoadOrCertify(const ArtifactStore* store, const StoreKey& sim_key,
                          const sim::DetectorErrorModel& dem,

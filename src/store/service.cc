@@ -1,12 +1,6 @@
 #include "store/service.h"
 
-#include <cstdint>
-#include <sstream>
-#include <stdexcept>
-#include <utility>
-
 #include "common/json.h"
-#include "common/text_format.h"
 #include "core/request.h"
 
 namespace tiqec::store {
@@ -52,47 +46,15 @@ ResultLine(const std::string& request, const std::string& label,
 
 }  // namespace
 
-bool
-ParseSweepRequest(const std::string& line, core::SweepCandidate* out,
-                  std::string* error)
-{
-    return core::ParseRequestCandidate(line, out, error);
-}
-
 SweepServiceResult
 RunSweepService(const std::string& request_text,
                 const SweepServiceOptions& options)
 {
     SweepServiceResult result;
-
-    // Parse the batch. A malformed line becomes a placeholder result
-    // (ok=false + the parse error) and never reaches the engine.
-    struct Request
-    {
-        std::string line;
-        std::string parse_error;  // empty = parsed
-        size_t candidate_index = 0;
-    };
-    std::vector<Request> requests;
-    std::vector<core::SweepCandidate> candidates;
-    std::istringstream stream(request_text);
-    std::string line;
-    while (std::getline(stream, line)) {
-        text::StripCr(line);
-        const size_t first = line.find_first_not_of(" \t");
-        if (first == std::string::npos || line[first] == '#') {
-            continue;
-        }
-        Request req;
-        req.line = line;
-        core::SweepCandidate candidate;
-        if (ParseSweepRequest(line, &candidate, &req.parse_error)) {
-            req.candidate_index = candidates.size();
-            candidates.push_back(std::move(candidate));
-        }
-        requests.push_back(std::move(req));
-    }
-    result.num_requests = static_cast<int>(requests.size());
+    // A malformed line becomes a placeholder result and never reaches
+    // the engine.
+    const core::RequestBatch batch = core::ReadRequestBatch(request_text);
+    result.num_requests = static_cast<int>(batch.requests.size());
 
     core::SweepRunnerOptions ropts;
     ropts.num_threads = options.num_threads;
@@ -100,26 +62,21 @@ RunSweepService(const std::string& request_text,
     core::SweepRunner runner(ropts);
     // Metrics-only: the service never reads a compile bundle, so the
     // runner drops each one after its last consumer.
-    const std::vector<core::Metrics> metrics = runner.Run(candidates);
+    const std::vector<core::Metrics> metrics = runner.Run(batch.candidates);
     result.stats = runner.last_run_stats();
 
-    result.result_lines.reserve(requests.size());
-    for (const Request& req : requests) {
+    result.result_lines.reserve(batch.requests.size());
+    for (const core::BatchRequest& req : batch.requests) {
         if (!req.parse_error.empty()) {
-            common::JsonRecord r;
-            r.Add("label", "");
-            r.Add("request", req.line);
-            r.Add("ok", false);
-            r.Add("error", "request parse: " + req.parse_error);
-            result.result_lines.push_back(r.Object());
+            result.result_lines.push_back(core::ParseErrorLine(req));
             continue;
         }
-        const core::Metrics& m = metrics[req.candidate_index];
+        const core::Metrics& m = metrics[req.candidate];
         if (m.ok) {
             ++result.num_ok;
         }
-        result.result_lines.push_back(ResultLine(
-            req.line, candidates[req.candidate_index].label, m));
+        result.result_lines.push_back(
+            ResultLine(req.line, batch.candidates[req.candidate].label, m));
     }
 
     common::JsonRecord summary;

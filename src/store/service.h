@@ -15,11 +15,12 @@
  *   family=rotated distance=3 capacity=2 shots=4096 seed=7 label=a
  *   workload=program program=cnot distance=3 certify=1
  *
- * The line grammar (keys, numeric discipline, error format) is defined
- * once in `core::ParseRequestLine` (core/request.h) and shared with the
- * `tiqec_certify` driver; see there for the key list. A malformed line
- * isolates that request (its result line carries ok=false and the parse
- * error); the rest of the batch proceeds.
+ * The line grammar (keys, numeric discipline, error format) and the
+ * batch reader are defined once in core/request.h
+ * (`core::ParseRequestLine`, `core::ReadRequestBatch`) and shared with
+ * the `tiqec_certify` driver; see there for the key list. A malformed
+ * line isolates that request (its result line carries ok=false and the
+ * parse error); the rest of the batch proceeds.
  */
 #ifndef TIQEC_STORE_SERVICE_H
 #define TIQEC_STORE_SERVICE_H
@@ -53,14 +54,6 @@ struct SweepServiceResult
     int num_ok = 0;
     core::SweepRunStats stats;
 };
-
-/** Parses one request line into a sweep candidate. Returns false with a
- *  message on malformed input; `*out` is untouched on failure.
- *  @deprecated Thin shim over `core::ParseRequestCandidate`
- *  (core/request.h), kept for source compatibility; new callers should
- *  use the core parser directly. */
-bool ParseSweepRequest(const std::string& line, core::SweepCandidate* out,
-                      std::string* error);
 
 /** Runs every request in `request_text` through one `core::SweepRunner`
  *  over `options.store`. Never throws on malformed requests or failed

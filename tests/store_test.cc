@@ -18,6 +18,7 @@
 #include "common/atomic_file.h"
 #include "common/text_format.h"
 #include "core/pipeline.h"
+#include "core/request.h"
 #include "core/sweep.h"
 #include "noise/profile_io.h"
 #include "qec/code.h"
@@ -943,17 +944,27 @@ TEST(SweepServiceTest, ParseRejectsMalformedRequests)
 {
     core::SweepCandidate c;
     std::string error;
-    EXPECT_FALSE(store::ParseSweepRequest("distance=3", &c, &error));
+    EXPECT_FALSE(core::ParseRequestCandidate("distance=3", &c, &error));
     EXPECT_NE(error.find("family"), std::string::npos);
-    EXPECT_FALSE(store::ParseSweepRequest("family=rotated", &c, &error));
+    EXPECT_FALSE(core::ParseRequestCandidate("family=rotated", &c, &error));
     EXPECT_NE(error.find("distance"), std::string::npos);
-    EXPECT_FALSE(store::ParseSweepRequest(
+    EXPECT_FALSE(core::ParseRequestCandidate(
         "family=rotated distance=3 nonsense=1", &c, &error));
     EXPECT_NE(error.find("unknown key"), std::string::npos);
-    EXPECT_FALSE(store::ParseSweepRequest(
+    EXPECT_FALSE(core::ParseRequestCandidate(
         "family=rotated distance=three", &c, &error));
-    EXPECT_FALSE(store::ParseSweepRequest(
+    EXPECT_FALSE(core::ParseRequestCandidate(
         "family=rotated distance=3 basis=q", &c, &error));
+    // A gate improvement factor must be a finite positive number.
+    for (const char* improvement : {"nan", "inf", "0", "-2"}) {
+        SCOPED_TRACE(improvement);
+        error.clear();
+        EXPECT_FALSE(core::ParseRequestCandidate(
+            std::string("family=rotated distance=3 improvement=") +
+                improvement,
+            &c, &error));
+        EXPECT_NE(error.find("improvement"), std::string::npos);
+    }
 }
 
 TEST(SweepServiceTest, ParseFillsCandidate)
@@ -969,7 +980,7 @@ TEST(SweepServiceTest, ParseFillsCandidate)
         SCOPED_TRACE(order);
         core::SweepCandidate c;
         std::string error;
-        ASSERT_TRUE(store::ParseSweepRequest(keys + order, &c, &error))
+        ASSERT_TRUE(core::ParseRequestCandidate(keys + order, &c, &error))
             << error;
         EXPECT_EQ(c.code->distance(), 3);
         EXPECT_EQ(c.arch.topology, qccd::TopologyKind::kSwitch);
@@ -988,23 +999,40 @@ TEST(SweepServiceTest, ParseFillsCandidate)
 
 TEST(SweepServiceTest, BatchIsolatesMalformedLines)
 {
+    // The NaN line shares its compile key with the Monte-Carlo line
+    // after it, so a NaN that reached the runner's noise cache would
+    // hand that line its profile.
+    const std::string monte_carlo =
+        "family=rotated distance=3 improvement=1 shots=4096 "
+        "target_errors=0 seed=3 label=mc";
     const std::string requests =
         "# comment\n"
         "\n"
         "family=rotated distance=3 compile_only=1 label=good\n"
-        "family=rotated distance=oops\n";
+        "family=rotated distance=oops\n"
+        "family=rotated distance=3 improvement=nan shots=64 label=nan\n" +
+        monte_carlo + "\n";
     store::SweepServiceOptions options;
     const store::SweepServiceResult result =
         store::RunSweepService(requests, options);
-    ASSERT_EQ(result.num_requests, 2);
-    EXPECT_EQ(result.num_ok, 1);
-    ASSERT_EQ(result.result_lines.size(), 2u);
+    ASSERT_EQ(result.num_requests, 4);
+    EXPECT_EQ(result.num_ok, 2);
+    ASSERT_EQ(result.result_lines.size(), 4u);
     EXPECT_NE(result.result_lines[0].find("\"ok\":true"),
               std::string::npos);
     EXPECT_NE(result.result_lines[1].find("request parse:"),
               std::string::npos);
-    EXPECT_NE(result.summary_line.find("\"requests\":2"),
+    EXPECT_NE(result.result_lines[2].find("request parse:"),
               std::string::npos);
+    EXPECT_NE(result.summary_line.find("\"requests\":4"),
+              std::string::npos);
+
+    const store::SweepServiceResult alone =
+        store::RunSweepService(monte_carlo, options);
+    ASSERT_EQ(alone.result_lines.size(), 1u);
+    EXPECT_NE(alone.result_lines[0].find("\"logical_errors\":"),
+              std::string::npos);
+    EXPECT_EQ(result.result_lines[3], alone.result_lines[0]);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/distance_certifier.h"
 #include "core/pipeline.h"
 #include "core/sweep.h"
 #include "core/toolflow.h"
@@ -597,6 +598,127 @@ TEST(SweepRunnerTest, RunMatchesRunDetailedOnMixedBatchWithProgram)
         const Metrics& m = metrics.back();
         ASSERT_TRUE(m.ok) << m.error;
         EXPECT_EQ(m.shots, 512);
+    }
+}
+
+void
+ExpectSameCertificate(const analysis::DistanceCertificate& a,
+                      const analysis::DistanceCertificate& b)
+{
+    EXPECT_EQ(a.searched_weight, b.searched_weight);
+    EXPECT_EQ(a.graph_like, b.graph_like);
+    ASSERT_EQ(a.mechanisms.size(), b.mechanisms.size());
+    for (size_t m = 0; m < a.mechanisms.size(); ++m) {
+        EXPECT_EQ(a.mechanisms[m].dets, b.mechanisms[m].dets);
+        EXPECT_EQ(a.mechanisms[m].obs_mask, b.mechanisms[m].obs_mask);
+        EXPECT_EQ(a.mechanisms[m].hyperedge, b.mechanisms[m].hyperedge);
+        EXPECT_EQ(a.mechanisms[m].index, b.mechanisms[m].index);
+    }
+    ASSERT_EQ(a.observables.size(), b.observables.size());
+    for (size_t o = 0; o < a.observables.size(); ++o) {
+        EXPECT_EQ(a.observables[o].observable, b.observables[o].observable);
+        EXPECT_EQ(a.observables[o].found, b.observables[o].found);
+        EXPECT_EQ(a.observables[o].distance, b.observables[o].distance);
+        EXPECT_EQ(a.observables[o].exact, b.observables[o].exact);
+        EXPECT_EQ(a.observables[o].witness, b.observables[o].witness);
+    }
+}
+
+/** Certifying zero-shot candidates, as `tiqec_certify` runs them: clean
+ *  memory d=3, a seed replica on its sim key, the sub-distance surgery
+ *  (rounds = d - 1), and a capacity-1 candidate that fails to compile. */
+std::vector<SweepCandidate>
+CertifyingBatch()
+{
+    const std::shared_ptr<const qec::StabilizerCode> rotated =
+        qec::MakeCode("rotated", 3);
+    std::vector<SweepCandidate> candidates;
+    const auto add = [&](const std::string& label) -> SweepCandidate& {
+        SweepCandidate c;
+        c.code = rotated;
+        c.arch.trap_capacity = 2;
+        c.options.max_shots = 0;
+        c.options.validate_artifacts = false;
+        c.options.certify_distance = true;
+        c.label = label;
+        candidates.push_back(std::move(c));
+        return candidates.back();
+    };
+    add("memory");
+    add("replica").options.seed = 7;
+    {
+        SweepCandidate& c = add("sub_distance");
+        c.code = qec::MakeCode("merged_zz", 3);
+        c.options.workload = workloads::WorkloadKind::kSurgery;
+        c.options.rounds = 2;
+    }
+    add("capacity_1").arch.trap_capacity = 1;
+    return candidates;
+}
+
+/** A certifying run returns each candidate's sim bundle and the
+ *  certificate it was judged by, both shared per sim key: the same
+ *  certificate `CertifyDistance` gives on that DEM under the runner's
+ *  certifier options, also when the judgement fails the candidate. */
+TEST(SweepRunnerTest, CertifyingRunReturnsSharedSimAndCertificate)
+{
+    const std::vector<SweepCandidate> candidates = CertifyingBatch();
+    for (const int threads : {1, 4}) {
+        for (const int weight : {analysis::kMaxSearchWeight, 3}) {
+            SCOPED_TRACE("pool width " + std::to_string(threads) +
+                         ", search weight " + std::to_string(weight));
+            SweepRunnerOptions opts;
+            opts.num_threads = threads;
+            opts.certifier.max_search_weight = weight;
+            SweepRunner runner(opts);
+            const std::vector<SweepOutcome> outcomes =
+                runner.RunDetailed(candidates);
+            ASSERT_EQ(outcomes.size(), candidates.size());
+            EXPECT_EQ(runner.last_run_stats().certifies, 2);
+
+            EXPECT_TRUE(outcomes[0].metrics.ok) << outcomes[0].metrics.error;
+            EXPECT_FALSE(outcomes[2].metrics.ok);
+            EXPECT_NE(outcomes[2].metrics.error.find("effective distance 2"),
+                      std::string::npos);
+            for (const size_t i : {0, 2}) {
+                SCOPED_TRACE(candidates[i].label);
+                ASSERT_NE(outcomes[i].sim, nullptr);
+                ASSERT_NE(outcomes[i].certificate, nullptr);
+                EXPECT_EQ(outcomes[i].certificate->searched_weight, weight);
+                ExpectSameCertificate(
+                    *outcomes[i].certificate,
+                    analysis::CertifyDistance(outcomes[i].sim->dem,
+                                              opts.certifier));
+            }
+            EXPECT_EQ(outcomes[1].sim, outcomes[0].sim);
+            EXPECT_EQ(outcomes[1].certificate, outcomes[0].certificate);
+            EXPECT_FALSE(outcomes[3].metrics.ok);
+            EXPECT_EQ(outcomes[3].sim, nullptr);
+            EXPECT_EQ(outcomes[3].certificate, nullptr);
+        }
+    }
+}
+
+/** The frozen reference compiler gives the default pipeline's metrics
+ *  and counters on the pinned mixed batch. */
+TEST(SweepRunnerTest, ReferenceCompilerMatchesDefaultOnMixedBatch)
+{
+    const std::vector<SweepCandidate> candidates = PinnedMixedBatch();
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE("pool width " + std::to_string(threads));
+        SweepRunnerOptions opts;
+        opts.num_threads = threads;
+        SweepRunner fast(opts);
+        const std::vector<Metrics> expected = fast.Run(candidates);
+        opts.reference_compiler = true;
+        SweepRunner reference(opts);
+        const std::vector<Metrics> metrics = reference.Run(candidates);
+        ExpectSameCounters(fast.last_run_stats(), reference.last_run_stats());
+        ASSERT_EQ(metrics.size(), expected.size());
+        for (size_t i = 0; i < metrics.size(); ++i) {
+            SCOPED_TRACE(candidates[i].label);
+            ExpectBitIdentical(expected[i], metrics[i]);
+        }
     }
 }
 

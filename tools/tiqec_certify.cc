@@ -7,42 +7,39 @@
  *   tiqec_certify <request-file> <output-jsonl> \
  *       [--store DIR] [--reference] [--max-weight W]
  *
- * For every request the tool builds the experiment + DEM exactly like
- * `core::Evaluate` would — with `--store DIR` through the artifact
- * store's key chain (loading what a previous sweep already built,
- * computing and persisting on a miss) — then runs the static distance
- * certifier (with `--store`, loading a stored certificate instead, or
- * persisting the one it computes) and reports the per-observable
- * effective distance and witness. The summary counts certificates
- * computed vs loaded. `--reference` compiles fresh through the
- * paper-faithful reference pipeline instead; it bypasses `--store`
- * because store keys deliberately do not encode the pipeline choice.
+ * The tool is a client of the sweep engine: it reads the batch with
+ * `core::ReadRequestBatch`, turns every candidate into a certifying,
+ * zero-shot, non-compile-only one, and runs the whole batch through one
+ * `SweepRunner::RunDetailed` call on the runner's pool. Each report line
+ * is formatted from the candidate's outcome: the per-observable
+ * effective distance and witness of its certificate, and the DEM sizes
+ * of its sim bundle. Candidates on one sim key share one certificate.
+ * With `--store DIR` the runner loads what a previous sweep or certify
+ * run built, and computes and persists the rest; the summary counts
+ * certificates computed vs loaded. `--max-weight` caps the exhaustive
+ * search weight. `--reference` compiles through the paper-faithful
+ * reference pipeline; it bypasses `--store` because store keys
+ * deliberately do not encode the pipeline choice.
  *
  * Exit status: 0 when every request certified at its expected distance;
  * 2 on usage or I/O errors; 1 otherwise (the JSONL still carries every
  * per-request diagnostic).
  */
-#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <sstream>
+#include <set>
 #include <string>
 #include <vector>
 
-#include "analysis/analysis.h"
 #include "analysis/distance_certifier.h"
 #include "common/atomic_file.h"
 #include "common/json.h"
 #include "common/text_format.h"
-#include "compiler/compiler.h"
-#include "core/pipeline.h"
 #include "core/request.h"
-#include "core/toolflow.h"
+#include "core/sweep.h"
 #include "store/artifact_store.h"
-#include "store/keys.h"
-#include "workloads/experiment.h"
-#include "workloads/program.h"
 
 namespace {
 
@@ -57,221 +54,35 @@ Usage(const char* argv0)
     return 2;
 }
 
-struct CertifyConfig
-{
-    std::shared_ptr<const tiqec::store::ArtifactStore> store;
-    bool reference = false;
-    tiqec::analysis::DistanceCertifierOptions certifier;
-};
-
-/** Certificates this run certified vs loaded from the store. */
-struct CertificateTally
-{
-    int computed = 0;
-    int loaded = 0;
-};
-
-/** Builds the request's sim artifacts the same way the sweep engine
- *  does: through the store's key chain when a store is configured (fast
- *  pipeline only; `*sim_key` receives the sim artifact's key), fresh
- *  otherwise. A program workload compiles and annotates every phase
- *  unit (`core::UnitCodesFor`) and stitches them via
- *  `core::BuildProgramSimArtifacts`. Returns false with a message when
- *  any stage fails or a stored artifact is corrupt. */
-bool
-BuildArtifacts(const tiqec::core::SweepCandidate& c,
-               const CertifyConfig& config, int rounds,
-               tiqec::core::SimArtifacts* sim,
-               tiqec::store::StoreKey* sim_key, std::string* error)
-{
-    using namespace tiqec;
-    const qec::StabilizerCode& code = *c.code;
-    const workloads::WorkloadSpec spec = c.options.workload_spec();
-    {
-        const std::string err = core::CheckProgramCandidate(code, spec);
-        if (!err.empty()) {
-            *error = err;
-            return false;
-        }
-    }
-    const std::vector<const qec::StabilizerCode*> units =
-        core::UnitCodesFor(code, spec);
-    const size_t primary =
-        spec.program != nullptr
-            ? static_cast<size_t>(spec.program->primary_index())
-            : 0;
-
-    std::vector<core::CompileArtifacts> arts(units.size());
-    std::vector<store::StoreKey> compile_keys(units.size());
-    for (size_t u = 0; u < units.size(); ++u) {
-        const qec::StabilizerCode& unit = *units[u];
-        if (config.reference) {
-            // CompileCandidate does not expose the reference pipeline;
-            // replicate it here with `reference_pipeline = true`.
-            arts[u].graph = compiler::MakeDeviceFor(unit, c.arch.topology,
-                                                    c.arch.trap_capacity);
-            compiler::CompilerOptions copts;
-            copts.wise = c.arch.wiring == core::WiringKind::kWise;
-            if (copts.wise) {
-                copts.cooling_per_two_qubit_gate =
-                    arts[u].timing.cooling_per_two_qubit_gate;
-            }
-            copts.reference_pipeline = true;
-            arts[u].compiled = compiler::CompileParityCheckRounds(
-                unit, 1, arts[u].graph, arts[u].timing, copts);
-            arts[u].ok = arts[u].compiled.ok;
-            arts[u].error = arts[u].compiled.error;
-        } else if (config.store != nullptr) {
-            compile_keys[u] =
-                store::CompileStoreKey(unit, c.arch, 1, nullptr);
-            std::string err;
-            const store::LoadStatus status = config.store->LoadCompile(
-                compile_keys[u], unit, c.arch, 1, nullptr, &arts[u], &err);
-            if (status == store::LoadStatus::kCorrupt) {
-                *error = err;
-                return false;
-            }
-            if (status == store::LoadStatus::kMiss) {
-                arts[u] = core::CompileCandidate(unit, c.arch);
-                if (arts[u].ok) {
-                    config.store->StoreCompile(compile_keys[u], arts[u]);
-                }
-            }
-        } else {
-            arts[u] = core::CompileCandidate(unit, c.arch);
-        }
-        if (!arts[u].ok) {
-            *error = arts[u].error;
-            return false;
-        }
-    }
-
-    std::vector<noise::RoundNoiseProfile> profiles(units.size());
-    std::vector<store::StoreKey> noise_keys(units.size());
-    for (size_t u = 0; u < units.size(); ++u) {
-        bool have_profile = false;
-        if (!config.reference && config.store != nullptr) {
-            noise_keys[u] = store::NoiseStoreKey(compile_keys[u],
-                                                 c.arch.gate_improvement);
-            std::string err;
-            const store::LoadStatus status = config.store->LoadNoise(
-                noise_keys[u], arts[u].compiled.qec_circuit.size(),
-                units[u]->num_qubits(), &profiles[u], &err);
-            if (status == store::LoadStatus::kCorrupt) {
-                *error = err;
-                return false;
-            }
-            have_profile = status == store::LoadStatus::kHit;
-        }
-        if (!have_profile) {
-            profiles[u] =
-                core::AnnotateCandidate(*units[u], c.arch, arts[u]);
-            if (!config.reference && config.store != nullptr) {
-                config.store->StoreNoise(noise_keys[u], profiles[u]);
-            }
-        }
-    }
-
-    const auto build = [&]() {
-        if (spec.program != nullptr) {
-            std::vector<core::ProgramUnit> punits;
-            punits.reserve(units.size());
-            for (size_t u = 0; u < units.size(); ++u) {
-                punits.push_back(
-                    core::ProgramUnit{units[u], &arts[u], &profiles[u]});
-            }
-            return core::BuildProgramSimArtifacts(*spec.program, punits,
-                                                  c.arch, rounds);
-        }
-        return core::BuildSimArtifacts(code, arts[primary],
-                                       profiles[primary], c.arch, rounds,
-                                       spec);
-    };
-    if (!config.reference && config.store != nullptr) {
-        // Same basis normalisation as the sweep runner's sim key: only
-        // the memory workload reads the basis.
-        const int basis = spec.kind == workloads::WorkloadKind::kMemory
-                              ? static_cast<int>(spec.basis)
-                              : 0;
-        *sim_key = store::SimStoreKey(
-            noise_keys[primary], rounds, basis,
-            static_cast<int>(spec.kind),
-            spec.program != nullptr ? spec.program->canonical_text()
-                                    : std::string());
-        std::string err;
-        const store::LoadStatus status =
-            config.store->LoadSim(*sim_key, sim, &err);
-        if (status == store::LoadStatus::kCorrupt) {
-            *error = err;
-            return false;
-        }
-        if (status == store::LoadStatus::kHit) {
-            return true;
-        }
-        *sim = build();
-        config.store->StoreSim(*sim_key, *sim);
-        return true;
-    }
-    *sim = build();
-    return true;
-}
-
-/** Certifies one request into a report line; returns whether it
- *  certified clean at the expected distance. With a store the
- *  certificate is probed first and persisted on a miss
- *  (`store::LoadOrCertify`, as in the sweep engine's certify stage). */
-bool
-CertifyRequest(const std::string& line,
-               const tiqec::core::SweepCandidate& c,
-               const CertifyConfig& config, CertificateTally* tally,
-               std::string* report_line)
+/** The report line of one parsed request. A candidate that failed before
+ *  its certificate was judged reports `ok:false` and its error; every
+ *  other one reports the certificate, and `certified` says whether it
+ *  met the code distance. */
+std::string
+ReportLine(const std::string& request, const tiqec::core::SweepCandidate& c,
+           const tiqec::core::SweepOutcome& outcome, const char* pipeline)
 {
     using namespace tiqec;
     common::JsonRecord r;
-    r.Add("label", c.label);
-    r.Add("request", line);
-    r.Add("pipeline", config.reference ? "reference" : "fast");
-    const auto fail = [&](const std::string& error) {
+    r.Add("label", outcome.label);
+    r.Add("request", request);
+    r.Add("pipeline", pipeline);
+    if (outcome.certificate == nullptr) {
         r.Add("ok", false);
-        r.Add("error", error);
-        *report_line = r.Object();
-        return false;
-    };
-
+        r.Add("error", outcome.metrics.error);
+        return r.Object();
+    }
+    const analysis::DistanceCertificate& cert = *outcome.certificate;
+    const sim::DetectorErrorModel& dem = outcome.sim->dem;
     const int expected = c.code->distance();
-    const int rounds =
-        c.options.rounds > 0 ? c.options.rounds : expected;
-    core::SimArtifacts sim;
-    store::StoreKey sim_key;
-    std::string error;
-    bool built = false;
-    try {
-        built = BuildArtifacts(c, config, rounds, &sim, &sim_key, &error);
-    } catch (const std::exception& e) {
-        error = e.what();
-    }
-    if (!built) {
-        return fail(error);
-    }
-
-    analysis::DistanceCertificate cert;
-    const store::LoadStatus status = store::LoadOrCertify(
-        config.store.get(), sim_key, sim.dem, config.certifier, &cert,
-        &error);
-    if (status == store::LoadStatus::kCorrupt) {
-        return fail(error);
-    }
-    ++(status == store::LoadStatus::kHit ? tally->loaded : tally->computed);
-    const std::vector<analysis::Diagnostic> diags =
-        analysis::JudgeDistance(sim.dem, cert, expected);
     r.Add("ok", true);
     r.Add("expected_distance", expected);
-    r.Add("rounds", rounds);
-    r.Add("num_detectors", sim.dem.num_detectors);
-    r.Add("num_observables", sim.dem.num_observables);
+    r.Add("rounds", c.options.rounds > 0 ? c.options.rounds : expected);
+    r.Add("num_detectors", dem.num_detectors);
+    r.Add("num_observables", dem.num_observables);
     r.Add("num_mechanisms",
           static_cast<std::int64_t>(cert.mechanisms.size()));
-    r.Add("dem_undecomposable", sim.dem.num_undecomposable);
+    r.Add("dem_undecomposable", dem.num_undecomposable);
     r.Add("graph_like", cert.graph_like);
     r.Add("searched_weight", cert.searched_weight);
 
@@ -293,14 +104,11 @@ CertifyRequest(const std::string& line,
     if (min_obs != nullptr) {
         r.Add("witness", analysis::FormatWitness(cert, min_obs->witness));
     }
-    const bool certified = diags.empty();
-    r.Add("certified", certified);
-    if (!certified) {
-        r.Add("error", analysis::FormatDiagnostics(
-                           analysis::kCertifySubject, diags));
+    r.Add("certified", outcome.metrics.ok);
+    if (!outcome.metrics.ok) {
+        r.Add("error", outcome.metrics.error);
     }
-    *report_line = r.Object();
-    return certified;
+    return r.Object();
 }
 
 }  // namespace
@@ -311,16 +119,16 @@ main(int argc, char** argv)
     std::string request_path;
     std::string output_path;
     std::string store_dir;
-    CertifyConfig config;
+    tiqec::core::SweepRunnerOptions options;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--store") == 0 && i + 1 < argc) {
             store_dir = argv[++i];
         } else if (std::strcmp(argv[i], "--reference") == 0) {
-            config.reference = true;
+            options.reference_compiler = true;
         } else if (std::strcmp(argv[i], "--max-weight") == 0 &&
                    i + 1 < argc) {
             try {
-                config.certifier.max_search_weight =
+                options.certifier.max_search_weight =
                     tiqec::text::ParseInt32(argv[i + 1], "--max-weight");
             } catch (const std::exception& e) {
                 std::fprintf(stderr, "%s\n", e.what());
@@ -345,40 +153,44 @@ main(int argc, char** argv)
         std::fprintf(stderr, "error: %s\n", error.c_str());
         return 2;
     }
-    if (!store_dir.empty() && !config.reference) {
-        config.store =
+    const bool use_store = !store_dir.empty() && !options.reference_compiler;
+    if (use_store) {
+        options.store =
             std::make_shared<tiqec::store::ArtifactStore>(store_dir);
     }
 
-    int num_requests = 0;
+    tiqec::core::RequestBatch batch =
+        tiqec::core::ReadRequestBatch(request_text);
+    for (tiqec::core::SweepCandidate& c : batch.candidates) {
+        c.options.certify_distance = true;
+        c.options.max_shots = 0;
+        c.options.compile_only = false;
+    }
+    tiqec::core::SweepRunner runner(options);
+    const std::vector<tiqec::core::SweepOutcome> outcomes =
+        runner.RunDetailed(batch.candidates);
+    const tiqec::core::SweepRunStats& stats = runner.last_run_stats();
+
+    const char* pipeline = options.reference_compiler ? "reference" : "fast";
     int num_certified = 0;
-    CertificateTally tally;
+    // Every judged certificate was either computed or loaded.
+    std::set<const tiqec::analysis::DistanceCertificate*> judged;
     std::string jsonl;
-    std::istringstream stream(request_text);
-    std::string line;
-    while (std::getline(stream, line)) {
-        tiqec::text::StripCr(line);
-        const size_t first = line.find_first_not_of(" \t");
-        if (first == std::string::npos || line[first] == '#') {
-            continue;
+    for (const tiqec::core::BatchRequest& req : batch.requests) {
+        if (!req.parse_error.empty()) {
+            jsonl += tiqec::core::ParseErrorLine(req);
+        } else {
+            const tiqec::core::SweepOutcome& outcome =
+                outcomes[req.candidate];
+            if (outcome.certificate != nullptr) {
+                judged.insert(outcome.certificate.get());
+            }
+            if (outcome.metrics.ok) {
+                ++num_certified;
+            }
+            jsonl += ReportLine(req.line, batch.candidates[req.candidate],
+                                outcome, pipeline);
         }
-        ++num_requests;
-        tiqec::core::SweepCandidate candidate;
-        std::string parse_error;
-        std::string report;
-        if (!tiqec::core::ParseRequestCandidate(line, &candidate,
-                                                &parse_error)) {
-            tiqec::common::JsonRecord r;
-            r.Add("label", "");
-            r.Add("request", line);
-            r.Add("ok", false);
-            r.Add("error", "request parse: " + parse_error);
-            report = r.Object();
-        } else if (CertifyRequest(line, candidate, config, &tally,
-                                  &report)) {
-            ++num_certified;
-        }
-        jsonl += report;
         jsonl += '\n';
     }
 
@@ -390,22 +202,22 @@ main(int argc, char** argv)
         return 2;
     }
 
+    const int num_requests = static_cast<int>(batch.requests.size());
     tiqec::common::JsonRecord summary;
     summary.Add("summary", true);
     summary.Add("requests", num_requests);
     summary.Add("certified", num_certified);
-    summary.Add("pipeline", config.reference ? "reference" : "fast");
-    summary.Add("certificates_computed", tally.computed);
-    summary.Add("certificates_loaded", tally.loaded);
-    if (config.store != nullptr) {
-        const tiqec::store::ArtifactStore::Counters counters =
-            config.store->counters();
-        summary.Add("store_hits", counters.hits);
-        summary.Add("store_misses", counters.misses);
-        summary.Add("store_corrupt", counters.corrupt);
-        summary.Add("store_writes", counters.writes);
-        summary.Add("store_validated", counters.validated);
-        summary.Add("store_root", config.store->root());
+    summary.Add("pipeline", pipeline);
+    summary.Add("certificates_computed", stats.certifies);
+    summary.Add("certificates_loaded",
+                static_cast<std::int64_t>(judged.size()) - stats.certifies);
+    if (use_store) {
+        summary.Add("store_hits", stats.store_hits);
+        summary.Add("store_misses", stats.store_misses);
+        summary.Add("store_corrupt", stats.store_corrupt);
+        summary.Add("store_writes", stats.store_writes);
+        summary.Add("store_validated", stats.store_validated);
+        summary.Add("store_root", store_dir);
     }
     std::printf("%s\n", summary.Object().c_str());
     return num_certified == num_requests ? 0 : 1;
