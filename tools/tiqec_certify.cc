@@ -153,8 +153,7 @@ main(int argc, char** argv)
         std::fprintf(stderr, "error: %s\n", error.c_str());
         return 2;
     }
-    const bool use_store = !store_dir.empty() && !options.reference_compiler;
-    if (use_store) {
+    if (!store_dir.empty() && !options.reference_compiler) {
         options.store =
             std::make_shared<tiqec::store::ArtifactStore>(store_dir);
     }
@@ -211,7 +210,7 @@ main(int argc, char** argv)
     summary.Add("certificates_computed", stats.certifies);
     summary.Add("certificates_loaded",
                 static_cast<std::int64_t>(judged.size()) - stats.certifies);
-    if (use_store) {
+    if (options.store != nullptr) {
         summary.Add("store_hits", stats.store_hits);
         summary.Add("store_misses", stats.store_misses);
         summary.Add("store_corrupt", stats.store_corrupt);
