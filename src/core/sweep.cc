@@ -606,16 +606,30 @@ SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
             return;
         }
         auto cert = std::make_shared<analysis::DistanceCertificate>();
-        std::string err;
-        const store::LoadStatus status =
-            store::LoadOrCertify(astore, entry.store_key, entry.arts->dem,
-                                 options_.certifier, cert.get(), &err);
-        if (status == store::LoadStatus::kCorrupt) {
-            *entry.certification = err;
-            return;
+        store::StoreKey key;
+        bool loaded = false;
+        if (astore != nullptr) {
+            // A certificate is a function of the DEM and the search
+            // weight the certifier applies, so that weight keys it.
+            key = store::CertificateStoreKey(
+                entry.store_key,
+                analysis::SearchWeightFor(options_.certifier));
+            std::string err;
+            const store::LoadStatus status = astore->LoadCertificate(
+                key, entry.arts->dem, cert.get(), &err);
+            if (status == store::LoadStatus::kCorrupt) {
+                *entry.certification = err;
+                return;
+            }
+            loaded = status == store::LoadStatus::kHit;
         }
-        if (status == store::LoadStatus::kMiss) {
+        if (!loaded) {
+            *cert = analysis::CertifyDistance(entry.arts->dem,
+                                              options_.certifier);
             num_certifies.fetch_add(1, std::memory_order_relaxed);
+            if (astore != nullptr) {
+                astore->StoreCertificate(key, entry.arts->dem, *cert);
+            }
         }
         const int distance = candidates[entry.exemplar].code->distance();
         const std::vector<analysis::Diagnostic> diags =

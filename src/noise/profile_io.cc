@@ -1,6 +1,5 @@
 #include "noise/profile_io.h"
 
-#include <sstream>
 #include <stdexcept>
 
 #include "common/text_format.h"
@@ -76,112 +75,76 @@ namespace {
 void
 ParseNoiseProfileImpl(const std::string& text_in, RoundNoiseProfile* profile)
 {
-    std::istringstream in(text_in);
-    std::string line;
-    auto next = [&in, &line]() -> bool {
-        if (!std::getline(in, line)) {
-            return false;
-        }
-        text::StripCr(line);
-        return true;
-    };
+    text::LineReader in(text_in);
+    in.ExpectHeader(kHeader);
 
-    if (!next() || line != kHeader) {
-        throw std::invalid_argument("missing 'tiqec-noise v1' header");
-    }
+    in.Tagged("round", 4);
+    profile->round_time = in.Double(1);
+    profile->mean_two_qubit_error = in.Double(2);
+    profile->max_two_qubit_error = in.Double(3);
 
-    if (!next()) {
-        throw std::invalid_argument("missing round line");
-    }
-    auto fields = text::SplitFields(line, ' ');
-    if (fields.size() != 4 || fields[0] != "round") {
-        throw std::invalid_argument("malformed round line: '" + line + "'");
-    }
-    profile->round_time = text::ParseDouble(fields[1], "round");
-    profile->mean_two_qubit_error = text::ParseDouble(fields[2], "round");
-    profile->max_two_qubit_error = text::ParseDouble(fields[3], "round");
-
-    if (!next()) {
-        throw std::invalid_argument("missing gates line");
-    }
-    fields = text::SplitFields(line, ' ');
-    if (fields.size() != 2 || fields[0] != "gates") {
-        throw std::invalid_argument("malformed gates line: '" + line + "'");
-    }
-    const std::int64_t num_gates = text::ParseInt64(fields[1], "gates");
+    // The counts are not reserved: a corrupt count must end in a
+    // truncation error, not in a huge allocation.
+    in.Tagged("gates", 2);
+    const std::int64_t num_gates = in.Int64(1);
     if (num_gates < 0) {
         throw std::invalid_argument("negative gate count");
     }
-    profile->gate_noise.reserve(static_cast<size_t>(num_gates));
     for (std::int64_t i = 0; i < num_gates; ++i) {
-        const std::string context = "gate " + std::to_string(i);
-        if (!next()) {
-            throw std::invalid_argument("truncated: missing " + context);
-        }
-        fields = text::SplitFields(line, ' ');
-        if (fields.size() != 4 || fields[0] != "g") {
-            throw std::invalid_argument("malformed " + context + ": '" +
-                                        line + "'");
-        }
+        in.Tagged("g", 4, "gate", i);
         GateNoise g;
-        g.p_pair = text::ParseDouble(fields[1], context);
-        g.p_q0 = text::ParseDouble(fields[2], context);
-        g.p_q1 = text::ParseDouble(fields[3], context);
+        g.p_pair = in.Probability(1);
+        g.p_q0 = in.Probability(2);
+        g.p_q1 = in.Probability(3);
         profile->gate_noise.push_back(g);
     }
 
-    if (!next()) {
-        throw std::invalid_argument("missing idle line");
-    }
-    fields = text::SplitFields(line, ' ');
-    if (fields.size() < 2 || fields[0] != "idle") {
-        throw std::invalid_argument("malformed idle line: '" + line + "'");
-    }
-    const std::int64_t num_idle = text::ParseInt64(fields[1], "idle");
+    in.TaggedAtLeast("idle", 2);
+    const std::int64_t num_idle = in.Int64(1);
     if (num_idle < 0 ||
-        fields.size() != 2 + static_cast<size_t>(num_idle)) {
+        in.fields().size() != 2 + static_cast<size_t>(num_idle)) {
         throw std::invalid_argument("idle list truncated");
     }
     profile->idle_z.reserve(static_cast<size_t>(num_idle));
-    for (std::int64_t i = 0; i < num_idle; ++i) {
-        profile->idle_z.push_back(
-            text::ParseDouble(fields[2 + i], "idle"));
+    for (size_t k = 2; k < in.fields().size(); ++k) {
+        profile->idle_z.push_back(in.Probability(k));
     }
 
-    if (!next()) {
-        throw std::invalid_argument("missing swaps line");
-    }
-    fields = text::SplitFields(line, ' ');
-    if (fields.size() != 2 || fields[0] != "swaps") {
-        throw std::invalid_argument("malformed swaps line: '" + line + "'");
-    }
-    const std::int64_t num_swaps = text::ParseInt64(fields[1], "swaps");
+    // The sim build applies each swap's noise to its qubits after its
+    // gate as read, so both must lie inside the shapes read above.
+    in.Tagged("swaps", 2);
+    const std::int64_t num_swaps = in.Int64(1);
     if (num_swaps < 0) {
         throw std::invalid_argument("negative swap count");
     }
-    profile->swaps.reserve(static_cast<size_t>(num_swaps));
+    const auto qubit = [&in, num_idle](size_t k) {
+        const std::int32_t q = in.Int32(k);
+        if (q < 0 || q >= num_idle) {
+            throw std::invalid_argument("qubit out of range in " +
+                                        in.Where());
+        }
+        return QubitId{q};
+    };
     for (std::int64_t i = 0; i < num_swaps; ++i) {
-        const std::string context = "swap " + std::to_string(i);
-        if (!next()) {
-            throw std::invalid_argument("truncated: missing " + context);
-        }
-        fields = text::SplitFields(line, ' ');
-        if (fields.size() != 5 || fields[0] != "s") {
-            throw std::invalid_argument("malformed " + context + ": '" +
-                                        line + "'");
-        }
+        in.Tagged("s", 5, "swap", i);
         SwapNoise s;
-        s.a = QubitId{text::ParseInt32(fields[1], context)};
-        s.b = QubitId{text::ParseInt32(fields[2], context)};
-        s.p = text::ParseDouble(fields[3], context);
-        s.after_qec_gate = GateId{text::ParseInt32(fields[4], context)};
+        s.a = qubit(1);
+        s.b = qubit(2);
+        if (s.a == s.b) {
+            throw std::invalid_argument("repeated qubit operand in " +
+                                        in.Where());
+        }
+        s.p = in.Probability(3);
+        s.after_qec_gate = GateId{in.Int32(4)};
+        if (s.after_qec_gate.value < -1 ||
+            s.after_qec_gate.value >= num_gates) {
+            throw std::invalid_argument("gate out of range in " +
+                                        in.Where());
+        }
         profile->swaps.push_back(s);
     }
 
-    if (next() && !line.empty()) {
-        throw std::invalid_argument("trailing content after last swap: '" +
-                                    line + "'");
-    }
+    in.ExpectEnd();
 }
 
 }  // namespace

@@ -1,7 +1,5 @@
 #include "sim/circuit_io.h"
 
-#include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/text_format.h"
@@ -117,31 +115,35 @@ class Replayer
   public:
     explicit Replayer(int num_qubits) : circuit_(num_qubits) {}
 
+    /** Replays the reader's current op line. */
     void
-    Apply(const std::vector<std::string>& f, const std::string& context)
+    Apply(const text::LineReader& in)
     {
-        const std::string& op = f[0];
+        const std::string_view op = in.fields()[0];
+        if (op.empty()) {
+            throw std::invalid_argument("empty " + in.Where());
+        }
         if (op == "H") {
-            Expect(f, 2, context);
-            circuit_.AddH(Qubit(f[1], context));
+            Expect(in, 2);
+            circuit_.AddH(Qubit(in, 1));
         } else if (op == "CX") {
-            Expect(f, 3, context);
-            const auto [a, b] = QubitPair(f[1], f[2], context);
+            Expect(in, 3);
+            const auto [a, b] = QubitPair(in, 1);
             circuit_.AddCnot(a, b);
         } else if (op == "SW") {
-            Expect(f, 3, context);
-            const auto [a, b] = QubitPair(f[1], f[2], context);
+            Expect(in, 3);
+            const auto [a, b] = QubitPair(in, 1);
             circuit_.AddSwap(a, b);
         } else if (op == "M") {
-            Expect(f, 3, context);
-            circuit_.AddMeasure(Qubit(f[1], context), Prob(f[2], context));
+            Expect(in, 3);
+            circuit_.AddMeasure(Qubit(in, 1), in.Probability(2));
         } else if (op == "R") {
-            Expect(f, 3, context);
-            circuit_.AddReset(Qubit(f[1], context), Prob(f[2], context));
+            Expect(in, 3);
+            circuit_.AddReset(Qubit(in, 1), in.Probability(2));
         } else if (op == "X" || op == "Z" || op == "D1") {
-            Expect(f, 3, context);
-            const int q = Qubit(f[1], context);
-            const double p = Channel(f[2], context);
+            Expect(in, 3);
+            const int q = Qubit(in, 1);
+            const double p = Channel(in, 2);
             if (op == "X") {
                 circuit_.AddXError(q, p);
             } else if (op == "Z") {
@@ -150,31 +152,33 @@ class Replayer
                 circuit_.AddDepolarize1(q, p);
             }
         } else if (op == "D2") {
-            Expect(f, 4, context);
-            const auto [a, b] = QubitPair(f[1], f[2], context);
-            circuit_.AddDepolarize2(a, b, Channel(f[3], context));
+            Expect(in, 4);
+            const auto [a, b] = QubitPair(in, 1);
+            circuit_.AddDepolarize2(a, b, Channel(in, 3));
         } else if (op == "DET") {
-            if (f.size() < 5) {
-                throw std::invalid_argument("short DET line in " + context);
+            if (in.fields().size() < 5) {
+                throw std::invalid_argument("short DET line in " +
+                                            in.Where());
             }
             Coord coord;
-            coord.x = text::ParseDouble(f[1], context);
-            coord.y = text::ParseDouble(f[2], context);
-            const int round = text::ParseInt32(f[3], context);
-            circuit_.AddDetector(Targets(f, 4, context), coord, round);
+            coord.x = in.Double(1);
+            coord.y = in.Double(2);
+            const int round = in.Int32(3);
+            circuit_.AddDetector(Targets(in, 4), coord, round);
         } else if (op == "OBS") {
-            if (f.size() < 3) {
-                throw std::invalid_argument("short OBS line in " + context);
+            if (in.fields().size() < 3) {
+                throw std::invalid_argument("short OBS line in " +
+                                            in.Where());
             }
-            const int obs = text::ParseInt32(f[1], context);
+            const int obs = in.Int32(1);
             if (obs < 0) {
                 throw std::invalid_argument("negative observable in " +
-                                            context);
+                                            in.Where());
             }
-            circuit_.AddObservableInclude(obs, Targets(f, 2, context));
+            circuit_.AddObservableInclude(obs, Targets(in, 2));
         } else {
-            throw std::invalid_argument("unknown op '" + op + "' in " +
-                                        context);
+            throw std::invalid_argument("unknown op '" + std::string(op) +
+                                        "' in " + in.Where());
         }
     }
 
@@ -186,46 +190,35 @@ class Replayer
 
   private:
     static void
-    Expect(const std::vector<std::string>& f, size_t n,
-           const std::string& context)
+    Expect(const text::LineReader& in, size_t n)
     {
-        if (f.size() != n) {
-            throw std::invalid_argument("wrong field count in " + context);
+        if (in.fields().size() != n) {
+            throw std::invalid_argument("wrong field count in " + in.Where());
         }
     }
 
     int
-    Qubit(const std::string& field, const std::string& context) const
+    Qubit(const text::LineReader& in, size_t k) const
     {
-        const int q = text::ParseInt32(field, context);
+        const int q = in.Int32(k);
         if (q < 0 || q >= circuit_.num_qubits()) {
-            throw std::invalid_argument("qubit out of range in " + context);
+            throw std::invalid_argument("qubit out of range in " +
+                                        in.Where());
         }
         return q;
     }
 
+    /** The distinct qubits in fields `k` and `k + 1`. */
     std::pair<int, int>
-    QubitPair(const std::string& a, const std::string& b,
-              const std::string& context) const
+    QubitPair(const text::LineReader& in, size_t k) const
     {
-        const int qa = Qubit(a, context);
-        const int qb = Qubit(b, context);
+        const int qa = Qubit(in, k);
+        const int qb = Qubit(in, k + 1);
         if (qa == qb) {
             throw std::invalid_argument("repeated qubit operand in " +
-                                        context);
+                                        in.Where());
         }
         return {qa, qb};
-    }
-
-    static double
-    Prob(const std::string& field, const std::string& context)
-    {
-        const double p = text::ParseDouble(field, context);
-        if (!std::isfinite(p) || p < 0.0 || p > 1.0) {
-            throw std::invalid_argument("probability out of [0,1] in " +
-                                        context);
-        }
-        return p;
     }
 
     /** Stochastic-channel probability: must be strictly positive, since
@@ -233,32 +226,32 @@ class Replayer
      *  byte-stable (and a p == 0 line can only come from a hand-edited
      *  or corrupt file). */
     static double
-    Channel(const std::string& field, const std::string& context)
+    Channel(const text::LineReader& in, size_t k)
     {
-        const double p = Prob(field, context);
+        const double p = in.Probability(k);
         if (p == 0.0) {
             throw std::invalid_argument("zero-probability channel in " +
-                                        context);
+                                        in.Where());
         }
         return p;
     }
 
+    /** The measurement-record list whose length is field `pos`. */
     std::vector<std::int32_t>
-    Targets(const std::vector<std::string>& f, size_t pos,
-            const std::string& context) const
+    Targets(const text::LineReader& in, size_t pos) const
     {
-        const std::int64_t n = text::ParseInt64(f[pos], context);
-        if (n < 0 || f.size() != pos + 1 + static_cast<size_t>(n)) {
+        const std::int64_t n = in.Int64(pos);
+        if (n < 0 || in.fields().size() != pos + 1 + static_cast<size_t>(n)) {
             throw std::invalid_argument("target list truncated in " +
-                                        context);
+                                        in.Where());
         }
         std::vector<std::int32_t> targets;
         targets.reserve(static_cast<size_t>(n));
-        for (std::int64_t i = 0; i < n; ++i) {
-            const int m = text::ParseInt32(f[pos + 1 + i], context);
+        for (size_t k = pos + 1; k < in.fields().size(); ++k) {
+            const int m = in.Int32(k);
             if (m < 0 || m >= circuit_.num_measurements()) {
                 throw std::invalid_argument(
-                    "measurement record out of range in " + context);
+                    "measurement record out of range in " + in.Where());
             }
             targets.push_back(m);
         }
@@ -271,58 +264,25 @@ class Replayer
 NoisyCircuit
 ParseNoisyCircuitImpl(const std::string& text_in)
 {
-    std::istringstream in(text_in);
-    std::string line;
-    auto next = [&in, &line]() -> bool {
-        if (!std::getline(in, line)) {
-            return false;
-        }
-        text::StripCr(line);
-        return true;
-    };
-
-    if (!next() || line != kHeader) {
-        throw std::invalid_argument("missing 'tiqec-circuit v1' header");
-    }
-    if (!next()) {
-        throw std::invalid_argument("missing qubits line");
-    }
-    auto fields = text::SplitFields(line, ' ');
-    if (fields.size() != 2 || fields[0] != "qubits") {
-        throw std::invalid_argument("malformed qubits line: '" + line + "'");
-    }
-    const int num_qubits = text::ParseInt32(fields[1], "qubits");
+    text::LineReader in(text_in);
+    in.ExpectHeader(kHeader);
+    in.Tagged("qubits", 2);
+    const int num_qubits = in.Int32(1);
     if (num_qubits <= 0) {
         throw std::invalid_argument("non-positive qubit count");
     }
-    if (!next()) {
-        throw std::invalid_argument("missing ops line");
-    }
-    fields = text::SplitFields(line, ' ');
-    if (fields.size() != 2 || fields[0] != "ops") {
-        throw std::invalid_argument("malformed ops line: '" + line + "'");
-    }
-    const std::int64_t num_ops = text::ParseInt64(fields[1], "ops");
+    in.Tagged("ops", 2);
+    const std::int64_t num_ops = in.Int64(1);
     if (num_ops < 0) {
         throw std::invalid_argument("negative op count");
     }
 
     Replayer replayer(num_qubits);
     for (std::int64_t i = 0; i < num_ops; ++i) {
-        const std::string context = "op " + std::to_string(i);
-        if (!next()) {
-            throw std::invalid_argument("truncated: missing " + context);
-        }
-        fields = text::SplitFields(line, ' ');
-        if (fields.empty() || fields[0].empty()) {
-            throw std::invalid_argument("empty " + context);
-        }
-        replayer.Apply(fields, context);
+        in.Untagged("op", i);
+        replayer.Apply(in);
     }
-    if (next() && !line.empty()) {
-        throw std::invalid_argument("trailing content after last op: '" +
-                                    line + "'");
-    }
+    in.ExpectEnd();
     return replayer.Take();
 }
 

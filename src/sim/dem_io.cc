@@ -1,6 +1,5 @@
 #include "sim/dem_io.h"
 
-#include <sstream>
 #include <stdexcept>
 
 #include "common/text_format.h"
@@ -105,138 +104,88 @@ FormatDem(const DetectorErrorModel& dem)
 namespace {
 
 std::uint32_t
-ParseMask(const std::string& field, const std::string& context)
+ParseMask(const text::LineReader& in, size_t k)
 {
-    const std::int64_t v = text::ParseInt64(field, context);
+    const std::int64_t v = in.Int64(k);
     if (v < 0 || v > 0xffffffffll) {
-        throw std::invalid_argument("obs_mask out of range in " + context);
+        throw std::invalid_argument("obs_mask out of range in " + in.Where());
     }
     return static_cast<std::uint32_t>(v);
-}
-
-bool
-NextLine(std::istringstream& in, std::string* line)
-{
-    if (!std::getline(in, *line)) {
-        return false;
-    }
-    text::StripCr(*line);
-    return true;
 }
 
 void
 ParseDemImpl(const std::string& text_in, DetectorErrorModel* dem)
 {
-    std::istringstream in(text_in);
-    std::string line;
-    if (!NextLine(in, &line) || line != kHeader) {
-        throw std::invalid_argument("missing 'tiqec-dem v1' header");
-    }
+    text::LineReader in(text_in);
+    in.ExpectHeader(kHeader);
 
-    if (!NextLine(in, &line)) {
-        throw std::invalid_argument("missing counts line");
-    }
-    auto fields = text::SplitFields(line, ' ');
-    if (fields.size() != 5 || fields[0] != "counts") {
-        throw std::invalid_argument("malformed counts line: '" + line + "'");
-    }
-    dem->num_detectors = text::ParseInt32(fields[1], "counts");
-    dem->num_observables = text::ParseInt32(fields[2], "counts");
-    const std::int64_t num_edges = text::ParseInt64(fields[3], "counts");
-    const std::int64_t num_hyper = text::ParseInt64(fields[4], "counts");
+    in.Tagged("counts", 5);
+    dem->num_detectors = in.Int32(1);
+    dem->num_observables = in.Int32(2);
+    const std::int64_t num_edges = in.Int64(3);
+    const std::int64_t num_hyper = in.Int64(4);
     if (num_edges < 0 || num_hyper < 0) {
         throw std::invalid_argument("negative element count");
     }
 
-    if (!NextLine(in, &line)) {
-        throw std::invalid_argument("missing diag line");
-    }
-    fields = text::SplitFields(line, ' ');
-    if (fields.size() != 5 || fields[0] != "diag") {
-        throw std::invalid_argument("malformed diag line: '" + line + "'");
-    }
-    dem->num_components = text::ParseInt32(fields[1], "diag");
-    dem->num_decomposed = text::ParseInt32(fields[2], "diag");
-    dem->num_hyperedges = text::ParseInt32(fields[3], "diag");
-    dem->num_undecomposable = text::ParseInt32(fields[4], "diag");
+    in.Tagged("diag", 5);
+    dem->num_components = in.Int32(1);
+    dem->num_decomposed = in.Int32(2);
+    dem->num_hyperedges = in.Int32(3);
+    dem->num_undecomposable = in.Int32(4);
 
-    if (!NextLine(in, &line)) {
-        throw std::invalid_argument("missing mass line");
-    }
-    fields = text::SplitFields(line, ' ');
-    if (fields.size() != 4 || fields[0] != "mass") {
-        throw std::invalid_argument("malformed mass line: '" + line + "'");
-    }
-    dem->hyperedge_probability = text::ParseDouble(fields[1], "mass");
-    dem->undecomposable_probability = text::ParseDouble(fields[2], "mass");
-    dem->dropped_probability = text::ParseDouble(fields[3], "mass");
+    in.Tagged("mass", 4);
+    dem->hyperedge_probability = in.Double(1);
+    dem->undecomposable_probability = in.Double(2);
+    dem->dropped_probability = in.Double(3);
 
-    dem->edges.reserve(static_cast<size_t>(num_edges));
+    // The element counts are not reserved: a corrupt count must end in
+    // a truncation error, not in a huge allocation.
     for (std::int64_t i = 0; i < num_edges; ++i) {
-        const std::string context = "edge " + std::to_string(i);
-        if (!NextLine(in, &line)) {
-            throw std::invalid_argument("truncated: missing " + context);
-        }
-        fields = text::SplitFields(line, ' ');
-        if (fields.size() != 5 || fields[0] != "e") {
-            throw std::invalid_argument("malformed " + context + ": '" +
-                                        line + "'");
-        }
+        in.Tagged("e", 5, "edge", i);
         DemEdge e;
-        e.d0 = text::ParseInt32(fields[1], context);
-        e.d1 = text::ParseInt32(fields[2], context);
-        e.p = text::ParseDouble(fields[3], context);
-        e.obs_mask = ParseMask(fields[4], context);
+        e.d0 = in.Int32(1);
+        e.d1 = in.Int32(2);
+        e.p = in.Double(3);
+        e.obs_mask = ParseMask(in, 4);
         dem->edges.push_back(e);
     }
 
-    dem->hyperedges.reserve(static_cast<size_t>(num_hyper));
     for (std::int64_t i = 0; i < num_hyper; ++i) {
-        const std::string context = "hyperedge " + std::to_string(i);
-        if (!NextLine(in, &line)) {
-            throw std::invalid_argument("truncated: missing " + context);
-        }
-        fields = text::SplitFields(line, ' ');
-        if (fields.size() < 5 || fields[0] != "h") {
-            throw std::invalid_argument("malformed " + context + ": '" +
-                                        line + "'");
-        }
+        in.TaggedAtLeast("h", 5, "hyperedge", i);
+        const size_t num_fields = in.fields().size();
         DemHyperedge h;
-        h.mechanism = text::ParseInt32(fields[1], context);
-        h.p = text::ParseDouble(fields[2], context);
-        h.obs_mask = ParseMask(fields[3], context);
+        h.mechanism = in.Int32(1);
+        h.p = in.Double(2);
+        h.obs_mask = ParseMask(in, 3);
         size_t pos = 4;
-        const std::int64_t ndets = text::ParseInt64(fields[pos++], context);
-        if (ndets < 0 ||
-            fields.size() < pos + static_cast<size_t>(ndets) + 1) {
+        const std::int64_t ndets = in.Int64(pos++);
+        if (ndets < 0 || num_fields < pos + static_cast<size_t>(ndets) + 1) {
             throw std::invalid_argument("detector list truncated in " +
-                                        context);
+                                        in.Where());
         }
         h.dets.reserve(static_cast<size_t>(ndets));
         for (std::int64_t d = 0; d < ndets; ++d) {
-            h.dets.push_back(text::ParseInt32(fields[pos++], context));
+            h.dets.push_back(in.Int32(pos++));
         }
-        const std::int64_t nedges = text::ParseInt64(fields[pos++], context);
-        if (nedges < 0 ||
-            fields.size() != pos + static_cast<size_t>(nedges)) {
-            throw std::invalid_argument("edge list truncated in " + context);
+        const std::int64_t nedges = in.Int64(pos++);
+        if (nedges < 0 || num_fields != pos + static_cast<size_t>(nedges)) {
+            throw std::invalid_argument("edge list truncated in " +
+                                        in.Where());
         }
         h.edges.reserve(static_cast<size_t>(nedges));
         for (std::int64_t e = 0; e < nedges; ++e) {
-            const int idx = text::ParseInt32(fields[pos++], context);
+            const int idx = in.Int32(pos++);
             if (idx < 0 || idx >= static_cast<int>(dem->edges.size())) {
-                throw std::invalid_argument(
-                    "edge index out of range in " + context);
+                throw std::invalid_argument("edge index out of range in " +
+                                            in.Where());
             }
             h.edges.push_back(idx);
         }
         dem->hyperedges.push_back(std::move(h));
     }
 
-    if (NextLine(in, &line) && !line.empty()) {
-        throw std::invalid_argument("trailing content after last element: '" +
-                                    line + "'");
-    }
+    in.ExpectEnd();
 }
 
 }  // namespace

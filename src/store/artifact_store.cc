@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <functional>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -22,68 +21,6 @@ namespace tiqec::store {
 namespace {
 
 constexpr char kMagic[] = "tiqec-artifact v1";
-
-/** Line-oriented reader over an artifact payload; throws
- *  std::invalid_argument with context on any shortfall. */
-class LineReader
-{
-  public:
-    explicit LineReader(const std::string& text) : in_(text) {}
-
-    std::string
-    Line(const std::string& context)
-    {
-        std::string line;
-        if (!std::getline(in_, line)) {
-            throw std::invalid_argument("truncated artifact: missing " +
-                                        context);
-        }
-        text::StripCr(line);
-        return line;
-    }
-
-    /** A line split on spaces, with the expected tag and field count. */
-    std::vector<std::string>
-    Tagged(const std::string& tag, size_t num_fields)
-    {
-        const std::string line = Line(tag + " line");
-        std::vector<std::string> fields = text::SplitFields(line, ' ');
-        if (fields.size() != num_fields || fields[0] != tag) {
-            throw std::invalid_argument("malformed " + tag + " line: '" +
-                                        line + "'");
-        }
-        return fields;
-    }
-
-    /** `n` raw lines rejoined with trailing newlines (an embedded
-     *  sub-document, e.g. the schedule CSV or the DEM text). */
-    std::string
-    Block(std::int64_t n, const std::string& context)
-    {
-        std::string out;
-        for (std::int64_t i = 0; i < n; ++i) {
-            out += Line(context + " line " + std::to_string(i));
-            out += '\n';
-        }
-        return out;
-    }
-
-    void
-    ExpectEnd()
-    {
-        std::string line;
-        if (std::getline(in_, line)) {
-            text::StripCr(line);
-            if (!line.empty()) {
-                throw std::invalid_argument(
-                    "trailing content in artifact: '" + line + "'");
-            }
-        }
-    }
-
-  private:
-    std::istringstream in_;
-};
 
 std::int64_t
 CountLines(const std::string& text)
@@ -107,17 +44,16 @@ AppendIntList(std::string& out, const std::string& tag, size_t n,
     out += '\n';
 }
 
+/** The `n` integers of the next line, tagged `tag`. */
 std::vector<std::int32_t>
-ParseIntList(const std::vector<std::string>& fields, size_t expected,
-             const std::string& context)
+ReadIntList(text::LineReader& reader, std::string_view tag, size_t n,
+            const std::string& context)
 {
-    if (fields.size() != expected + 1) {
-        throw std::invalid_argument("wrong element count in " + context);
-    }
+    reader.Tagged(tag, n + 1);
     std::vector<std::int32_t> values;
-    values.reserve(expected);
-    for (size_t i = 1; i < fields.size(); ++i) {
-        values.push_back(text::ParseInt32(fields[i], context));
+    values.reserve(n);
+    for (size_t i = 1; i <= n; ++i) {
+        values.push_back(text::ParseInt32(reader.fields()[i], context));
     }
     return values;
 }
@@ -246,9 +182,9 @@ ArtifactStore::LoadCompile(const StoreKey& key,
     }
     *arts = core::CompileArtifacts{};
     try {
-        LineReader reader(payload);
-        auto fields = reader.Tagged("rounds", 2);
-        if (text::ParseInt32(fields[1], "rounds") != compile_rounds) {
+        text::LineReader reader(payload);
+        reader.Tagged("rounds", 2);
+        if (reader.Int32(1) != compile_rounds) {
             throw std::invalid_argument(
                 "stored compile_rounds does not match the key");
         }
@@ -257,59 +193,50 @@ ArtifactStore::LoadCompile(const StoreKey& key,
         const size_t nq = static_cast<size_t>(code.num_qubits());
         compiler::CompilationResult& c = arts->compiled;
 
-        fields = reader.Tagged("partition", 5);
-        c.partition.num_clusters =
-            text::ParseInt32(fields[1], "partition");
-        c.partition.max_cluster_size =
-            text::ParseInt32(fields[2], "partition");
-        c.partition.min_cluster_size =
-            text::ParseInt32(fields[3], "partition");
-        if (text::ParseInt64(fields[4], "partition") !=
-            static_cast<std::int64_t>(nq)) {
+        reader.Tagged("partition", 5);
+        c.partition.num_clusters = reader.Int32(1);
+        c.partition.max_cluster_size = reader.Int32(2);
+        c.partition.min_cluster_size = reader.Int32(3);
+        if (reader.Int64(4) != static_cast<std::int64_t>(nq)) {
             throw std::invalid_argument(
                 "partition size does not match the code");
         }
-        c.partition.cluster_of = [&] {
-            const auto cl = ParseIntList(
-                reader.Tagged("cl", nq + 1), nq, "cluster list");
-            return std::vector<int>(cl.begin(), cl.end());
-        }();
+        for (const std::int32_t v :
+             ReadIntList(reader, "cl", nq, "cluster list")) {
+            c.partition.cluster_of.push_back(v);
+        }
 
-        fields = reader.Tagged("placement", 3);
-        if (text::ParseInt64(fields[1], "placement") !=
-                static_cast<std::int64_t>(nq) ||
-            text::ParseInt32(fields[2], "placement") !=
-                c.partition.num_clusters) {
+        reader.Tagged("placement", 3);
+        if (reader.Int64(1) != static_cast<std::int64_t>(nq) ||
+            reader.Int32(2) != c.partition.num_clusters) {
             throw std::invalid_argument(
                 "placement shape does not match the code/partition");
         }
-        for (const std::int32_t v : ParseIntList(
-                 reader.Tagged("qt", nq + 1), nq, "qubit_trap list")) {
+        for (const std::int32_t v :
+             ReadIntList(reader, "qt", nq, "qubit_trap list")) {
             c.placement.qubit_trap.push_back(NodeId(v));
         }
         const size_t ncl = static_cast<size_t>(c.partition.num_clusters);
         for (const std::int32_t v :
-             ParseIntList(reader.Tagged("ct", ncl + 1), ncl,
-                          "cluster_trap list")) {
+             ReadIntList(reader, "ct", ncl, "cluster_trap list")) {
             c.placement.cluster_trap.push_back(NodeId(v));
         }
-        c.placement.cost = text::ParseDouble(reader.Tagged("cost", 2)[1],
-                                             "placement cost");
+        reader.Tagged("cost", 2);
+        c.placement.cost =
+            text::ParseDouble(reader.fields()[1], "placement cost");
 
-        fields = reader.Tagged("routing", 3);
+        reader.Tagged("routing", 3);
         c.routing.ok = true;
-        c.routing.num_passes = text::ParseInt32(fields[1], "routing");
-        c.routing.num_movement_ops =
-            text::ParseInt32(fields[2], "routing");
+        c.routing.num_passes = reader.Int32(1);
+        c.routing.num_movement_ops = reader.Int32(2);
 
-        fields = reader.Tagged("schedule", 2);
-        const std::int64_t csv_lines =
-            text::ParseInt64(fields[1], "schedule");
+        reader.Tagged("schedule", 2);
+        const std::int64_t csv_lines = reader.Int64(1);
         if (csv_lines < 1) {
             throw std::invalid_argument("schedule block is empty");
         }
-        c.schedule =
-            compiler::ParseScheduleCsv(reader.Block(csv_lines, "schedule"));
+        c.schedule = compiler::ParseScheduleCsv(
+            std::string(reader.Block(csv_lines, "schedule")));
         // The compiler takes num_passes from the router, not from the
         // pass column (a trailing gate-only pass has no movement rows);
         // mirror that here so the reconstruction is field-exact.
@@ -440,13 +367,12 @@ ArtifactStore::LoadSim(const StoreKey& key, core::SimArtifacts* arts,
         return Count(read);
     }
     try {
-        LineReader reader(payload);
-        auto fields = reader.Tagged("circuit", 2);
-        const std::string circuit_text = reader.Block(
-            text::ParseInt64(fields[1], "circuit"), "circuit");
-        fields = reader.Tagged("dem", 2);
-        const std::string dem_text =
-            reader.Block(text::ParseInt64(fields[1], "dem"), "dem");
+        text::LineReader reader(payload);
+        reader.Tagged("circuit", 2);
+        const std::string circuit_text(
+            reader.Block(reader.Int64(1), "circuit"));
+        reader.Tagged("dem", 2);
+        const std::string dem_text(reader.Block(reader.Int64(1), "dem"));
         reader.ExpectEnd();
 
         std::string parse_error;
@@ -509,11 +435,11 @@ DemDigest(const sim::DetectorErrorModel& dem)
 }
 
 bool
-ParseFlag(const std::string& field, const std::string& context)
+ParseFlag(std::string_view field, const std::string& context)
 {
     if (field != "0" && field != "1") {
-        throw std::invalid_argument("bad flag '" + field + "' in " +
-                                    context);
+        throw std::invalid_argument("bad flag '" + std::string(field) +
+                                    "' in " + context);
     }
     return field == "1";
 }
@@ -584,33 +510,31 @@ ArtifactStore::LoadCertificate(const StoreKey& key,
     validated_.fetch_add(1, std::memory_order_relaxed);
     analysis::DistanceCertificate cert;
     try {
-        LineReader reader(payload);
-        if (reader.Tagged("dem_digest", 2)[1] != DemDigest(dem)) {
+        text::LineReader reader(payload);
+        reader.Tagged("dem_digest", 2);
+        if (reader.fields()[1] != DemDigest(dem)) {
             throw std::invalid_argument(
                 "certifies a different DEM (digest mismatch)");
         }
-        cert.searched_weight = text::ParseInt32(
-            reader.Tagged("searched_weight", 2)[1], "searched_weight");
+        reader.Tagged("searched_weight", 2);
+        cert.searched_weight = reader.Int32(1);
         if (cert.searched_weight < 0 ||
             cert.searched_weight > analysis::kMaxSearchWeight) {
             throw std::invalid_argument("searched_weight out of range");
         }
-        cert.graph_like =
-            ParseFlag(reader.Tagged("graph_like", 2)[1], "graph_like");
-        if (text::ParseInt32(reader.Tagged("observables", 2)[1],
-                             "observables") != dem.num_observables) {
+        reader.Tagged("graph_like", 2);
+        cert.graph_like = ParseFlag(reader.fields()[1], "graph_like");
+        reader.Tagged("observables", 2);
+        if (reader.Int32(1) != dem.num_observables) {
             throw std::invalid_argument(
                 "observable count does not match the DEM");
         }
         cert.mechanisms = analysis::CollectMechanisms(dem);
         for (int o = 0; o < dem.num_observables; ++o) {
-            const std::string line = reader.Line("obs line");
-            const std::vector<std::string> fields =
-                text::SplitFields(line, ' ');
-            if (fields.size() < 5 || fields[0] != "obs" ||
-                text::ParseInt32(fields[1], "obs line") != o) {
-                throw std::invalid_argument("malformed obs line: '" + line +
-                                            "'");
+            reader.TaggedAtLeast("obs", 5);
+            const std::vector<std::string_view>& fields = reader.fields();
+            if (text::ParseInt32(fields[1], "obs line") != o) {
+                reader.Malformed();
             }
             analysis::ObservableDistance od;
             od.observable = o;
@@ -660,27 +584,6 @@ ArtifactStore::StoreCertificate(
         payload += '\n';
     }
     return WritePayload(key, payload, error);
-}
-
-LoadStatus
-LoadOrCertify(const ArtifactStore* store, const StoreKey& sim_key,
-              const sim::DetectorErrorModel& dem,
-              const analysis::DistanceCertifierOptions& options,
-              analysis::DistanceCertificate* certificate, std::string* error)
-{
-    if (store == nullptr) {
-        *certificate = analysis::CertifyDistance(dem, options);
-        return LoadStatus::kMiss;
-    }
-    const StoreKey key =
-        CertificateStoreKey(sim_key, analysis::SearchWeightFor(options));
-    const LoadStatus status =
-        store->LoadCertificate(key, dem, certificate, error);
-    if (status == LoadStatus::kMiss) {
-        *certificate = analysis::CertifyDistance(dem, options);
-        store->StoreCertificate(key, dem, *certificate);
-    }
-    return status;
 }
 
 }  // namespace tiqec::store

@@ -155,20 +155,6 @@ class ArtifactStore
     mutable std::atomic<std::int64_t> validated_{0};
 };
 
-/**
- * The certify stage over an optional store (the sweep engine's stage
- * 3c, which `tiqec_certify` runs through): with a `store`, loads the
- * certificate keyed by `sim_key` + the search weight `options` select
- * and, on a miss, certifies `dem` and persists the result; without one,
- * certifies. Returns kHit (loaded), kMiss (computed), or kCorrupt
- * (`*error` holds the store's diagnostic and nothing was computed).
- */
-LoadStatus LoadOrCertify(const ArtifactStore* store, const StoreKey& sim_key,
-                         const sim::DetectorErrorModel& dem,
-                         const analysis::DistanceCertifierOptions& options,
-                         analysis::DistanceCertificate* certificate,
-                         std::string* error);
-
 }  // namespace tiqec::store
 
 #endif  // TIQEC_STORE_ARTIFACT_STORE_H

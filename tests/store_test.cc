@@ -143,6 +143,12 @@ TEST(DemIoTest, RejectsCorruptText)
     std::string error;
     EXPECT_FALSE(sim::ParseDem("not a dem", &dem, &error));
     EXPECT_NE(error.find("dem parse"), std::string::npos);
+    // A count far beyond the text is a truncation, not an allocation.
+    EXPECT_FALSE(sim::ParseDem("tiqec-dem v1\ncounts 1 1 1000000000000000 0\n"
+                               "diag 0 0 0 0\nmass 0 0 0\n",
+                               &dem, &error));
+    EXPECT_NE(error.find("truncated: missing edge 0"), std::string::npos)
+        << error;
 }
 
 TEST(CircuitIoTest, RoundTripIsByteStableAndValidatorClean)
@@ -188,6 +194,62 @@ TEST(ProfileIoTest, RoundTripIsByteStable)
     EXPECT_EQ(parsed.idle_z.size(), p.profile.idle_z.size());
     EXPECT_EQ(parsed.swaps.size(), p.profile.swaps.size());
     EXPECT_TRUE(SameDouble(parsed.round_time, p.profile.round_time));
+}
+
+TEST(ProfileIoTest, RejectsOperandsTheSimulatorCannotApply)
+{
+    // The sim build applies every probability and swap operand as read,
+    // so a profile that names a qubit or gate outside its own shape, or
+    // a probability outside [0, 1], must fail to parse.
+    const PipelineArtifacts p = BuildPipelineArtifacts();
+    const std::string text = noise::FormatNoiseProfile(p.profile);
+    const std::string gates = std::to_string(p.profile.gate_noise.size());
+    const std::string qubits = std::to_string(p.profile.idle_z.size());
+    ASSERT_TRUE(p.profile.swaps.empty());
+    // `text` with field `field` of its first `tag` line set to `value`.
+    const auto edit = [&](const std::string& tag, size_t field,
+                          const std::string& value) {
+        const size_t begin = text.find('\n' + tag + ' ') + 1;
+        const size_t end = text.find('\n', begin);
+        std::vector<std::string> fields =
+            text::SplitFields(text.substr(begin, end - begin), ' ');
+        fields.at(field) = value;
+        std::string line = fields[0];
+        for (size_t k = 1; k < fields.size(); ++k) {
+            line += ' ' + fields[k];
+        }
+        return text.substr(0, begin) + line + text.substr(end);
+    };
+    // The swaps line is the last one.
+    const auto with_swap = [&](const std::string& swap) {
+        return edit("swaps", 1, "1") + swap + '\n';
+    };
+    const struct
+    {
+        std::string text;
+        std::string expected;  // empty: parses
+    } cases[] = {
+        {with_swap("s 0 1 0.1 -1"), ""},
+        {with_swap("s " + qubits + " 0 0.1 -1"),
+         "qubit out of range in swap 0"},
+        {with_swap("s 0 -1 0.1 -1"), "qubit out of range in swap 0"},
+        {with_swap("s 2 2 0.1 -1"), "repeated qubit operand in swap 0"},
+        {with_swap("s 0 1 0.1 " + gates), "gate out of range in swap 0"},
+        {with_swap("s 0 1 0.1 -2"), "gate out of range in swap 0"},
+        {with_swap("s 0 1 1.5 -1"), "probability out of [0,1] in swap 0"},
+        {edit("g", 1, "nan"), "probability out of [0,1] in gate 0"},
+        {edit("idle", 2, "-0.1"), "probability out of [0,1] in idle"},
+        // A count far beyond the text is a parse error, not an allocation.
+        {edit("gates", 1, "1000000000000000"), "malformed gate " + gates},
+    };
+    for (const auto& tc : cases) {
+        SCOPED_TRACE(tc.expected);
+        noise::RoundNoiseProfile parsed;
+        std::string error;
+        const bool ok = noise::ParseNoiseProfile(tc.text, &parsed, &error);
+        EXPECT_EQ(ok, tc.expected.empty()) << error;
+        EXPECT_NE(error.find(tc.expected), std::string::npos) << error;
+    }
 }
 
 // ----------------------------------------------------------------- keys
@@ -593,6 +655,56 @@ TEST(SweepStoreTest, OutOfRangeIdInStoredScheduleIsolatesItsCandidate)
     EXPECT_EQ(warm.last_run_stats().store_corrupt, 1);
 }
 
+TEST(SweepStoreTest, BadSwapInStoredNoiseProfileIsolatesItsCandidate)
+{
+    // A swap on a qubit far outside the code keeps the profile's shape,
+    // so only the operand checks on load stand between it and the sim
+    // build, which applies its noise to the qubits as read.
+    const std::string root = FreshDir("store_bad_swap");
+    core::SweepRunnerOptions opts;
+    opts.store = std::make_shared<store::ArtifactStore>(root);
+    const auto candidates = [](int rounds) {
+        std::vector<core::SweepCandidate> out(2);
+        for (core::SweepCandidate& c : out) {
+            c.code = qec::MakeCode("rotated", 3);
+            c.options.max_shots = 0;
+            c.options.rounds = rounds;
+        }
+        out[1].arch.trap_capacity = 5;  // another compile key, with swaps
+        return out;
+    };
+    core::SweepRunner(opts).RunDetailed(candidates(3));
+
+    const auto code = qec::MakeCode("rotated", 3);
+    RewriteArtifact(
+        opts.store->PathFor(store::NoiseStoreKey(
+            store::CompileStoreKey(*code, core::ArchitectureConfig{}, 1,
+                                   nullptr),
+            1.0)),
+        [](std::vector<std::string>& lines) {
+            ASSERT_EQ(lines.back(), "swaps 0");
+            lines.back() = "swaps 1";
+            lines.push_back("s 100000 0 0.1 -1");
+        });
+
+    // Five rounds: the noise key is the same, the sim key is new, so the
+    // sims are rebuilt from the stored profiles.
+    core::SweepRunner warm(opts);
+    const std::vector<core::SweepOutcome> outcomes =
+        warm.RunDetailed(candidates(5));
+    ASSERT_EQ(outcomes.size(), 2u);
+    EXPECT_FALSE(outcomes[0].metrics.ok);
+    EXPECT_NE(outcomes[0].metrics.error.find("artifact store: noise profile"),
+              std::string::npos)
+        << outcomes[0].metrics.error;
+    EXPECT_NE(outcomes[0].metrics.error.find("qubit out of range in swap 0"),
+              std::string::npos)
+        << outcomes[0].metrics.error;
+    EXPECT_TRUE(outcomes[1].metrics.ok) << outcomes[1].metrics.error;
+    EXPECT_EQ(warm.last_run_stats().store_corrupt, 1);
+    EXPECT_EQ(warm.last_run_stats().sim_builds, 1);
+}
+
 // ---------------------------------------------------------- certificates
 
 TEST(CertificateStoreTest, SerializerRoundTripIsByteStable)
@@ -689,37 +801,33 @@ TEST(CertificateStoreTest, KeyIsTheSearchWeightActuallyUsed)
     // The certifier clamps `max_search_weight` to [2, 4], so weights 9
     // and 4 run the same search and must share one stored certificate;
     // likewise 1 and 2.
-    const PipelineArtifacts p = BuildPipelineArtifacts();
-    const store::StoreKey ck =
-        store::CompileStoreKey(*p.code, p.arch, 1, nullptr);
-    const store::StoreKey sk =
-        store::SimStoreKey(store::NoiseStoreKey(ck, 1.0), 3, 0, 0);
-    const store::ArtifactStore store(FreshDir("cert_clamp"));
-    struct Probe
+    core::SweepRunnerOptions opts;
+    opts.store =
+        std::make_shared<store::ArtifactStore>(FreshDir("cert_clamp"));
+    const struct
     {
         int max_search_weight;
-        store::LoadStatus status;
+        std::int64_t certifies;
         int searched_weight;
-    };
-    const Probe probes[] = {
-        {4, store::LoadStatus::kMiss, 4},
-        {9, store::LoadStatus::kHit, 4},
-        {2, store::LoadStatus::kMiss, 2},
-        {1, store::LoadStatus::kHit, 2},
-    };
-    for (const Probe& probe : probes) {
+    } runs[] = {{4, 1, 4}, {9, 0, 4}, {2, 1, 2}, {1, 0, 2}};
+    for (const auto& run : runs) {
         SCOPED_TRACE("max_search_weight " +
-                     std::to_string(probe.max_search_weight));
-        analysis::DistanceCertifierOptions options;
-        options.max_search_weight = probe.max_search_weight;
-        analysis::DistanceCertificate cert;
-        std::string error;
-        const store::LoadStatus status = store::LoadOrCertify(
-            &store, sk, p.sim.dem, options, &cert, &error);
-        EXPECT_EQ(status, probe.status) << error;
-        EXPECT_EQ(cert.searched_weight, probe.searched_weight);
+                     std::to_string(run.max_search_weight));
+        core::SweepCandidate c;
+        c.code = qec::MakeCode("rotated", 3);
+        c.options.certify_distance = true;
+        c.options.max_shots = 0;
+        opts.certifier.max_search_weight = run.max_search_weight;
+        core::SweepRunner runner(opts);
+        const std::vector<core::SweepOutcome> outcomes =
+            runner.RunDetailed({c});
+        ASSERT_NE(outcomes[0].certificate, nullptr)
+            << outcomes[0].metrics.error;
+        EXPECT_EQ(outcomes[0].certificate->searched_weight,
+                  run.searched_weight);
+        EXPECT_EQ(runner.last_run_stats().certifies, run.certifies);
+        EXPECT_EQ(runner.last_run_stats().store_corrupt, 0);
     }
-    EXPECT_EQ(store.counters().writes, 2);
 }
 
 /** Two certified d=3 memory candidates — Z and X basis, so two sim keys
@@ -934,6 +1042,136 @@ TEST(SweepStoreTest, EqualContentSharesWorkAtEveryPoolWidth)
             // compile, noise, sim, certificate: one probe and write each.
             EXPECT_EQ(stats.store_misses, 4);
             EXPECT_EQ(stats.store_writes, 4);
+        }
+    }
+}
+
+// ------------------------------------------------------ the line rules
+
+/** One artifact text and its reader, which parses a text and formats
+ *  what it parsed again, or returns "" and sets `*error`. */
+struct ArtifactText
+{
+    const char* name;
+    std::string text;
+    std::function<std::string(const std::string&, std::string* error)>
+        reformat;
+};
+
+/** The payload of the store artifact at `key` (its text after the key
+ *  line), read by writing a text in its place and calling `load`, which
+ *  on a hit stores what it loaded under the same key in `copy`. */
+ArtifactText
+StorePayload(const char* name, const store::ArtifactStore& store,
+             const store::ArtifactStore& copy, const store::StoreKey& key,
+             const std::function<store::LoadStatus(std::string*)>& load)
+{
+    std::string content;
+    std::string error;
+    EXPECT_TRUE(common::ReadFile(store.PathFor(key), &content, &error));
+    const size_t header = content.find('\n', content.find('\n') + 1) + 1;
+    return {name, content.substr(header),
+            [prefix = content.substr(0, header), path = store.PathFor(key),
+             copied = copy.PathFor(key),
+             load](const std::string& text, std::string* err) {
+                std::string stored;
+                if (common::AtomicWriteFile(path, prefix + text, err) &&
+                    load(err) == store::LoadStatus::kHit &&
+                    common::ReadFile(copied, &stored, err)) {
+                    return stored.substr(prefix.size());
+                }
+                return std::string();
+            }};
+}
+
+TEST(LineReaderTest, EveryArtifactFormatFollowsTheLineRules)
+{
+    const PipelineArtifacts p = BuildPipelineArtifacts();
+    const sim::DetectorErrorModel& dem = p.sim.dem;
+    const store::StoreKey ck =
+        store::CompileStoreKey(*p.code, p.arch, 1, nullptr);
+    const store::StoreKey sk =
+        store::SimStoreKey(store::NoiseStoreKey(ck, 1.0), 3, 0, 0);
+    const store::StoreKey cert_key =
+        store::CertificateStoreKey(sk, analysis::kMaxSearchWeight);
+    const store::ArtifactStore store(FreshDir("line_rules"));
+    const store::ArtifactStore copy(FreshDir("line_rules_copy"));
+    std::string error;
+    ASSERT_TRUE(store.StoreCompile(ck, p.compile, &error)) << error;
+    ASSERT_TRUE(store.StoreSim(sk, p.sim, &error)) << error;
+    ASSERT_TRUE(store.StoreCertificate(
+        cert_key, dem, analysis::CertifyDistance(dem), &error))
+        << error;
+
+    const ArtifactText inputs[] = {
+        {"dem", sim::FormatDem(dem),
+         [](const std::string& text, std::string* err) {
+             sim::DetectorErrorModel parsed;
+             return sim::ParseDem(text, &parsed, err) ? sim::FormatDem(parsed)
+                                                      : std::string();
+         }},
+        {"noisy circuit", sim::FormatNoisyCircuit(p.sim.experiment),
+         [](const std::string& text, std::string* err) {
+             const std::optional<sim::NoisyCircuit> parsed =
+                 sim::ParseNoisyCircuit(text, err);
+             return parsed ? sim::FormatNoisyCircuit(*parsed) : std::string();
+         }},
+        {"noise profile", noise::FormatNoiseProfile(p.profile),
+         [](const std::string& text, std::string* err) {
+             noise::RoundNoiseProfile parsed;
+             return noise::ParseNoiseProfile(text, &parsed, err)
+                        ? noise::FormatNoiseProfile(parsed)
+                        : std::string();
+         }},
+        StorePayload("compile payload", store, copy, ck,
+                     [&](std::string* err) {
+                         core::CompileArtifacts arts;
+                         const store::LoadStatus status = store.LoadCompile(
+                             ck, *p.code, p.arch, 1, nullptr, &arts, err);
+                         copy.StoreCompile(ck, arts);
+                         return status;
+                     }),
+        StorePayload("sim payload", store, copy, sk,
+                     [&](std::string* err) {
+                         core::SimArtifacts arts;
+                         const store::LoadStatus status =
+                             store.LoadSim(sk, &arts, err);
+                         copy.StoreSim(sk, arts);
+                         return status;
+                     }),
+        StorePayload("certificate payload", store, copy, cert_key,
+                     [&](std::string* err) {
+                         analysis::DistanceCertificate cert;
+                         const store::LoadStatus status =
+                             store.LoadCertificate(cert_key, dem, &cert, err);
+                         copy.StoreCertificate(cert_key, dem, cert);
+                         return status;
+                     }),
+    };
+    for (const ArtifactText& input : inputs) {
+        SCOPED_TRACE(input.name);
+        const std::string& text = input.text;
+        ASSERT_FALSE(text.empty());
+        ASSERT_EQ(text.back(), '\n');
+        // (a) The full text parses and re-formats byte-identically.
+        std::string err;
+        EXPECT_EQ(input.reformat(text, &err), text) << err;
+        // (b) Every shorter prefix that ends at a line boundary is a
+        // truncation.
+        for (size_t end = text.find('\n'); end + 1 < text.size();
+             end = text.find('\n', end + 1)) {
+            err.clear();
+            EXPECT_EQ(input.reformat(text.substr(0, end + 1), &err), "");
+            EXPECT_NE(err.find("truncated: missing"), std::string::npos)
+                << "prefix of " << end + 1 << " bytes: " << err;
+        }
+        // (c) Content after the last line is rejected, after a blank
+        // line too.
+        for (const char* junk : {"junk", "\njunk"}) {
+            err.clear();
+            EXPECT_EQ(input.reformat(text + junk, &err), "");
+            EXPECT_NE(err.find("trailing content"), std::string::npos)
+                << "'" << junk << "': " << err;
         }
     }
 }
