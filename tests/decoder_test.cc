@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "compiler/compiler.h"
+#include "core/request.h"
+#include "core/sweep.h"
 #include "decoder/union_find_decoder.h"
 #include "noise/annotator.h"
 #include "qec/surgery.h"
@@ -201,6 +203,29 @@ BuildSurgeryDem(int distance)
     out.circuit = workloads::BuildExperiment(code, result.qec_circuit,
                                              profile, params, distance, spec);
     out.dem = sim::BuildDem(out.circuit);
+    return out;
+}
+
+/** Builds the experiment and DEM the sweep service builds for one
+ *  request line (run with `shots=0`, so nothing is sampled). */
+CompiledDem
+BuildRequestDem(const std::string& line)
+{
+    CompiledDem out;
+    core::SweepCandidate candidate;
+    std::string error;
+    EXPECT_TRUE(core::ParseRequestCandidate(line, &candidate, &error))
+        << error;
+    core::SweepRunnerOptions options;
+    options.num_threads = 1;
+    core::SweepRunner runner(options);
+    const std::vector<core::SweepOutcome> outcomes =
+        runner.RunDetailed({candidate});
+    EXPECT_TRUE(outcomes[0].metrics.ok) << outcomes[0].metrics.error;
+    if (outcomes[0].sim != nullptr) {
+        out.circuit = outcomes[0].sim->experiment;
+        out.dem = outcomes[0].sim->dem;
+    }
     return out;
 }
 
@@ -429,6 +454,12 @@ TEST(CorrelatedDecodeTest, PredictionDigestsArePinned)
         std::uint64_t correlated;
         std::uint64_t plain;
     };
+    // mc_sweep's densest-syndrome DEM (grid capacity 2 by default), and
+    // memory d=3 at a design point with in-trap swaps.
+    const CompiledDem wise =
+        BuildRequestDem("family=rotated distance=5 wiring=wise shots=0");
+    const CompiledDem swaps = BuildRequestDem(
+        "family=rotated distance=3 topology=switch capacity=5 shots=0");
     const DigestCase cases[] = {
         {"memory d=3", BuildCompiledDem(3, 3, 1.0), 177,
          0xa0c646a8ae91610fULL, 0xedada19646703196ULL},
@@ -440,6 +471,10 @@ TEST(CorrelatedDecodeTest, PredictionDigestsArePinned)
          0xe49dd8800510d70cULL, 0x49ec30cffbf72303ULL},
         {"surgery_xx d=5", BuildSurgeryDem(5), 0, 0x51de440175072e95ULL,
          0xdca69ab1cf0bd08bULL},
+        {"memory d=5 wise", wise, 0, 0x4810e55aa80a5e5fULL,
+         0xc9ee2d0b87727d5eULL},
+        {"memory d=3 switch cap 5", swaps, 190, 0x1e1669bf640b36f6ULL,
+         0x4a5cc1e1332ae6ebULL},
     };
     const int shots = 16384;
     for (const DigestCase& c : cases) {
