@@ -34,6 +34,15 @@ ShardSizeOf(std::int64_t shard, std::int64_t budget, int shard_shots)
         shard_shots, budget - shard * shard_shots));
 }
 
+/** Shards in a `budget`-shot run: the ceiling of budget / shard_shots,
+ *  computed without `budget + shard_shots - 1`, which overflows near
+ *  INT64_MAX. */
+std::int64_t
+ShardCountOf(std::int64_t budget, int shard_shots)
+{
+    return budget / shard_shots + (budget % shard_shots != 0 ? 1 : 0);
+}
+
 }  // namespace
 
 ParallelSampler::ParallelSampler(const NoisyCircuit& circuit,
@@ -76,8 +85,7 @@ ParallelSampler::Sample(std::int64_t shots)
     if (shots <= 0) {
         return merged;
     }
-    const std::int64_t num_shards =
-        (shots + shard_shots_ - 1) / shard_shots_;
+    const std::int64_t num_shards = ShardCountOf(shots, shard_shots_);
     // shard_shots_ is a multiple of 64, so each shard owns a disjoint,
     // word-aligned slice of the merged planes and workers can write
     // without synchronisation.
@@ -131,9 +139,7 @@ LerShardRun::LerShardRun(const NoisyCircuit& circuit,
       // `committed_errors >= target` and the run would stop after one
       // shard with early_stopped = true.
       has_target_(target_logical_errors > 0),
-      num_shards_(max_shots <= 0
-                      ? 0
-                      : (max_shots + shard_shots_ - 1) / shard_shots_)
+      num_shards_(max_shots <= 0 ? 0 : ShardCountOf(max_shots, shard_shots_))
 {
     // Decoding compares predictions against the tracked observables; an
     // observable-free circuit would read out of bounds (NDEBUG builds

@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -165,19 +167,26 @@ TEST(ParallelSamplerTest, EarlyStopHonorsTarget)
 {
     const NoisyCircuit circuit = MakeNoisyChain();
     const DetectorErrorModel dem = ChainDem();
-    for (const int threads : {1, 8}) {
-        ParallelSampler sampler(circuit, Opts(threads));
-        // The chain's per-shot failure rate is a few percent, so a
-        // target of 5 errors must stop long before the 1M-shot budget.
-        const LogicalErrorEstimate est =
-            sampler.EstimateLogicalErrors(dem, 1 << 20, 5);
-        EXPECT_TRUE(est.early_stopped) << threads << " threads";
-        EXPECT_GE(est.logical_errors, 5) << threads << " threads";
-        EXPECT_LT(est.shots, 1 << 20) << threads << " threads";
-        // Totals are a contiguous shard prefix: full shards except
-        // possibly the last.
-        EXPECT_EQ(est.shots, est.shards * sampler.shard_shots())
-            << threads << " threads";
+    // The chain's per-shot failure rate is a few percent, so a target of
+    // 5 errors must stop long before the 1M-shot budget. An INT64_MAX
+    // budget must still split into whole shards without overflow.
+    const std::pair<std::int64_t, std::int64_t> budget_targets[] = {
+        {1 << 20, 5}, {std::numeric_limits<std::int64_t>::max(), 1}};
+    for (const auto& [budget, target] : budget_targets) {
+        for (const int threads : {1, 8}) {
+            SCOPED_TRACE("budget " + std::to_string(budget) + ", " +
+                         std::to_string(threads) + " threads");
+            ParallelSampler sampler(circuit, Opts(threads));
+            const LogicalErrorEstimate est =
+                sampler.EstimateLogicalErrors(dem, budget, target);
+            EXPECT_TRUE(est.early_stopped);
+            EXPECT_GE(est.logical_errors, target);
+            EXPECT_GT(est.shots, 0);
+            EXPECT_LT(est.shots, budget);
+            // Totals are a contiguous shard prefix: full shards except
+            // possibly the last.
+            EXPECT_EQ(est.shots, est.shards * sampler.shard_shots());
+        }
     }
 }
 
