@@ -14,17 +14,27 @@ UnionFindDecoder::UnionFindDecoder(const sim::DetectorErrorModel& dem,
     : num_detectors_(dem.num_detectors)
 {
     edges_.reserve(dem.edges.size());
-    incident_.resize(num_detectors_ + 1);
+    arc_off_.assign(num_detectors_ + 1, 0);
     for (const auto& e : dem.edges) {
         const std::int32_t v =
             e.d1 == sim::DemEdge::kBoundary ? BoundaryNode() : e.d1;
-        const auto idx = static_cast<std::int32_t>(edges_.size());
         edges_.push_back({e.d0, v, e.obs_mask});
-        incident_[e.d0].push_back(idx);
+        ++arc_off_[e.d0 + 1];
         if (v != BoundaryNode()) {
-            incident_[v].push_back(idx);
-        } else {
-            incident_[BoundaryNode()].push_back(idx);
+            ++arc_off_[v + 1];
+        }
+    }
+    for (int d = 0; d < num_detectors_; ++d) {
+        arc_off_[d + 1] += arc_off_[d];
+    }
+    arcs_.resize(arc_off_[num_detectors_]);
+    std::vector<std::int32_t> next_arc(arc_off_.begin(), arc_off_.end() - 1);
+    for (size_t i = 0; i < edges_.size(); ++i) {
+        const Edge& e = edges_[i];
+        const auto ei = static_cast<std::int32_t>(i);
+        arcs_[next_arc[e.u]++] = {e.v, ei};
+        if (e.v != BoundaryNode()) {
+            arcs_[next_arc[e.v]++] = {e.u, ei};
         }
     }
     const int n = num_detectors_ + 1;
@@ -189,15 +199,13 @@ UnionFindDecoder::BuildBfsForest()
         order_.push_back(start);
         while (head < order_.size()) {
             const std::int32_t node = order_[head++];
-            for (const std::int32_t ei : grown_adj_[node]) {
-                const Edge& e = edges_[ei];
-                const int other = e.u == node ? e.v : e.u;
-                if (other == BoundaryNode() || visited_[other]) {
+            for (const Arc& arc : grown_adj_[node]) {
+                if (arc.other == BoundaryNode() || visited_[arc.other]) {
                     continue;
                 }
-                visited_[other] = 1;
-                parent_edge_[other] = ei;
-                order_.push_back(other);
+                visited_[arc.other] = 1;
+                parent_edge_[arc.other] = arc.edge;
+                order_.push_back(arc.other);
             }
         }
     };
@@ -308,13 +316,19 @@ UnionFindDecoder::BuildWeightedForest(std::span<const int> syndrome)
             if (defect_[top.node] && --defects_left == 0) {
                 break;
             }
-            for (const std::int32_t ei : grown_adj_[top.node]) {
-                const Edge& e = edges_[ei];
-                const int other = e.u == top.node ? e.v : e.u;
+            for (const Arc& arc : grown_adj_[top.node]) {
+                const int other = arc.other;
                 if (other == BoundaryNode() || visited_[other] == kSettled) {
                     continue;
                 }
-                offer(other, top.dist + edge_weight_[ei], ei);
+                // A dead end (no defect, no grown edge but this arc)
+                // would settle as a leaf the peel never reads; skipping
+                // it leaves every other settle unchanged (DESIGN.md
+                // §3.6, fact 4).
+                if (grown_adj_[other].size() == 1 && !defect_[other]) {
+                    continue;
+                }
+                offer(other, top.dist + edge_weight_[arc.edge], arc.edge);
             }
         }
     }
@@ -380,18 +394,21 @@ UnionFindDecoder::Decode(std::span<const int> syndrome)
             frontier_scratch_.clear();
             frontier_scratch_.swap(c.frontier);
             for (const std::int32_t node : frontier_scratch_) {
-                for (const std::int32_t ei : incident_[node]) {
-                    if (edge_grown_[ei]) {
+                const std::int32_t arcs_end = arc_off_[node + 1];
+                for (std::int32_t a = arc_off_[node]; a < arcs_end; ++a) {
+                    const Arc arc = arcs_[a];
+                    if (edge_grown_[arc.edge]) {
                         continue;
                     }
-                    edge_grown_[ei] = 1;
-                    grown_edges_.push_back(ei);
-                    const Edge& e = edges_[ei];
-                    const int other = e.u == node ? e.v : e.u;
+                    edge_grown_[arc.edge] = 1;
+                    grown_edges_.push_back(arc.edge);
+                    grown_adj_[node].push_back(arc);
+                    const int other = arc.other;
                     if (other == BoundaryNode()) {
                         c.boundary = true;
                         continue;
                     }
+                    grown_adj_[other].push_back({node, arc.edge});
                     if (!in_cluster_[other]) {
                         touch(other);
                         parent_[other] = root;
@@ -443,13 +460,6 @@ UnionFindDecoder::Decode(std::span<const int> syndrome)
     // Spanning forest over grown edges; boundary-touching clusters root at
     // the boundary so leftover defects can drain into it.
     std::uint32_t correction = 0;
-    for (const std::int32_t ei : grown_edges_) {
-        const Edge& e = edges_[ei];
-        grown_adj_[e.u].push_back(ei);
-        if (e.v != BoundaryNode()) {
-            grown_adj_[e.v].push_back(ei);
-        }
-    }
     // Trees must root at the boundary where possible, so no node a search
     // has reached is ever re-seeded as a root; otherwise every cluster
     // node would become its own parentless root and defects could never

@@ -132,6 +132,14 @@ class UnionFindDecoder
         std::uint32_t obs_mask;
     };
 
+    /** One edge seen from one of its endpoints: the far endpoint and the
+     *  edge index, so adjacency scans need not read edges_. */
+    struct Arc
+    {
+        std::int32_t other;  ///< detector index or BoundaryNode()
+        std::int32_t edge;   ///< index into edges_
+    };
+
     /** Live per-decode cluster state, keyed by current union-find root
      *  through cluster_of_root_. */
     struct Cluster
@@ -146,7 +154,8 @@ class UnionFindDecoder
 
     /** An offer in the weighted forest's sorted Dijkstra frontier:
      *  settle `node` at `dist` through parent edge `pe`. Entries order
-     *  by (dist, node, pe). */
+     *  by (dist, node, pe). Dead ends (defect-free nodes whose only
+     *  grown edge is `pe`) are never offered. */
     struct FrontierEntry
     {
         double dist;
@@ -162,8 +171,8 @@ class UnionFindDecoder
      *  (the PR-5 baseline) or most-probable-path Dijkstra under
      *  w = -log p. Both root boundary-touching clusters at the boundary
      *  and append nodes to order_ parent-before-child for the peel; the
-     *  Dijkstra stops each cluster at its last defect, so it appends
-     *  only the prefix of the cluster the peel reads. */
+     *  Dijkstra never offers a dead end and stops each cluster at its
+     *  last defect, so it appends only the nodes the peel can read. */
     void BuildBfsForest();
     void BuildWeightedForest(std::span<const int> syndrome);
 
@@ -173,8 +182,11 @@ class UnionFindDecoder
 
     int num_detectors_ = 0;
     std::vector<Edge> edges_;
-    /** Adjacency: per node, indices into edges_. */
-    std::vector<std::vector<std::int32_t>> incident_;
+    /** Adjacency in CSR form: detector n's arcs are
+     *  arcs_[arc_off_[n], arc_off_[n + 1]), in edge-index order. The
+     *  boundary node has none; growth never expands it. */
+    std::vector<std::int32_t> arc_off_;
+    std::vector<Arc> arcs_;
 
     // Scratch, reused across Decode/DecodeBatch calls. Everything is
     // reset via touched_nodes_ / grown_edges_, so a decode costs
@@ -188,7 +200,10 @@ class UnionFindDecoder
     std::vector<std::int32_t> touched_nodes_;
     std::vector<std::int32_t> grown_edges_;
     std::vector<std::int32_t> frontier_scratch_;
-    std::vector<std::vector<std::int32_t>> grown_adj_;
+    /** Grown edges as arcs, per node in grown_edges_ order (boundary
+     *  edges on their detector only); filled as growth absorbs each
+     *  edge, read by the forest builders, cleared in ResetScratch. */
+    std::vector<std::vector<Arc>> grown_adj_;
     std::vector<std::int32_t> order_;
     std::vector<std::int32_t> parent_edge_;
     std::vector<char> visited_;
