@@ -5,7 +5,8 @@
  * path) vs the word-parallel batch pipeline (non-trivial-shot mask +
  * transposed sparse syndrome extraction + DecodeBatch) on compiled
  * memory-Z experiments at d=3/5/7 across gate-improvement noise scales
- * (d=7 is the largest memory DEM the Monte-Carlo sweeps decode).
+ * (d=7 is the largest memory DEM the Monte-Carlo sweeps decode), plus
+ * the XX lattice-surgery experiment at d=5, 1X gates.
  *
  * Unlike the figure benches this does not reproduce a paper artifact;
  * it pins the sampler's decode throughput so optimisations are measured
@@ -25,15 +26,17 @@
 #include "decoder/union_find_decoder.h"
 #include "noise/annotator.h"
 #include "qec/code.h"
+#include "qec/surgery.h"
 #include "sim/dem.h"
 #include "sim/frame_simulator.h"
 #include "sim/memory_experiment.h"
+#include "workloads/experiment.h"
 
 namespace {
 
 using namespace tiqec;
 
-/** A compiled memory-Z experiment, its DEM, and a sampled batch. */
+/** A compiled experiment, its DEM, and a sampled batch. */
 struct Workload
 {
     sim::DetectorErrorModel dem;
@@ -41,11 +44,13 @@ struct Workload
     sim::SampleBatch batch{0, 0, 0};
 };
 
+/** Compiles `code` onto the capacity-2 grid and samples `shots` shots of
+ *  its `kind` experiment over `distance` rounds (Z basis). */
 Workload
-MakeWorkload(int distance, double improvement, int shots)
+MakeWorkload(const qec::StabilizerCode& code, workloads::WorkloadKind kind,
+             int distance, double improvement, int shots)
 {
     Workload w;
-    const qec::RotatedSurfaceCode code(distance);
     const qccd::TimingModel timing;
     const auto graph =
         compiler::MakeDeviceFor(code, qccd::TopologyKind::kGrid, 2);
@@ -55,12 +60,22 @@ MakeWorkload(int distance, double improvement, int shots)
     params.gate_improvement = improvement;
     const auto profile =
         noise::AnnotateRound(code, graph, result, params, timing);
-    w.circuit = sim::BuildMemoryZ(code, result.qec_circuit, profile,
-                                  params, distance);
+    w.circuit = workloads::BuildExperiment(
+        code, result.qec_circuit, profile, params, distance,
+        workloads::WorkloadSpec(kind, sim::MemoryBasis::kZ));
     w.dem = sim::BuildDem(w.circuit);
     sim::FrameSimulator simulator(w.circuit, 0xBE9C);
     w.batch = simulator.Sample(shots);
     return w;
+}
+
+/** The memory-Z workload on a distance-`distance` rotated patch. */
+Workload
+MakeWorkload(int distance, double improvement, int shots)
+{
+    return MakeWorkload(qec::RotatedSurfaceCode(distance),
+                        workloads::WorkloadKind::kMemory, distance,
+                        improvement, shots);
 }
 
 /**
@@ -349,6 +364,87 @@ ShotsPerSec(int shots, int reps, Body&& body)
     return best;
 }
 
+/** Measures the four decode paths on one workload, prints its table
+ *  row, and appends one JSON record per path. Errors count observable 0
+ *  (the memory observable; surgery's joint XX parity). */
+void
+MeasurePoint(const char* workload, int d, double improvement,
+             const Workload& w, int reps,
+             std::vector<bench::JsonRecord>& records)
+{
+    const int shots = w.batch.shots();
+    decoder::UnionFindDecoder::Options plain_opts;
+    plain_opts.correlated = false;
+    LegacyScalarDecoder legacy_decoder(w.dem);
+    decoder::UnionFindDecoder scalar_decoder(w.dem, plain_opts);
+    decoder::UnionFindDecoder batch_decoder(w.dem, plain_opts);
+    decoder::UnionFindDecoder corr_decoder(w.dem);
+    std::vector<std::uint64_t> predictions;
+    std::vector<std::uint64_t> corr_predictions;
+    const std::int64_t legacy_errors = LegacyErrors(legacy_decoder, w.batch);
+    const std::int64_t scalar_errors = ScalarErrors(scalar_decoder, w.batch);
+    const std::int64_t batch_errors =
+        BatchErrors(batch_decoder, w.batch, predictions);
+    const std::int64_t corr_errors =
+        BatchErrors(corr_decoder, w.batch, corr_predictions);
+    if (scalar_errors != batch_errors || legacy_errors != batch_errors) {
+        std::printf("MISMATCH %s d=%d: legacy=%lld scalar=%lld "
+                    "batch=%lld\n",
+                    workload, d, static_cast<long long>(legacy_errors),
+                    static_cast<long long>(scalar_errors),
+                    static_cast<long long>(batch_errors));
+    }
+    const double legacy_tput = ShotsPerSec(shots, reps, [&]() {
+        benchmark::DoNotOptimize(LegacyErrors(legacy_decoder, w.batch));
+    });
+    const double scalar_tput = ShotsPerSec(shots, reps, [&]() {
+        benchmark::DoNotOptimize(ScalarErrors(scalar_decoder, w.batch));
+    });
+    const double batch_tput = ShotsPerSec(shots, reps, [&]() {
+        benchmark::DoNotOptimize(
+            BatchErrors(batch_decoder, w.batch, predictions));
+    });
+    const double corr_tput = ShotsPerSec(shots, reps, [&]() {
+        benchmark::DoNotOptimize(
+            BatchErrors(corr_decoder, w.batch, corr_predictions));
+    });
+    const double frac =
+        static_cast<double>(w.batch.CountNonTrivialShots()) / shots;
+    std::printf("%-10s %-4d %-6.0f %10.1f%% %13.0f %13.0f %13.0f %13.0f "
+                "%8.2fx %8.2fx\n",
+                workload, d, improvement, 100.0 * frac, legacy_tput,
+                scalar_tput, batch_tput, corr_tput,
+                batch_tput / legacy_tput, batch_tput / corr_tput);
+    struct PathPoint
+    {
+        const char* path;
+        double tput;
+        std::int64_t errors;
+        bool correlated;
+    };
+    for (const PathPoint& p :
+         {PathPoint{"legacy", legacy_tput, legacy_errors, false},
+          {"scalar", scalar_tput, scalar_errors, false},
+          {"batch", batch_tput, batch_errors, false},
+          {"batch_correlated", corr_tput, corr_errors, true}}) {
+        bench::JsonRecord r;
+        r.Add("workload", workload);
+        r.Add("distance", d);
+        r.Add("gate_improvement", improvement);
+        r.Add("decode_path", p.path);
+        r.Add("correlated_decoder", p.correlated);
+        r.Add("shots", static_cast<std::int64_t>(shots));
+        r.Add("nontrivial_fraction", frac);
+        r.Add("metric", "shots_per_sec");
+        r.Add("value", p.tput);
+        r.Add("best_of", reps);
+        r.Add("errors", p.errors);
+        r.Add("errors_agree", legacy_errors == batch_errors &&
+                                  scalar_errors == batch_errors);
+        records.push_back(std::move(r));
+    }
+}
+
 void
 PrintThroughputTable()
 {
@@ -364,94 +460,21 @@ PrintThroughputTable()
                 "(mask + sparse extraction + DecodeBatch)\n"
                 "corr   = DecodePath::kBatch, weighted forest + "
                 "hyperedge stage (production default; fewer errors)\n\n");
-    std::printf("%-4s %-6s %11s %13s %13s %13s %13s %9s %9s\n", "d",
-                "gates", "nontrivial", "legacy(sh/s)", "scalar(sh/s)",
-                "batch(sh/s)", "corr(sh/s)", "vs legacy", "corr cost");
-    tiqec::bench::Rule(100);
+    std::printf("%-10s %-4s %-6s %11s %13s %13s %13s %13s %9s %9s\n",
+                "workload", "d", "gates", "nontrivial", "legacy(sh/s)",
+                "scalar(sh/s)", "batch(sh/s)", "corr(sh/s)", "vs legacy",
+                "corr cost");
+    tiqec::bench::Rule(111);
     for (const int d : {3, 5, 7}) {
         for (const double improvement : {1.0, 3.0, 10.0}) {
-            const Workload w = MakeWorkload(d, improvement, shots);
-            decoder::UnionFindDecoder::Options plain_opts;
-            plain_opts.correlated = false;
-            LegacyScalarDecoder legacy_decoder(w.dem);
-            decoder::UnionFindDecoder scalar_decoder(w.dem, plain_opts);
-            decoder::UnionFindDecoder batch_decoder(w.dem, plain_opts);
-            decoder::UnionFindDecoder corr_decoder(w.dem);
-            std::vector<std::uint64_t> predictions;
-            std::vector<std::uint64_t> corr_predictions;
-            const std::int64_t legacy_errors =
-                LegacyErrors(legacy_decoder, w.batch);
-            const std::int64_t scalar_errors =
-                ScalarErrors(scalar_decoder, w.batch);
-            const std::int64_t batch_errors =
-                BatchErrors(batch_decoder, w.batch, predictions);
-            const std::int64_t corr_errors =
-                BatchErrors(corr_decoder, w.batch, corr_predictions);
-            if (scalar_errors != batch_errors ||
-                legacy_errors != batch_errors) {
-                std::printf("MISMATCH d=%d: legacy=%lld scalar=%lld "
-                            "batch=%lld\n",
-                            d, static_cast<long long>(legacy_errors),
-                            static_cast<long long>(scalar_errors),
-                            static_cast<long long>(batch_errors));
-            }
-            const double legacy_tput =
-                ShotsPerSec(shots, reps, [&]() {
-                    benchmark::DoNotOptimize(
-                        LegacyErrors(legacy_decoder, w.batch));
-                });
-            const double scalar_tput =
-                ShotsPerSec(shots, reps, [&]() {
-                    benchmark::DoNotOptimize(
-                        ScalarErrors(scalar_decoder, w.batch));
-                });
-            const double batch_tput = ShotsPerSec(shots, reps, [&]() {
-                benchmark::DoNotOptimize(
-                    BatchErrors(batch_decoder, w.batch, predictions));
-            });
-            const double corr_tput = ShotsPerSec(shots, reps, [&]() {
-                benchmark::DoNotOptimize(BatchErrors(
-                    corr_decoder, w.batch, corr_predictions));
-            });
-            const double frac =
-                static_cast<double>(w.batch.CountNonTrivialShots()) /
-                shots;
-            std::printf("%-4d %-6.0f %10.1f%% %13.0f %13.0f %13.0f "
-                        "%13.0f %8.2fx %8.2fx\n",
-                        d, improvement, 100.0 * frac, legacy_tput,
-                        scalar_tput, batch_tput, corr_tput,
-                        batch_tput / legacy_tput,
-                        batch_tput / corr_tput);
-            struct PathPoint
-            {
-                const char* path;
-                double tput;
-                std::int64_t errors;
-                bool correlated;
-            };
-            for (const PathPoint& p :
-                 {PathPoint{"legacy", legacy_tput, legacy_errors, false},
-                  {"scalar", scalar_tput, scalar_errors, false},
-                  {"batch", batch_tput, batch_errors, false},
-                  {"batch_correlated", corr_tput, corr_errors, true}}) {
-                bench::JsonRecord r;
-                r.Add("workload", "memory_z");
-                r.Add("distance", d);
-                r.Add("gate_improvement", improvement);
-                r.Add("decode_path", p.path);
-                r.Add("correlated_decoder", p.correlated);
-                r.Add("shots", static_cast<std::int64_t>(shots));
-                r.Add("nontrivial_fraction", frac);
-                r.Add("metric", "shots_per_sec");
-                r.Add("value", p.tput);
-                r.Add("best_of", reps);
-                r.Add("errors", p.errors);
-                r.Add("errors_agree", legacy_errors == batch_errors &&
-                                          scalar_errors == batch_errors);
-                records.push_back(std::move(r));
-            }
+            const Workload memory = MakeWorkload(d, improvement, shots);
+            MeasurePoint("memory_z", d, improvement, memory, reps, records);
         }
     }
+    const qec::MergedPatchCode surgery_code(5, qec::SurgeryParity::kXX);
+    const Workload surgery = MakeWorkload(
+        surgery_code, workloads::WorkloadKind::kSurgery, 5, 1.0, shots);
+    MeasurePoint("surgery_xx", 5, 1.0, surgery, reps, records);
     std::printf("\n(acceptance: batch >= 2x the legacy scalar baseline "
                 "at d=5, 1X gates; legacy/scalar/batch count identical "
                 "errors; corr trades throughput for fewer errors)\n");
