@@ -454,11 +454,11 @@ PrintThroughputTable()
     std::printf("\n=== Decode throughput, %d shots/point ===\n", shots);
     std::printf("legacy = pre-pipeline per-shot decode (SyndromeOf + "
                 "per-call scratch)\n"
-                "scalar = DecodePath::kScalar, correlated stage off "
-                "(matches legacy errors)\n"
-                "batch  = DecodePath::kBatch, correlated stage off "
-                "(mask + sparse extraction + DecodeBatch)\n"
-                "corr   = DecodePath::kBatch, weighted forest + "
+                "scalar = per-shot SyndromeOf + Decode, correlated stage "
+                "off (matches legacy errors)\n"
+                "batch  = DecodeBatch, correlated stage off "
+                "(mask + sparse extraction)\n"
+                "corr   = DecodeBatch, weighted forest + "
                 "hyperedge stage (production default; fewer errors)\n\n");
     std::printf("%-10s %-4s %-6s %11s %13s %13s %13s %13s %9s %9s\n",
                 "workload", "d", "gates", "nontrivial", "legacy(sh/s)",

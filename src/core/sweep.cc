@@ -667,7 +667,6 @@ SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
         sim::ParallelSamplerOptions sopts;
         sopts.seed = c.options.seed;
         sopts.shard_shots = c.options.shard_shots;
-        sopts.decode_path = c.options.decode_path;
         sopts.correlated = c.options.correlated;
         try {
             state->run = std::make_unique<sim::LerShardRun>(

@@ -302,7 +302,6 @@ EstimateLogicalErrorRate(const sim::NoisyCircuit& experiment, int rounds,
     sopts.seed = options.seed;
     sopts.num_threads = options.num_threads;
     sopts.shard_shots = options.shard_shots;
-    sopts.decode_path = options.decode_path;
     sopts.correlated = options.correlated;
     sim::ParallelSampler sampler(experiment, sopts);
     const sim::LogicalErrorEstimate run = sampler.EstimateLogicalErrors(

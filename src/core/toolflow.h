@@ -70,9 +70,6 @@ struct EvaluationOptions
     int num_threads = 0;
     /** Shots per RNG shard (the sampler's determinism unit). */
     int shard_shots = 1 << 12;
-    /** Decode pipeline for the Monte-Carlo estimate. kBatch (default)
-     *  and kScalar are bit-identical; kScalar is the reference path. */
-    sim::DecodePath decode_path = sim::DecodePath::kBatch;
     /** Probability-aware decoding (weighted peeling forest + correlated
      *  hyperedge stage). Off gives the unweighted elementary-graph
      *  baseline, for A/B comparisons. */

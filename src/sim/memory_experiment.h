@@ -49,28 +49,6 @@ NoisyCircuit BuildMemory(const qec::StabilizerCode& code,
                          const noise::NoiseParams& params, int rounds,
                          MemoryBasis basis);
 
-/** Memory-Z convenience wrapper (the paper's logical-identity workload). */
-inline NoisyCircuit
-BuildMemoryZ(const qec::StabilizerCode& code,
-             const circuit::Circuit& round_circuit,
-             const noise::RoundNoiseProfile& profile,
-             const noise::NoiseParams& params, int rounds)
-{
-    return BuildMemory(code, round_circuit, profile, params, rounds,
-                       MemoryBasis::kZ);
-}
-
-/** Memory-X convenience wrapper. */
-inline NoisyCircuit
-BuildMemoryX(const qec::StabilizerCode& code,
-             const circuit::Circuit& round_circuit,
-             const noise::RoundNoiseProfile& profile,
-             const noise::NoiseParams& params, int rounds)
-{
-    return BuildMemory(code, round_circuit, profile, params, rounds,
-                       MemoryBasis::kX);
-}
-
 }  // namespace tiqec::sim
 
 #endif  // TIQEC_SIM_MEMORY_EXPERIMENT_H

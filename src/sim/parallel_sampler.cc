@@ -51,7 +51,6 @@ ParallelSampler::ParallelSampler(const NoisyCircuit& circuit,
       seed_(options.seed),
       num_threads_(ResolveWorkerThreads(options.num_threads)),
       shard_shots_(ResolveShardShots(options.shard_shots)),
-      decode_path_(options.decode_path),
       correlated_(options.correlated)
 {
 }
@@ -130,7 +129,6 @@ LerShardRun::LerShardRun(const NoisyCircuit& circuit,
       dem_(&dem),
       seed_(options.seed),
       shard_shots_(ResolveShardShots(options.shard_shots)),
-      decode_path_(options.decode_path),
       correlated_(options.correlated),
       max_shots_(max_shots),
       target_logical_errors_(target_logical_errors),
@@ -176,7 +174,6 @@ LerShardRun::RunOneShard(decoder::UnionFindDecoder& decoder)
     FrameSimulator sim(*circuit_,
                        Rng(seed_, static_cast<std::uint64_t>(k)));
     const SampleBatch batch = sim.Sample(shard_n);
-    bool abandoned = false;
     // A shot is a logical error when the decoder's prediction mismatches
     // the actual flip of ANY tracked observable: one observable for the
     // memory and stability workloads, three (joint parity + both patch
@@ -184,66 +181,40 @@ LerShardRun::RunOneShard(decoder::UnionFindDecoder& decoder)
     // bit-exactly to the historical observable-0 comparison. Each
     // observable's own mismatch count is also tracked, so one surgery
     // run yields the joint parity and both patch logicals at once.
-    const int num_obs = batch.num_observables();
-    ShardOutcome outcome_rec;
-    outcome_rec.shots = shard_n;
-    outcome_rec.per_obs.assign(num_obs, 0);
-    if (decode_path_ == DecodePath::kBatch) {
-        // Cooperative early stop: DecodeBatch polls the flag once per
-        // 64-shot word; an abandoned shard is past the committed stop
-        // prefix, its result is dead weight.
-        std::vector<std::uint64_t> predictions;
-        const auto outcome = decoder.DecodeBatch(
-            batch, predictions, [this]() {
-                return stop_.load(std::memory_order_relaxed);
-            });
-        if (!outcome.completed) {
-            abandoned = true;
-        } else {
-            // A trivial shot predicts 0, so its error bit is just the
-            // observable bit; a decoded shot's is predicted XOR actual.
-            // Both collapse into word-parallel popcounts: one per
-            // observable plane, plus the OR of the planes for the
-            // any-observable count.
-            const size_t words = static_cast<size_t>(batch.words());
-            for (int w = 0; w < batch.words(); ++w) {
-                const std::uint64_t valid = batch.WordValidMask(w);
-                std::uint64_t mismatch = 0;
-                for (int o = 0; o < num_obs; ++o) {
-                    const std::uint64_t diff =
-                        predictions[static_cast<size_t>(o) * words + w] ^
-                        batch.ObservableWord(o, w);
-                    outcome_rec.per_obs[o] += std::popcount(diff & valid);
-                    mismatch |= diff;
-                }
-                outcome_rec.errors += std::popcount(mismatch & valid);
-            }
-        }
-    } else {
-        for (int s = 0; s < batch.shots(); ++s) {
-            if ((s & 1023) == 0 &&
-                stop_.load(std::memory_order_relaxed)) {
-                abandoned = true;
-                break;
-            }
-            const std::uint32_t predicted =
-                decoder.Decode(batch.SyndromeOf(s));
-            std::uint32_t actual = 0;
-            for (int o = 0; o < num_obs; ++o) {
-                actual |= (batch.Observable(o, s) ? 1u : 0u) << o;
-            }
-            const std::uint32_t diff = predicted ^ actual;
-            outcome_rec.errors += diff != 0 ? 1 : 0;
-            for (int o = 0; o < num_obs; ++o) {
-                outcome_rec.per_obs[o] += (diff >> o) & 1;
-            }
-        }
-    }
-    if (abandoned) {
+    //
+    // Cooperative early stop: DecodeBatch polls the flag once per
+    // 64-shot word; an abandoned shard is past the committed stop
+    // prefix, its result is dead weight.
+    std::vector<std::uint64_t> predictions;
+    const auto decoded = decoder.DecodeBatch(batch, predictions, [this]() {
+        return stop_.load(std::memory_order_relaxed);
+    });
+    if (!decoded.completed) {
         return true;
     }
+    // A trivial shot predicts 0, so its error bit is just the
+    // observable bit; a decoded shot's is predicted XOR actual. Both
+    // collapse into word-parallel popcounts: one per observable plane,
+    // plus the OR of the planes for the any-observable count.
+    const int num_obs = batch.num_observables();
+    ShardOutcome outcome;
+    outcome.shots = shard_n;
+    outcome.per_obs.assign(num_obs, 0);
+    const size_t words = static_cast<size_t>(batch.words());
+    for (int w = 0; w < batch.words(); ++w) {
+        const std::uint64_t valid = batch.WordValidMask(w);
+        std::uint64_t mismatch = 0;
+        for (int o = 0; o < num_obs; ++o) {
+            const std::uint64_t diff =
+                predictions[static_cast<size_t>(o) * words + w] ^
+                batch.ObservableWord(o, w);
+            outcome.per_obs[o] += std::popcount(diff & valid);
+            mismatch |= diff;
+        }
+        outcome.errors += std::popcount(mismatch & valid);
+    }
     std::lock_guard<std::mutex> lock(mu_);
-    pending_.emplace(k, std::move(outcome_rec));
+    pending_.emplace(k, std::move(outcome));
     while (!target_reached_) {
         auto it = pending_.find(next_commit_);
         if (it == pending_.end()) {
@@ -288,7 +259,6 @@ ParallelSampler::EstimateLogicalErrors(const DetectorErrorModel& dem,
     options.seed = seed_;
     options.num_threads = num_threads_;
     options.shard_shots = shard_shots_;
-    options.decode_path = decode_path_;
     options.correlated = correlated_;
     LerShardRun run(*circuit_, dem, options, max_shots,
                     target_logical_errors);

@@ -39,18 +39,6 @@ class UnionFindDecoder;
 
 namespace tiqec::sim {
 
-/** Decode strategy for EstimateLogicalErrors (see DESIGN.md §3.4).
- *  Both paths are bit-identical; kBatch is strictly faster. */
-enum class DecodePath
-{
-    /** Word-parallel pipeline: non-trivial-shot mask, transposed sparse
-     *  syndrome extraction, UnionFindDecoder::DecodeBatch. */
-    kBatch,
-    /** Per-shot SyndromeOf + Decode; the reference implementation the
-     *  batch path is pinned against (and the benchmark baseline). */
-    kScalar,
-};
-
 struct ParallelSamplerOptions
 {
     std::uint64_t seed = 0x5EED;
@@ -61,8 +49,6 @@ struct ParallelSamplerOptions
      *  and rounded up to a multiple of 64 so shard planes pack into
      *  whole words of a merged batch. */
     int shard_shots = 1 << 12;
-    /** Decode pipeline used by EstimateLogicalErrors. */
-    DecodePath decode_path = DecodePath::kBatch;
     /** Probability-aware decoding (weighted peeling forest + correlated
      *  hyperedge stage, decoder::UnionFindDecoder::Options). Off gives
      *  the unweighted elementary-graph baseline. */
@@ -153,7 +139,6 @@ class LerShardRun
     const DetectorErrorModel* dem_;
     std::uint64_t seed_;
     int shard_shots_;
-    DecodePath decode_path_;
     bool correlated_;
     std::int64_t max_shots_;
     std::int64_t target_logical_errors_;
@@ -198,10 +183,10 @@ class ParallelSampler
      * shard prefix reaches `target_logical_errors` or the shot budget
      * `max_shots` is exhausted, whichever comes first. A non-positive
      * target disables early stopping (the full budget is sampled).
-     * Decoding runs the word-parallel batch pipeline unless the options
-     * selected DecodePath::kScalar; the counts are bit-identical either
-     * way. A worker exception (e.g. a decode failure) is rethrown on
-     * the calling thread after all workers have joined.
+     * Each shard is decoded by the word-parallel batch pipeline
+     * (`UnionFindDecoder::DecodeBatch`, DESIGN.md §3.4). A worker
+     * exception (e.g. a decode failure) is rethrown on the calling
+     * thread after all workers have joined.
      */
     LogicalErrorEstimate EstimateLogicalErrors(
         const DetectorErrorModel& dem, std::int64_t max_shots,
@@ -220,7 +205,6 @@ class ParallelSampler
     std::uint64_t seed_;
     int num_threads_;
     int shard_shots_;
-    DecodePath decode_path_;
     bool correlated_;
 };
 

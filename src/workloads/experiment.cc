@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "qec/surgery.h"
-#include "workloads/memory.h"
 #include "workloads/surgery.h"
 
 namespace tiqec::workloads {
@@ -40,11 +39,16 @@ ParseWorkloadKind(const std::string& name)
         "\" (expected memory, stability, surgery, or program)");
 }
 
-std::unique_ptr<Experiment>
-MakeExperiment(const qec::StabilizerCode& code, const WorkloadSpec& spec)
+sim::NoisyCircuit
+BuildExperiment(const qec::StabilizerCode& code,
+                const circuit::Circuit& round_circuit,
+                const noise::RoundNoiseProfile& profile,
+                const noise::NoiseParams& params, int rounds,
+                const WorkloadSpec& spec)
 {
     if (spec.kind == WorkloadKind::kMemory) {
-        return std::make_unique<MemoryExperiment>(code, spec.basis);
+        return sim::BuildMemory(code, round_circuit, profile, params,
+                                rounds, spec.basis);
     }
     if (spec.kind == WorkloadKind::kProgram) {
         throw std::invalid_argument(
@@ -57,19 +61,8 @@ MakeExperiment(const qec::StabilizerCode& code, const WorkloadSpec& spec)
             WorkloadKindName(spec.kind) + " workload requires a "
             "qec::MergedPatchCode (got code \"" + code.name() + "\")");
     }
-    return std::make_unique<SurgeryExperiment>(
-        *merged, spec.kind == WorkloadKind::kSurgery);
-}
-
-sim::NoisyCircuit
-BuildExperiment(const qec::StabilizerCode& code,
-                const circuit::Circuit& round_circuit,
-                const noise::RoundNoiseProfile& profile,
-                const noise::NoiseParams& params, int rounds,
-                const WorkloadSpec& spec)
-{
-    return MakeExperiment(code, spec)->Build(round_circuit, profile,
-                                             params, rounds);
+    return BuildSurgery(*merged, spec.kind == WorkloadKind::kSurgery,
+                        round_circuit, profile, params, rounds);
 }
 
 }  // namespace tiqec::workloads

@@ -1,18 +1,18 @@
 /**
  * @file
- * Simulated logical workloads as a first-class experiment interface.
+ * Simulated logical workloads: the workload selector and the builder of
+ * a candidate's experiment circuit.
  *
  * The evaluation tool flow (core/pipeline.h) compiles one parity-check
  * round of a code onto a device and annotates it with schedule-derived
- * noise; an `Experiment` then assembles the full noisy circuit the
+ * noise; `BuildExperiment` then assembles the full noisy circuit the
  * Monte-Carlo estimate samples: preparation, `rounds` repetitions of
  * the compiled round, detectors, readout, and logical observables.
  *
- * Three workloads are provided (DESIGN.md §5):
+ * Three single-code workloads are provided (DESIGN.md §5):
  *
  *  - memory: the logical-identity benchmark (paper §6.1), historically
- *    the only workload. Built by `sim::BuildMemory`; the interface path
- *    is bit-identical to it.
+ *    the only workload. Built by `sim::BuildMemory`.
  *  - surgery: a joint-parity measurement on a merged double patch
  *    (paper §8, qec/surgery.h) - transversal split-state preparation,
  *    `rounds` merged rounds whose first round measures the joint
@@ -108,45 +108,15 @@ inline constexpr int kPatchALogicalObservable = 1;
 inline constexpr int kPatchBLogicalObservable = 2;
 
 /**
- * One simulated workload bound to a code. Implementations are stateless
- * beyond that binding: `Build` is a pure function of its arguments, the
- * property the sweep engine's artifact cache depends on.
+ * Assembles the noisy experiment of `spec` over `rounds` compiled
+ * rounds (`round_circuit`, the circuit `profile` was annotated
+ * against): `sim::BuildMemory` for memory, `BuildSurgery` for surgery
+ * and stability. A pure function of its arguments, the property the
+ * sweep engine's artifact cache depends on. Throws
+ * std::invalid_argument when the code cannot host the workload
+ * (surgery/stability on anything that is not a `qec::MergedPatchCode`)
+ * and for a program workload, which `BoundProgram` builds.
  */
-class Experiment
-{
-  public:
-    virtual ~Experiment() = default;
-
-    virtual WorkloadKind kind() const = 0;
-    /** Human-readable name ("memory_z", "surgery_xx", ...). */
-    virtual std::string name() const = 0;
-    /** Logical observables the built circuit tracks. */
-    virtual int num_observables() const = 0;
-
-    /**
-     * Assembles the noisy experiment over `rounds` compiled rounds.
-     *
-     * @param round_circuit One compiled parity-check round in the QEC
-     *        IR (the circuit the profile was annotated against).
-     * @param profile Schedule-derived per-gate noise for one round.
-     * @param params Noise parameters (data prep / readout errors).
-     */
-    virtual sim::NoisyCircuit Build(
-        const circuit::Circuit& round_circuit,
-        const noise::RoundNoiseProfile& profile,
-        const noise::NoiseParams& params, int rounds) const = 0;
-};
-
-/**
- * Experiment factory. Throws std::invalid_argument when the code cannot
- * host the workload (surgery/stability on anything that is not a
- * `qec::MergedPatchCode`). The returned experiment holds a reference to
- * `code`, which must outlive it.
- */
-std::unique_ptr<Experiment> MakeExperiment(const qec::StabilizerCode& code,
-                                           const WorkloadSpec& spec);
-
-/** One-shot convenience: `MakeExperiment(code, spec)->Build(...)`. */
 sim::NoisyCircuit BuildExperiment(const qec::StabilizerCode& code,
                                   const circuit::Circuit& round_circuit,
                                   const noise::RoundNoiseProfile& profile,

@@ -8,13 +8,12 @@
 namespace tiqec::workloads {
 
 sim::NoisyCircuit
-SurgeryExperiment::Build(const circuit::Circuit& round_circuit,
-                         const noise::RoundNoiseProfile& profile,
-                         const noise::NoiseParams& params,
-                         int rounds) const
+BuildSurgery(const qec::MergedPatchCode& code, bool track_patch_logicals,
+             const circuit::Circuit& round_circuit,
+             const noise::RoundNoiseProfile& profile,
+             const noise::NoiseParams& params, int rounds)
 {
     TIQEC_CHECK(rounds >= 1, "surgery requires at least one merged round");
-    const qec::MergedPatchCode& code = *code_;
     // The merge measures X (X) X or Z (X) Z; "joint type" is that Pauli.
     // Patch data is prepared in (and read out in) the joint type's
     // basis, seam data in the conjugate basis - so the joint-type checks
@@ -107,7 +106,7 @@ SurgeryExperiment::Build(const circuit::Circuit& round_circuit,
     }
     sim.AddObservableInclude(kJointParityObservable,
                              std::move(parity_targets));
-    if (track_patch_logicals_) {
+    if (track_patch_logicals) {
         auto include_logical = [&](int observable,
                                    const std::vector<QubitId>& support) {
             std::vector<std::int32_t> targets;

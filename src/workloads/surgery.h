@@ -46,42 +46,17 @@
 
 namespace tiqec::workloads {
 
-class SurgeryExperiment : public Experiment
-{
-  public:
-    /** @param track_patch_logicals true for the surgery workload (three
-     *  observables), false for stability (joint parity only). */
-    SurgeryExperiment(const qec::MergedPatchCode& code,
-                      bool track_patch_logicals)
-        : code_(&code), track_patch_logicals_(track_patch_logicals)
-    {
-    }
-
-    WorkloadKind kind() const override
-    {
-        return track_patch_logicals_ ? WorkloadKind::kSurgery
-                                     : WorkloadKind::kStability;
-    }
-    std::string name() const override
-    {
-        return (track_patch_logicals_ ? std::string("surgery_")
-                                      : std::string("stability_")) +
-               qec::SurgeryParityName(code_->parity());
-    }
-    int num_observables() const override
-    {
-        return track_patch_logicals_ ? 3 : 1;
-    }
-
-    sim::NoisyCircuit Build(const circuit::Circuit& round_circuit,
-                            const noise::RoundNoiseProfile& profile,
-                            const noise::NoiseParams& params,
-                            int rounds) const override;
-
-  private:
-    const qec::MergedPatchCode* code_;
-    bool track_patch_logicals_;
-};
+/**
+ * Builds the surgery (`track_patch_logicals`: three observables) or
+ * stability (joint parity only) experiment on `code` over `rounds`
+ * merged rounds; the arguments are those of `BuildExperiment`.
+ */
+sim::NoisyCircuit BuildSurgery(const qec::MergedPatchCode& code,
+                               bool track_patch_logicals,
+                               const circuit::Circuit& round_circuit,
+                               const noise::RoundNoiseProfile& profile,
+                               const noise::NoiseParams& params,
+                               int rounds);
 
 }  // namespace tiqec::workloads
 

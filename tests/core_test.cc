@@ -182,8 +182,9 @@ TEST(MemoryExperimentTest, DetectorCounts)
     const auto profile =
         noise::AnnotateRound(code, graph, result, params, timing);
     const int rounds = 4;
-    const auto experiment = sim::BuildMemoryZ(code, result.qec_circuit,
-                                              profile, params, rounds);
+    const auto experiment =
+        sim::BuildMemory(code, result.qec_circuit, profile, params, rounds,
+                         sim::MemoryBasis::kZ);
     int z_checks = 0, x_checks = 0;
     for (const auto& chk : code.checks()) {
         (chk.type == qec::CheckType::kZ ? z_checks : x_checks) += 1;
@@ -211,8 +212,8 @@ TEST(MemoryExperimentTest, NoiselessExperimentIsDeterministic)
     zero.t2_us = 1e30;
     noise::RoundNoiseProfile profile =
         noise::AnnotateRound(code, graph, result, zero, timing);
-    const auto experiment =
-        sim::BuildMemoryZ(code, result.qec_circuit, profile, zero, 3);
+    const auto experiment = sim::BuildMemory(
+        code, result.qec_circuit, profile, zero, 3, sim::MemoryBasis::kZ);
     sim::FrameSimulator simulator(experiment, 5);
     const auto batch = simulator.Sample(512);
     EXPECT_EQ(batch.CountNonTrivialShots(), 0);

@@ -176,8 +176,8 @@ BuildCompiledDem(int distance, int rounds, double improvement,
     params.gate_improvement = improvement;
     const auto profile =
         noise::AnnotateRound(code, graph, result, params, timing);
-    out.circuit = sim::BuildMemoryZ(code, result.qec_circuit, profile,
-                                    params, rounds);
+    out.circuit = sim::BuildMemory(code, result.qec_circuit, profile,
+                                   params, rounds, sim::MemoryBasis::kZ);
     out.dem = sim::BuildDem(out.circuit);
     return out;
 }

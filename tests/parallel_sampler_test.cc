@@ -18,6 +18,7 @@
 #include "common/rng.h"
 #include "compiler/compiler.h"
 #include "core/toolflow.h"
+#include "decoder/union_find_decoder.h"
 #include "noise/annotator.h"
 #include "qec/code.h"
 #include "sim/dem.h"
@@ -264,36 +265,33 @@ TEST(ParallelSamplerTest, WorkerExceptionPropagates)
     boundaryless.num_detectors = 2;
     boundaryless.num_observables = 1;
     boundaryless.edges.push_back({0, 1, 0.05, 0});
-    for (const auto path : {DecodePath::kBatch, DecodePath::kScalar}) {
-        for (const int threads : {1, 4}) {
-            ParallelSamplerOptions o = Opts(threads);
-            o.decode_path = path;
-            ParallelSampler sampler(circuit, o);
-            EXPECT_THROW(
-                sampler.EstimateLogicalErrors(boundaryless, 1 << 12,
-                                              1 << 30),
-                std::runtime_error)
-                << threads << " threads";
-        }
+    for (const int threads : {1, 4}) {
+        ParallelSampler sampler(circuit, Opts(threads));
+        EXPECT_THROW(
+            sampler.EstimateLogicalErrors(boundaryless, 1 << 12, 1 << 30),
+            std::runtime_error)
+            << threads << " threads";
     }
 }
 
-TEST(ParallelSamplerTest, ScalarDecodePathMatchesBatchDefault)
+TEST(ParallelSamplerTest, EarlyStopMatchesPerShotRecount)
 {
+    // The per-shot reference: Sample reproduces the committed shards
+    // byte-exactly, and each shot is decoded with SyndromeOf + Decode.
     const NoisyCircuit circuit = MakeNoisyChain();
     const DetectorErrorModel dem = ChainDem();
-    ParallelSampler batch_sampler(circuit, Opts(4));
-    const LogicalErrorEstimate batch =
-        batch_sampler.EstimateLogicalErrors(dem, 1 << 14, 50);
-    ParallelSamplerOptions o = Opts(4);
-    o.decode_path = DecodePath::kScalar;
-    ParallelSampler scalar_sampler(circuit, o);
-    const LogicalErrorEstimate scalar =
-        scalar_sampler.EstimateLogicalErrors(dem, 1 << 14, 50);
-    EXPECT_EQ(batch.shots, scalar.shots);
-    EXPECT_EQ(batch.logical_errors, scalar.logical_errors);
-    EXPECT_EQ(batch.shards, scalar.shards);
-    EXPECT_EQ(batch.early_stopped, scalar.early_stopped);
+    ParallelSampler sampler(circuit, Opts(4));
+    const LogicalErrorEstimate est =
+        sampler.EstimateLogicalErrors(dem, 1 << 14, 50);
+    ASSERT_TRUE(est.early_stopped);
+    const SampleBatch batch = sampler.Sample(est.shots);
+    decoder::UnionFindDecoder decoder(dem);
+    std::int64_t errors = 0;
+    for (int s = 0; s < batch.shots(); ++s) {
+        errors += decoder.Decode(batch.SyndromeOf(s)) !=
+                  (batch.Observable(0, s) ? 1u : 0u);
+    }
+    EXPECT_EQ(est.logical_errors, errors);
 }
 
 /** Acceptance check: the full memory-Z tool flow at d=5 returns the
@@ -339,8 +337,8 @@ TEST(ParallelSamplerTest, EstimateLogicalErrorRateMatchesEvaluate)
     const auto profile =
         noise::AnnotateRound(code, graph, compiled, params, timing);
     const int rounds = code.distance();
-    const NoisyCircuit experiment = BuildMemoryZ(
-        code, compiled.qec_circuit, profile, params, rounds);
+    const NoisyCircuit experiment = BuildMemory(
+        code, compiled.qec_circuit, profile, params, rounds, MemoryBasis::kZ);
 
     core::EvaluationOptions opts;
     opts.max_shots = 1 << 13;

@@ -3,8 +3,9 @@
  * Per-observable error accounting: one surgery run tracks the joint
  * parity and both patch logicals at once. The counts are pinned
  * bit-exactly against three independent single-observable recounts over
- * the same shard streams, against the scalar decode path, and across
- * 1/2/8 worker threads (the determinism contract of DESIGN.md §3.4).
+ * the same shard streams, against a per-shot recount of an early-stopped
+ * run's committed shots, and across 1/2/8 worker threads (the
+ * determinism contract of DESIGN.md §3.4).
  */
 #include <cstdint>
 #include <numeric>
@@ -128,8 +129,9 @@ TEST(PerObservableTest, SumAndAnyObservableConsistency)
     }
 }
 
-/** Acceptance pin: per-observable counts are bit-identical across the
- *  batch and scalar decode paths and across 1/2/8 worker threads. */
+/** Acceptance pin: the any-observable and per-observable counts of an
+ *  early-stopped run equal a per-shot SyndromeOf + Decode recount of its
+ *  committed shots, and are bit-identical across 1/2/8 worker threads. */
 TEST(PerObservableTest, BatchMatchesScalarAcrossThreads)
 {
     const SurgeryWorkload w = BuildSurgery(3, 1.0);
@@ -139,29 +141,40 @@ TEST(PerObservableTest, BatchMatchesScalarAcrossThreads)
     opts.target_logical_errors = 60;
     opts.seed = 0xD15EA5E;
     opts.num_threads = 1;
-    opts.decode_path = sim::DecodePath::kScalar;
     const core::LerEstimate reference =
         core::EstimateLogicalErrorRate(w.circuit, 3, opts);
-    ASSERT_GT(reference.shots, 0);
-    ASSERT_EQ(reference.per_observable_errors.size(), 3u);
+    ASSERT_TRUE(reference.early_stopped);
+
+    sim::ParallelSamplerOptions sopts;
+    sopts.seed = opts.seed;
+    sopts.shard_shots = opts.shard_shots;
+    const sim::SampleBatch batch =
+        sim::ParallelSampler(w.circuit, sopts).Sample(reference.shots);
+    decoder::UnionFindDecoder decoder(w.dem);
+    std::int64_t errors = 0;
+    std::vector<std::int64_t> per_observable(3, 0);
+    for (int s = 0; s < batch.shots(); ++s) {
+        std::uint32_t diff = decoder.Decode(batch.SyndromeOf(s));
+        for (int o = 0; o < 3; ++o) {
+            diff ^= (batch.Observable(o, s) ? 1u : 0u) << o;
+            per_observable[o] += (diff >> o) & 1u;
+        }
+        errors += diff != 0;
+    }
+    EXPECT_EQ(reference.logical_errors, errors);
+    EXPECT_EQ(reference.per_observable_errors, per_observable);
 
     for (const int threads : {1, 2, 8}) {
-        for (const auto path :
-             {sim::DecodePath::kBatch, sim::DecodePath::kScalar}) {
-            SCOPED_TRACE((path == sim::DecodePath::kBatch ? "batch/"
-                                                          : "scalar/") +
-                         std::to_string(threads) + " threads");
-            opts.num_threads = threads;
-            opts.decode_path = path;
-            const core::LerEstimate est =
-                core::EstimateLogicalErrorRate(w.circuit, 3, opts);
-            EXPECT_EQ(est.shots, reference.shots);
-            EXPECT_EQ(est.logical_errors, reference.logical_errors);
-            EXPECT_EQ(est.shards, reference.shards);
-            EXPECT_EQ(est.early_stopped, reference.early_stopped);
-            EXPECT_EQ(est.per_observable_errors,
-                      reference.per_observable_errors);
-        }
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        opts.num_threads = threads;
+        const core::LerEstimate est =
+            core::EstimateLogicalErrorRate(w.circuit, 3, opts);
+        EXPECT_EQ(est.shots, reference.shots);
+        EXPECT_EQ(est.logical_errors, reference.logical_errors);
+        EXPECT_EQ(est.shards, reference.shards);
+        EXPECT_EQ(est.early_stopped, reference.early_stopped);
+        EXPECT_EQ(est.per_observable_errors,
+                  reference.per_observable_errors);
     }
 }
 

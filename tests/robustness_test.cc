@@ -36,8 +36,9 @@ CompiledDem(const qec::StabilizerCode& code, int rounds, double improvement)
     params.gate_improvement = improvement;
     const auto profile =
         noise::AnnotateRound(code, graph, result, params, timing);
-    const auto experiment = sim::BuildMemoryZ(code, result.qec_circuit,
-                                              profile, params, rounds);
+    const auto experiment =
+        sim::BuildMemory(code, result.qec_circuit, profile, params, rounds,
+                         sim::MemoryBasis::kZ);
     return sim::BuildDem(experiment);
 }
 
@@ -158,8 +159,8 @@ TEST(FailureInjectionTest, SaturatedNoiseStillDecodes)
     params.p_measure = 0.4;
     const auto profile =
         noise::AnnotateRound(code, graph, result, params, timing);
-    const auto experiment = sim::BuildMemoryZ(code, result.qec_circuit,
-                                              profile, params, 3);
+    const auto experiment = sim::BuildMemory(
+        code, result.qec_circuit, profile, params, 3, sim::MemoryBasis::kZ);
     const auto dem = sim::BuildDem(experiment);
     decoder::UnionFindDecoder decoder(dem);
     sim::FrameSimulator simulator(experiment, 5);

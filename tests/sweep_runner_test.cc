@@ -139,22 +139,6 @@ TEST(SweepRunnerTest, BitIdenticalToSerialEvaluateLoopAtEveryPoolWidth)
     }
 }
 
-TEST(SweepRunnerTest, ScalarDecodePathIsAlsoBitIdentical)
-{
-    SweepCandidate c;
-    c.code = qec::MakeCode("rotated", 3);
-    c.arch.gate_improvement = 5.0;
-    c.options.max_shots = 1 << 12;
-    c.options.target_logical_errors = 0;
-    c.options.decode_path = sim::DecodePath::kScalar;
-    const Metrics serial = Evaluate(*c.code, c.arch, c.options);
-    SweepRunnerOptions opts;
-    opts.num_threads = 2;
-    const std::vector<Metrics> swept = SweepRunner(opts).Run({c});
-    ASSERT_EQ(swept.size(), 1u);
-    ExpectBitIdentical(serial, swept[0]);
-}
-
 TEST(SweepRunnerTest, CompileFailureMarksOnlyThatCandidate)
 {
     const std::shared_ptr<const qec::StabilizerCode> code =

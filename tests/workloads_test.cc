@@ -208,7 +208,7 @@ TEST(MergedPatchCodeTest, FactorySpellsBothOrientations)
 }
 
 // ---------------------------------------------------------------------------
-// Experiment interface
+// Experiment builder
 // ---------------------------------------------------------------------------
 
 TEST(WorkloadSpecTest, KindNamesRoundTrip)
@@ -223,23 +223,18 @@ TEST(WorkloadSpecTest, KindNamesRoundTrip)
 
 TEST(WorkloadSpecTest, SurgeryRequiresAMergedPatchCode)
 {
+    // The code is checked before any circuit is built, so empty round
+    // inputs suffice. Memory runs on the merged patch too
+    // (WorkloadsShareCompileArtifactsOnTheSameDevice).
     const qec::RotatedSurfaceCode plain(3);
-    EXPECT_THROW(
-        MakeExperiment(plain, WorkloadSpec(WorkloadKind::kSurgery)),
-        std::invalid_argument);
-    EXPECT_THROW(
-        MakeExperiment(plain, WorkloadSpec(WorkloadKind::kStability)),
-        std::invalid_argument);
-    // Memory runs on anything, including the merged patch.
-    const qec::MergedPatchCode merged(3, qec::SurgeryParity::kXX);
-    EXPECT_EQ(MakeExperiment(merged, {})->name(), "memory_z");
-    EXPECT_EQ(
-        MakeExperiment(merged, WorkloadSpec(WorkloadKind::kSurgery))->name(),
-        "surgery_xx");
-    EXPECT_EQ(
-        MakeExperiment(merged, WorkloadSpec(WorkloadKind::kStability))
-            ->num_observables(),
-        1);
+    for (const WorkloadKind kind :
+         {WorkloadKind::kSurgery, WorkloadKind::kStability}) {
+        EXPECT_THROW(BuildExperiment(plain, circuit::Circuit(),
+                                     noise::RoundNoiseProfile(), {}, 3,
+                                     kind),
+                     std::invalid_argument)
+            << WorkloadKindName(kind);
+    }
 }
 
 /** The memory workload through the experiment interface must be
@@ -378,11 +373,9 @@ TEST(SurgeryExperimentTest, DetectorAndObservableLayout)
     const auto arts = core::CompileCandidate(code, arch);
     ASSERT_TRUE(arts.ok) << arts.error;
     const auto profile = core::AnnotateCandidate(code, arch, arts);
-    const auto experiment = MakeExperiment(
-        code, WorkloadSpec(WorkloadKind::kSurgery));
-    const sim::NoisyCircuit circuit =
-        experiment->Build(arts.compiled.qec_circuit, profile,
-                          core::NoiseParamsFor(arch), d);
+    const sim::NoisyCircuit circuit = BuildExperiment(
+        code, arts.compiled.qec_circuit, profile,
+        core::NoiseParamsFor(arch), d, WorkloadKind::kSurgery);
 
     // Count the joint-type checks to derive the expected detector
     // layout: round 0 anchors every parity-type check away from the
@@ -481,32 +474,6 @@ TEST(SurgerySweepTest, FiniteLerBitIdenticalAcrossPoolWidths)
                                    serial[i].ler_per_round));
         }
     }
-}
-
-/** The word-parallel batch decode path and the scalar reference path
- *  must agree on multi-observable circuits too (the batch path ORs the
- *  per-observable mismatch planes; the scalar path compares masks). */
-TEST(SurgerySweepTest, BatchAndScalarDecodePathsAgreeOnThreeObservables)
-{
-    const qec::MergedPatchCode code(3, qec::SurgeryParity::kXX);
-    core::ArchitectureConfig arch;
-    arch.trap_capacity = 2;
-    arch.gate_improvement = 1.0;
-    core::EvaluationOptions opts;
-    opts.workload = WorkloadKind::kSurgery;
-    opts.max_shots = 1 << 13;
-    opts.target_logical_errors = 0;
-    opts.decode_path = sim::DecodePath::kBatch;
-    const core::Metrics batch = core::Evaluate(code, arch, opts);
-    opts.decode_path = sim::DecodePath::kScalar;
-    const core::Metrics scalar = core::Evaluate(code, arch, opts);
-    ASSERT_TRUE(batch.ok) << batch.error;
-    ASSERT_TRUE(scalar.ok) << scalar.error;
-    ASSERT_GT(batch.logical_errors, 0);
-    EXPECT_EQ(batch.shots, scalar.shots);
-    EXPECT_EQ(batch.logical_errors, scalar.logical_errors);
-    EXPECT_TRUE(SameDouble(batch.ler_per_shot.rate,
-                           scalar.ler_per_shot.rate));
 }
 
 TEST(SurgerySweepTest, WorkloadsShareCompileArtifactsOnTheSameDevice)
