@@ -97,12 +97,26 @@ class JsonRecord
         return "{" + body_ + "}";
     }
 
+    /** JSON string body of `s`. Valid UTF-8 passes through unchanged;
+     *  each maximal ill-formed subsequence becomes `\\ufffd` (U+FFFD),
+     *  so no input byte can make a record invalid JSON. */
     static std::string
     Escape(const std::string& s)
     {
         std::string out;
         out.reserve(s.size());
-        for (const char c : s) {
+        for (size_t i = 0; i < s.size();) {
+            const char c = s[i];
+            if (static_cast<unsigned char>(c) >= 0x80) {
+                const int len = Utf8Length(s, i);
+                if (len > 0) {
+                    out.append(s, i, static_cast<size_t>(len));
+                } else {
+                    out += "\\ufffd";
+                }
+                i += static_cast<size_t>(len > 0 ? len : -len);
+                continue;
+            }
             if (c == '"' || c == '\\') {
                 out += '\\';
                 out += c;
@@ -113,11 +127,47 @@ class JsonRecord
             } else {
                 out += c;
             }
+            ++i;
         }
         return out;
     }
 
   private:
+    /** Length of the well-formed UTF-8 character at `s[i]`, a byte
+     *  >= 0x80 (Unicode Table 3-7), or minus the length of its maximal
+     *  ill-formed subpart, which is at least 1. */
+    static int
+    Utf8Length(const std::string& s, size_t i)
+    {
+        const auto lead = static_cast<unsigned char>(s[i]);
+        int trail = 0;
+        unsigned char lo = 0x80;
+        unsigned char hi = 0xBF;
+        if (lead >= 0xC2 && lead <= 0xDF) {
+            trail = 1;
+        } else if (lead >= 0xE0 && lead <= 0xEF) {
+            trail = 2;
+            lo = lead == 0xE0 ? 0xA0 : 0x80;  // overlong
+            hi = lead == 0xED ? 0x9F : 0xBF;  // surrogates
+        } else if (lead >= 0xF0 && lead <= 0xF4) {
+            trail = 3;
+            lo = lead == 0xF0 ? 0x90 : 0x80;  // overlong
+            hi = lead == 0xF4 ? 0x8F : 0xBF;  // beyond U+10FFFF
+        } else {
+            return -1;  // a continuation byte, C0, C1 or F5..FF
+        }
+        int len = 1;
+        for (; len <= trail && i + len < s.size(); ++len) {
+            const auto b = static_cast<unsigned char>(s[i + len]);
+            if (b < lo || b > hi) {
+                break;
+            }
+            lo = 0x80;
+            hi = 0xBF;
+        }
+        return len == trail + 1 ? len : -len;
+    }
+
     void
     AddRaw(const std::string& key, const std::string& raw)
     {

@@ -118,11 +118,20 @@ ParseRequestLine(const std::string& line, RequestSpec* out,
                 }
             } else if (key == "rounds") {
                 spec.options.rounds = text::ParseInt32(value, "rounds");
+                // The runner reads a non-positive count as d rounds.
+                if (spec.options.rounds < 1) {
+                    throw std::invalid_argument(
+                        "rounds must be at least 1, got '" + value + "'");
+                }
             } else if (key == "compile_rounds") {
                 spec.compile_rounds =
                     text::ParseInt32(value, "compile_rounds");
             } else if (key == "shots") {
                 spec.options.max_shots = text::ParseInt64(value, "shots");
+                if (spec.options.max_shots < 0) {
+                    throw std::invalid_argument(
+                        "shots must not be negative, got '" + value + "'");
+                }
             } else if (key == "target_errors") {
                 spec.options.target_logical_errors =
                     text::ParseInt64(value, "target_errors");

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "common/text_format.h"
+#include "sim/dem.h"
 
 namespace tiqec::sim {
 
@@ -171,8 +172,8 @@ class Replayer
                                             in.Where());
             }
             const int obs = in.Int32(1);
-            if (obs < 0) {
-                throw std::invalid_argument("negative observable in " +
+            if (obs < 0 || obs >= kMaxObservables) {
+                throw std::invalid_argument("observable out of range in " +
                                             in.Where());
             }
             circuit_.AddObservableInclude(obs, Targets(in, 2));

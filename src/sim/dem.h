@@ -22,6 +22,10 @@
 
 namespace tiqec::sim {
 
+/** Observable masks (`DemEdge::obs_mask`, the decoder's predictions)
+ *  are 32 bits wide, so a DEM tracks at most this many observables. */
+inline constexpr int kMaxObservables = 32;
+
 /** One decoding-graph edge. `d1 == kBoundary` marks a boundary edge. */
 struct DemEdge
 {

@@ -122,6 +122,11 @@ ParseDemImpl(const std::string& text_in, DetectorErrorModel* dem)
     in.Tagged("counts", 5);
     dem->num_detectors = in.Int32(1);
     dem->num_observables = in.Int32(2);
+    if (dem->num_observables < 0 ||
+        dem->num_observables > kMaxObservables) {
+        throw std::invalid_argument("observable count out of range in " +
+                                    in.Where());
+    }
     const std::int64_t num_edges = in.Int64(3);
     const std::int64_t num_hyper = in.Int64(4);
     if (num_edges < 0 || num_hyper < 0) {

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -363,6 +364,27 @@ TEST(JsonRecordTest, EmitsShortestDoublesAndNullForNonFinite)
     r.Add("s", "a\"b");
     EXPECT_EQ(r.Object(), "{\"p\":0.1,\"one\":1,\"nan\":null,"
                           "\"n\":42,\"s\":\"a\\\"b\"}");
+}
+
+TEST(JsonRecordTest, EscapeReplacesIllFormedUtf8)
+{
+    // Valid 2-, 3- and 4-byte characters pass through; each maximal
+    // ill-formed subpart becomes one U+FFFD escape, as Python's
+    // bytes.decode("utf-8", "replace") reads it.
+    const std::pair<std::string, std::string> cases[] = {
+        {"caf\xC3\xA9", "caf\xC3\xA9"},
+        {"\xE2\x82\xAC", "\xE2\x82\xAC"},
+        {"\xF0\x9F\x98\x80", "\xF0\x9F\x98\x80"},
+        {"\xF4\x8F\xBF\xBF", "\xF4\x8F\xBF\xBF"},
+        {"a\xFF" "b", "a\\ufffdb"},
+        {"\xE2\x82", "\\ufffd"},
+        {"\xC0\x80", "\\ufffd\\ufffd"},
+        {"\xED\xA0\x80", "\\ufffd\\ufffd\\ufffd"},
+        {"\xF4\x90\x80\x80", "\\ufffd\\ufffd\\ufffd\\ufffd"},
+    };
+    for (const auto& [in, escaped] : cases) {
+        EXPECT_EQ(common::JsonRecord::Escape(in), escaped) << escaped;
+    }
 }
 
 TEST(JsonRecordTest, DoublesAreLocaleIndependent)

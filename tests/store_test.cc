@@ -149,6 +149,13 @@ TEST(DemIoTest, RejectsCorruptText)
                                &dem, &error));
     EXPECT_NE(error.find("truncated: missing edge 0"), std::string::npos)
         << error;
+    // Observable masks are 32 bits wide.
+    EXPECT_FALSE(sim::ParseDem("tiqec-dem v1\ncounts 1 33 0 0\n"
+                               "diag 0 0 0 0\nmass 0 0 0\n",
+                               &dem, &error));
+    EXPECT_NE(error.find("observable count out of range"),
+              std::string::npos)
+        << error;
 }
 
 TEST(CircuitIoTest, RoundTripIsByteStableAndValidatorClean)
@@ -172,11 +179,17 @@ TEST(CircuitIoTest, RoundTripIsByteStableAndValidatorClean)
 TEST(CircuitIoTest, RejectsOutOfRangeOperands)
 {
     // A corrupt qubit index must come back as a parse error, never an
-    // assert/abort in the replay builders.
-    const std::string text = "tiqec-circuit v1\nqubits 2\nops 1\nH 7\n";
-    std::string error;
-    EXPECT_FALSE(sim::ParseNoisyCircuit(text, &error).has_value());
-    EXPECT_NE(error.find("circuit parse"), std::string::npos);
+    // assert/abort in the replay builders, and an observable index must
+    // fit the 32-bit observable masks.
+    for (const char* text :
+         {"tiqec-circuit v1\nqubits 2\nops 1\nH 7\n",
+          "tiqec-circuit v1\nqubits 1\nops 2\nM 0 0.25\nOBS 32 1 0\n"}) {
+        std::string error;
+        EXPECT_FALSE(sim::ParseNoisyCircuit(text, &error).has_value())
+            << text;
+        EXPECT_NE(error.find("circuit parse"), std::string::npos) << error;
+        EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+    }
 }
 
 TEST(ProfileIoTest, RoundTripIsByteStable)
@@ -1203,6 +1216,16 @@ TEST(SweepServiceTest, ParseRejectsMalformedRequests)
             &c, &error));
         EXPECT_NE(error.find("improvement"), std::string::npos);
     }
+    // Fewer than one round, or a negative budget, names its key.
+    for (const std::string bad : {"rounds=0", "rounds=-2", "shots=-1"}) {
+        SCOPED_TRACE(bad);
+        error.clear();
+        EXPECT_FALSE(core::ParseRequestCandidate(
+            "family=rotated distance=3 " + bad, &c, &error));
+        EXPECT_NE(error.find(bad.substr(0, bad.find('='))),
+                  std::string::npos)
+            << error;
+    }
 }
 
 TEST(SweepServiceTest, ParseFillsCandidate)
@@ -1249,21 +1272,29 @@ TEST(SweepServiceTest, BatchIsolatesMalformedLines)
         "family=rotated distance=3 compile_only=1 label=good\n"
         "family=rotated distance=oops\n"
         "family=rotated distance=3 improvement=nan shots=64 label=nan\n" +
-        monte_carlo + "\n";
+        monte_carlo + "\n" +
+        "family=rotated distance=3 compile_only=1 label=bad\xFF\n";
     store::SweepServiceOptions options;
     const store::SweepServiceResult result =
         store::RunSweepService(requests, options);
-    ASSERT_EQ(result.num_requests, 4);
-    EXPECT_EQ(result.num_ok, 2);
-    ASSERT_EQ(result.result_lines.size(), 4u);
+    ASSERT_EQ(result.num_requests, 5);
+    EXPECT_EQ(result.num_ok, 3);
+    ASSERT_EQ(result.result_lines.size(), 5u);
     EXPECT_NE(result.result_lines[0].find("\"ok\":true"),
               std::string::npos);
     EXPECT_NE(result.result_lines[1].find("request parse:"),
               std::string::npos);
     EXPECT_NE(result.result_lines[2].find("request parse:"),
               std::string::npos);
-    EXPECT_NE(result.summary_line.find("\"requests\":4"),
+    EXPECT_NE(result.summary_line.find("\"requests\":5"),
               std::string::npos);
+    // A byte that is not UTF-8 is escaped, so the line stays valid JSON.
+    const std::string& escaped = result.result_lines[4];
+    EXPECT_NE(escaped.find("\"label\":\"bad\\ufffd\""), std::string::npos)
+        << escaped;
+    EXPECT_TRUE(std::all_of(escaped.begin(), escaped.end(), [](char c) {
+        return static_cast<unsigned char>(c) < 0x80;
+    })) << escaped;
 
     const store::SweepServiceResult alone =
         store::RunSweepService(monte_carlo, options);
