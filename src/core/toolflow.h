@@ -24,7 +24,6 @@
 #include "qec/code.h"
 #include "resources/resource_model.h"
 #include "sim/memory_experiment.h"
-#include "sim/parallel_sampler.h"
 #include "workloads/experiment.h"
 
 namespace tiqec::core {

@@ -12,6 +12,10 @@
  *   byte-identical and `EstimateLogicalErrors` returns identical
  *   (shots, logical_errors) for every `num_threads` >= 1.
  *
+ * Each shard is decoded by one `UnionFindDecoder::DecodeBatch` call, so
+ * the counts equal a per-shot `Decode(SyndromeOf(s))` recount of the
+ * committed shots, which `Sample(shots)` reproduces byte-exactly.
+ *
  * Early stopping is also deterministic. Shard outcomes are committed in
  * shard-index order (a commit pointer advances over buffered
  * out-of-order results); the sampler stops at the first committed prefix
