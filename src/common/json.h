@@ -98,8 +98,8 @@ class JsonRecord
     }
 
     /** JSON string body of `s`. Valid UTF-8 passes through unchanged;
-     *  each maximal ill-formed subsequence becomes `\\ufffd` (U+FFFD),
-     *  so no input byte can make a record invalid JSON. */
+     *  each maximal ill-formed subsequence becomes the escape `\ufffd`
+     *  (U+FFFD), so no input byte can make a record invalid JSON. */
     static std::string
     Escape(const std::string& s)
     {
