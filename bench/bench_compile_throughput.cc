@@ -91,17 +91,13 @@ BitIdentical(const compiler::CompilationResult& a,
 }
 
 /** Compiler options for one side of a row: the reference or fast
- *  pipeline, with WISE cooling when `wise`. */
+ *  pipeline, under WISE wiring (which implies its cooling) when `wise`. */
 compiler::CompilerOptions
 OptionsFor(bool wise, bool reference)
 {
     compiler::CompilerOptions opts;
     opts.reference_pipeline = reference;
     opts.wise = wise;
-    if (wise) {
-        opts.cooling_per_two_qubit_gate =
-            qccd::TimingModel{}.cooling_per_two_qubit_gate;
-    }
     return opts;
 }
 

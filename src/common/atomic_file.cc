@@ -1,5 +1,9 @@
 #include "common/atomic_file.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -14,6 +18,39 @@ Errno(const std::string& what, const std::string& path)
     return what + " '" + path + "': " + std::strerror(errno);
 }
 
+/**
+ * Creates `<path>.tmp.<pid>.<n>` for writing and sets `*tmp` to its
+ * name. O_EXCL makes the file this writer's alone: another writer of
+ * the same path, in this process or another, gets a different name,
+ * and a leftover of a crashed run is skipped, not reused. Mode 0666
+ * leaves the permissions to the umask, as `fopen` does. Returns null
+ * with errno set on failure.
+ */
+std::FILE*
+CreateTempSibling(const std::string& path, std::string* tmp)
+{
+    static std::atomic<unsigned long> counter{0};
+    const std::string prefix =
+        path + ".tmp." + std::to_string(::getpid()) + ".";
+    int fd = -1;
+    do {
+        *tmp = prefix + std::to_string(counter.fetch_add(1));
+        fd = ::open(tmp->c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
+                    0666);
+    } while (fd < 0 && errno == EEXIST);
+    if (fd < 0) {
+        return nullptr;
+    }
+    std::FILE* f = ::fdopen(fd, "wb");
+    if (f == nullptr) {
+        const int saved = errno;
+        ::close(fd);
+        std::remove(tmp->c_str());
+        errno = saved;
+    }
+    return f;
+}
+
 }  // namespace
 
 bool
@@ -21,15 +58,15 @@ AtomicWriteFile(const std::string& path, const std::string& content,
                 std::string* error)
 {
     // The temp file must live on the same filesystem as the target for
-    // rename() to be atomic, so it is a sibling, not a /tmp file. The
-    // suffix includes nothing random: concurrent writers of the same
-    // path race benignly (last rename wins with identical content in
-    // the store's content-addressed use).
-    const std::string tmp = path + ".tmp";
-    std::FILE* f = std::fopen(tmp.c_str(), "wb");
+    // rename() to be atomic, so it is a sibling, not a /tmp file. It is
+    // this writer's alone, so concurrent writers of one path cannot
+    // truncate each other's file mid-write: every rename publishes one
+    // writer's whole content, and the last rename wins.
+    std::string tmp;
+    std::FILE* f = CreateTempSibling(path, &tmp);
     if (f == nullptr) {
         if (error != nullptr) {
-            *error = Errno("cannot open temp file", tmp);
+            *error = Errno("cannot create temp file for", path);
         }
         return false;
     }

@@ -17,7 +17,9 @@ namespace tiqec::common {
 /**
  * Atomically replaces `path` with `content`. Returns true on success;
  * on failure returns false with a message in `*error` (when non-null)
- * and leaves no temp file behind.
+ * and leaves no temp file behind. Each call writes its own temp file,
+ * so concurrent writers of one path, in one process or several, never
+ * tear it: a reader sees one writer's whole content.
  */
 bool AtomicWriteFile(const std::string& path, const std::string& content,
                      std::string* error = nullptr);

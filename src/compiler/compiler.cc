@@ -118,7 +118,8 @@ CompileParityCheckRounds(const qec::StabilizerCode& code, int rounds,
     }
     SchedulerOptions sched;
     sched.wise = options.wise;
-    sched.cooling_per_two_qubit_gate = options.cooling_per_two_qubit_gate;
+    sched.cooling_per_two_qubit_gate =
+        options.wise ? timing.cooling_per_two_qubit_gate : 0.0;
     result.schedule =
         options.reference_pipeline
             ? ScheduleStreamReference(result.routing.ops, graph, timing,

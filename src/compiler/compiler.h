@@ -28,10 +28,10 @@ namespace tiqec::compiler {
 
 struct CompilerOptions
 {
-    /** Apply the WISE same-kind transport restriction when scheduling. */
+    /** WISE wiring: schedule under the same-kind transport restriction
+     *  and charge every two-qubit gate the timing model's cooling time
+     *  (paper §5.1). */
     bool wise = false;
-    /** WISE cooling model: extra time per two-qubit gate (paper §5.1). */
-    Microseconds cooling_per_two_qubit_gate = 0.0;
     /** Routing policy ablations (see bench_ablation_compiler). */
     RouterOptions router;
     /**

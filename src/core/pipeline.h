@@ -128,27 +128,6 @@ std::string CheckProgramCandidate(const qec::StabilizerCode& code,
 std::vector<const qec::StabilizerCode*> UnitCodesFor(
     const qec::StabilizerCode& code, const workloads::WorkloadSpec& spec);
 
-/** One compiled+annotated phase of a program candidate, aligned with
- *  `BoundProgram::phase_codes()`. */
-struct ProgramUnit
-{
-    const qec::StabilizerCode* code = nullptr;
-    const CompileArtifacts* arts = nullptr;
-    const noise::RoundNoiseProfile* profile = nullptr;
-};
-
-/**
- * Build-sim stage for a program workload: stitches every compiled
- * phase round into the program's global noisy circuit
- * (`BoundProgram::Build`, DESIGN.md §5.4) and extracts its DEM. Each
- * merge runs `rounds` merged rounds. `units` must align with
- * `program.phase_codes()`.
- */
-SimArtifacts BuildProgramSimArtifacts(const workloads::BoundProgram& program,
-                                      const std::vector<ProgramUnit>& units,
-                                      const ArchitectureConfig& arch,
-                                      int rounds);
-
 /** Wraps sampler totals into a `LerEstimate` (Wilson intervals for the
  *  any-observable and per-observable counts, per-round conversion) —
  *  shared by `EstimateLogicalErrorRate` and the sweep engine so both

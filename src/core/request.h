@@ -20,7 +20,9 @@
  * (standard|wise), improvement (finite, > 0), rounds, compile_rounds,
  * shots, target_errors, seed, basis (z|x), workload
  * (memory|stability|surgery|program), compile_only (0|1), validate
- * (0|1), certify (0|1), label. Unknown keys are an error.
+ * (0|1), certify (0|1; certification needs the simulation, so a
+ * candidate with certify=1 and compile_only=1 fails), label. Unknown
+ * keys are an error.
  */
 #ifndef TIQEC_CORE_REQUEST_H
 #define TIQEC_CORE_REQUEST_H

@@ -16,9 +16,11 @@
 #include "analysis/analysis.h"
 #include "common/worker_pool.h"
 #include "decoder/union_find_decoder.h"
+#include "sim/dem.h"
 #include "sim/parallel_sampler.h"
 #include "store/artifact_store.h"
 #include "store/keys.h"
+#include "workloads/program.h"
 
 namespace tiqec::core {
 
@@ -233,6 +235,11 @@ SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
         if (c.compile_rounds != 1 && !c.options.compile_only) {
             failed[i] = "multi-round compilation is compile-only (the "
                         "noise annotator requires a one-round schedule)";
+            continue;
+        }
+        if (c.options.certify_distance && c.options.compile_only) {
+            failed[i] = "distance certification needs a simulation (it "
+                        "certifies the DEM, which compile-only skips)";
             continue;
         }
         const workloads::WorkloadSpec& spec = c.options.workload;
@@ -503,16 +510,19 @@ SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
         }
         try {
             if (spec.program != nullptr) {
-                std::vector<ProgramUnit> punits;
-                punits.reserve(units[i].size());
+                // Stitch every phase round into the program's circuit
+                // (DESIGN.md §5.4); the phases align with `units[i]`.
+                std::vector<workloads::BoundProgram::PhaseCircuit> phases;
+                phases.reserve(units[i].size());
                 for (size_t u = 0; u < units[i].size(); ++u) {
-                    const CompileKey uck = unit_keys[i][u];
-                    punits.push_back(ProgramUnit{
-                        units[i][u], compiles[uck].arts.get(),
-                        &unit_noise[i][u]->profile});
+                    const CompileArtifacts& unit_arts =
+                        *compiles[unit_keys[i][u]].arts;
+                    phases.push_back({&unit_arts.compiled.qec_circuit,
+                                      &unit_noise[i][u]->profile});
                 }
-                *arts = BuildProgramSimArtifacts(*spec.program, punits,
-                                                 c.arch, RoundsOf(c));
+                arts->experiment = spec.program->Build(
+                    phases, NoiseParamsFor(c.arch), RoundsOf(c));
+                arts->dem = sim::BuildDem(arts->experiment);
             } else {
                 *arts = BuildSimArtifacts(*c.code, *comp.arts,
                                           noise_cache.at(nk).profile, c.arch,

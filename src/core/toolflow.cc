@@ -1,15 +1,10 @@
 #include "core/toolflow.h"
 
-#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <memory>
 #include <stdexcept>
 
-#include "common/check.h"
 #include "compiler/compiler.h"
 #include "core/pipeline.h"
 #include "core/sweep.h"
@@ -18,38 +13,6 @@
 #include "sim/parallel_sampler.h"
 
 namespace tiqec::core {
-
-bool
-ParseValidateArtifactsEnv(const char* text, bool build_default)
-{
-    if (text == nullptr) {
-        return build_default;
-    }
-    int parsed = 0;
-    const char* end = text + std::strlen(text);
-    const auto [ptr, ec] = std::from_chars(text, end, parsed);
-    if (ec != std::errc() || ptr != end) {
-        std::fprintf(stderr,
-                     "warning: TIQEC_VALIDATE=\"%s\" is not an integer; "
-                     "keeping the build default (%s)\n",
-                     text, build_default ? "on" : "off");
-        return build_default;
-    }
-    return parsed != 0;
-}
-
-bool
-DefaultValidateArtifacts()
-{
-#ifdef NDEBUG
-    constexpr bool kBuildDefault = false;
-#else
-    constexpr bool kBuildDefault = true;
-#endif
-    static const bool value = ParseValidateArtifactsEnv(
-        std::getenv("TIQEC_VALIDATE"), kBuildDefault);
-    return value;
-}
 
 std::string
 WiringKindName(WiringKind kind)
@@ -103,10 +66,6 @@ CompileCandidate(const qec::StabilizerCode& code,
                                                       arch.trap_capacity);
         compiler::CompilerOptions copts;
         copts.wise = arch.wiring == WiringKind::kWise;
-        if (copts.wise) {
-            copts.cooling_per_two_qubit_gate =
-                arts.timing.cooling_per_two_qubit_gate;
-        }
         copts.reference_pipeline = reference_pipeline;
         arts.compiled = compiler::CompileParityCheckRounds(
             code, compile_rounds, arts.graph, arts.timing, copts);
@@ -188,30 +147,6 @@ UnitCodesFor(const qec::StabilizerCode& code,
         units.push_back(&code);
     }
     return units;
-}
-
-SimArtifacts
-BuildProgramSimArtifacts(const workloads::BoundProgram& program,
-                         const std::vector<ProgramUnit>& units,
-                         const ArchitectureConfig& arch, int rounds)
-{
-    TIQEC_CHECK(units.size() == program.phase_codes().size(),
-                "program build-sim: " << units.size() << " units for "
-                                      << program.phase_codes().size()
-                                      << " phase codes");
-    std::vector<workloads::BoundProgram::PhaseCircuit> phases;
-    phases.reserve(units.size());
-    for (const ProgramUnit& unit : units) {
-        TIQEC_CHECK(unit.arts != nullptr && unit.arts->ok &&
-                        unit.profile != nullptr,
-                    "program build-sim: units require successful "
-                    "compile + annotate artifacts");
-        phases.push_back({&unit.arts->compiled.qec_circuit, unit.profile});
-    }
-    SimArtifacts sim_arts;
-    sim_arts.experiment = program.Build(phases, NoiseParamsFor(arch), rounds);
-    sim_arts.dem = sim::BuildDem(sim_arts.experiment);
-    return sim_arts;
 }
 
 void

@@ -28,21 +28,6 @@
 
 namespace tiqec::core {
 
-/**
- * Pure parser behind `DefaultValidateArtifacts`, exposed for tests:
- * `text` is the raw `TIQEC_VALIDATE` value (null when unset). A full
- * integer parse (`std::from_chars`, same discipline as `TIQEC_THREADS`)
- * forces validation on (non-zero) or off (zero); unset keeps the build
- * default, and garbage warns on stderr and keeps the build default.
- */
-bool ParseValidateArtifactsEnv(const char* text, bool build_default);
-
-/** Build-type default for `EvaluationOptions::validate_artifacts` — on
- *  in Debug, off in Release — overridable at runtime via the
- *  `TIQEC_VALIDATE` env var, so Release CI jobs and the sweep service
- *  can enable validation without a rebuild. Read once per process. */
-bool DefaultValidateArtifacts();
-
 struct EvaluationOptions
 {
     /** Parity-check rounds per memory shot; -1 means the code distance. */
@@ -77,9 +62,13 @@ struct EvaluationOptions
      *  over the compiled schedule and the simulation artifacts; a
      *  failing candidate reports the formatted diagnostics exactly like
      *  a compile error (so sweeps isolate it rather than abort). On by
-     *  default in debug builds; opt-in for release builds via the
-     *  `TIQEC_VALIDATE` env var (see `DefaultValidateArtifacts`). */
-    bool validate_artifacts = DefaultValidateArtifacts();
+     *  default in Debug builds, off in Release; a request line selects
+     *  it with `validate=0|1`. */
+#ifdef NDEBUG
+    bool validate_artifacts = false;
+#else
+    bool validate_artifacts = true;
+#endif
     /** Statically certify the effective fault distance of the extracted
      *  DEM against the candidate code's distance
      *  (`analysis::CertifyDistance` + `JudgeDistance`, DESIGN.md §6.5);
@@ -87,7 +76,8 @@ struct EvaluationOptions
      *  mechanism set, exactly like a compile error. Deliberately
      *  independent of `rounds`: running fewer rounds than the code
      *  distance is precisely the kind of silent distance loss the
-     *  certifier exists to catch. */
+     *  certifier exists to catch. Needs the DEM, so a `compile_only`
+     *  candidate that asks for it fails up front. */
     bool certify_distance = false;
 
     /** The experiment shape these options select: `workload`. */

@@ -18,9 +18,11 @@
  *    against the DEM — so a corrupt or tampered
  *    file isolates the candidate with a diagnostic (kCorrupt) exactly
  *    like a compile error, instead of poisoning results or crashing.
- *  - Writes are atomic (temp file + checked close + rename): concurrent
- *    writers of the same key race benignly, and readers never observe a
- *    truncated artifact.
+ *  - Writes are atomic (a per-writer temp file + checked close +
+ *    rename): concurrent writers of the same key, in one process or
+ *    several sharing the directory, each publish a whole artifact and
+ *    the last rename wins, so readers never observe a torn or truncated
+ *    artifact.
  *  - Only successful artifacts are stored; failures always re-run.
  */
 #ifndef TIQEC_STORE_ARTIFACT_STORE_H

@@ -53,7 +53,7 @@ BuildExperiment(const qec::StabilizerCode& code,
     if (spec.kind == WorkloadKind::kProgram) {
         throw std::invalid_argument(
             "program workload has no single-code experiment; build it "
-            "via workloads::BoundProgram (core::BuildProgramSimArtifacts)");
+            "with workloads::BoundProgram::Build");
     }
     const auto* merged = dynamic_cast<const qec::MergedPatchCode*>(&code);
     if (merged == nullptr) {

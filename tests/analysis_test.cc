@@ -711,22 +711,6 @@ TEST(AnalysisWiring, SeamRoundDeletionIsCaughtAsSubDistance)
     }
 }
 
-// TIQEC_VALIDATE parsing follows the TIQEC_THREADS discipline: unset
-// keeps the build default, a full integer parses (nonzero = on), and
-// garbage warns and keeps the default.
-TEST(AnalysisWiring, ValidateArtifactsEnvParser)
-{
-    EXPECT_TRUE(core::ParseValidateArtifactsEnv(nullptr, true));
-    EXPECT_FALSE(core::ParseValidateArtifactsEnv(nullptr, false));
-    EXPECT_TRUE(core::ParseValidateArtifactsEnv("1", false));
-    EXPECT_FALSE(core::ParseValidateArtifactsEnv("0", true));
-    EXPECT_TRUE(core::ParseValidateArtifactsEnv("2", false));
-    EXPECT_TRUE(core::ParseValidateArtifactsEnv("abc", true));
-    EXPECT_FALSE(core::ParseValidateArtifactsEnv("abc", false));
-    EXPECT_FALSE(core::ParseValidateArtifactsEnv("", false));
-    EXPECT_FALSE(core::ParseValidateArtifactsEnv("1x", false));
-}
-
 // ---------------------------------------------------------------------
 // Exact-output pin for the schedule rules. The battery above only asks
 // whether a rule fired; this corpus pins the full report (rule, location,

@@ -5,16 +5,20 @@
  * text formatting, and the JSON record emitter.
  */
 #include <algorithm>
+#include <atomic>
 #include <clocale>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/atomic_file.h"
 #include "common/check.h"
 #include "common/disjoint_set.h"
 #include "common/hungarian.h"
@@ -418,6 +422,62 @@ TEST(JsonRecordTest, DoublesAreLocaleIndependent)
     const std::string object = r.Object();
     std::setlocale(LC_NUMERIC, restore.c_str());
     EXPECT_EQ(object, "{\"p\":0.1,\"half\":1.5}");
+}
+
+// Two writers publish different contents to one path while a reader
+// reads it: every read must see one writer's whole content, every write
+// must succeed, and no temp file may be left. A temp name shared by the
+// writers would let one truncate the other's file mid-write.
+TEST(AtomicFileTest, ConcurrentWritersNeverTearTheFile)
+{
+    const std::filesystem::path dir =
+        ::testing::TempDir() + "tiqec_atomic_write_race";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string path = (dir / "artifact").string();
+    const std::string contents[2] = {std::string(1 << 20, 'A'),
+                                     std::string(300000, 'B')};
+    std::string error;
+    ASSERT_TRUE(common::AtomicWriteFile(path, contents[0], &error)) << error;
+
+    std::atomic<int> writers_left{2};
+    std::atomic<int> failed_writes{0};
+    int reads = 0;
+    int torn_reads = 0;
+    std::vector<std::thread> writers;
+    for (const std::string& content : contents) {
+        writers.emplace_back([&, &content = content] {
+            for (int i = 0; i < 400; ++i) {
+                if (!common::AtomicWriteFile(path, content)) {
+                    failed_writes.fetch_add(1);
+                }
+            }
+            writers_left.fetch_sub(1);
+        });
+    }
+    std::thread reader([&] {
+        std::string read;
+        bool last = false;
+        while (!last) {
+            last = writers_left.load() == 0;
+            ASSERT_TRUE(common::ReadFile(path, &read));
+            ++reads;
+            if (read != contents[0] && read != contents[1]) {
+                ++torn_reads;
+            }
+        }
+    });
+    for (std::thread& writer : writers) {
+        writer.join();
+    }
+    reader.join();
+
+    EXPECT_EQ(torn_reads, 0) << "of " << reads << " reads";
+    EXPECT_EQ(failed_writes.load(), 0);
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        EXPECT_EQ(entry.path().filename(), "artifact");
+    }
+    std::filesystem::remove_all(dir);
 }
 
 }  // namespace

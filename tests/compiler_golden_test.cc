@@ -254,11 +254,6 @@ TEST(CompilerDifferentialTest, OverhauledPipelineMatchesReferenceByteForByte)
         CompilerOptions fast_opts;
         CompilerOptions ref_opts;
         fast_opts.wise = ref_opts.wise = c.wise;
-        if (c.wise) {
-            fast_opts.cooling_per_two_qubit_gate =
-                ref_opts.cooling_per_two_qubit_gate =
-                    timing.cooling_per_two_qubit_gate;
-        }
         ref_opts.reference_pipeline = true;
         const auto fast = CompileParityCheckRounds(code, c.rounds, graph,
                                                    timing, fast_opts);
@@ -286,8 +281,6 @@ ExpectWiseMatchesReferenceUnder(const qccd::TimingModel& timing)
                 const auto graph = MakeDeviceFor(code, topology, capacity);
                 CompilerOptions fast_opts;
                 fast_opts.wise = true;
-                fast_opts.cooling_per_two_qubit_gate =
-                    timing.cooling_per_two_qubit_gate;
                 CompilerOptions ref_opts = fast_opts;
                 ref_opts.reference_pipeline = true;
                 ExpectByteIdentical(

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/analysis.h"
 #include "common/rng.h"
 #include "compiler/bounds.h"
 #include "compiler/compiler.h"
@@ -351,6 +352,12 @@ TEST(CompilerTest, WiseSchedulingIsSlower)
     const auto rw = CompileParityCheckRounds(code, 1, graph, timing, wise);
     ASSERT_TRUE(rs.ok && rw.ok);
     EXPECT_GT(rw.schedule.makespan, rs.schedule.makespan);
+    // The validator derives the cooling surcharge from the wiring alone,
+    // so `wise` by itself must yield a schedule it accepts.
+    const auto diags =
+        analysis::ValidateCompiledArtifacts(rw, graph, timing, true);
+    EXPECT_TRUE(diags.empty())
+        << analysis::FormatDiagnostics("compiled schedule", diags);
 }
 
 TEST(CompilerTest, SchedulerCoolingExtendsMsGates)
@@ -359,7 +366,7 @@ TEST(CompilerTest, SchedulerCoolingExtendsMsGates)
     const qec::RepetitionCode code(3);
     const auto graph = MakeDeviceFor(code, TopologyKind::kLinear, 2);
     CompilerOptions cooled;
-    cooled.cooling_per_two_qubit_gate = 850.0;
+    cooled.wise = true;
     const auto base = CompileParityCheckRounds(code, 1, graph, timing);
     const auto cool =
         CompileParityCheckRounds(code, 1, graph, timing, cooled);

@@ -21,6 +21,7 @@
 #include "qec/code.h"
 #include "qec/surgery.h"
 #include "sim/circuit_io.h"
+#include "sim/dem.h"
 #include "workloads/experiment.h"
 #include "workloads/program.h"
 
@@ -58,7 +59,7 @@ BuildProgramArtifacts(const std::string& name, int distance, int rounds)
     const auto& codes = bound->phase_codes();
     std::vector<core::CompileArtifacts> arts;
     std::vector<noise::RoundNoiseProfile> profiles;
-    std::vector<core::ProgramUnit> units;
+    std::vector<BoundProgram::PhaseCircuit> phases;
     for (const auto& code : codes) {
         arts.push_back(core::CompileCandidate(*code, arch));
         EXPECT_TRUE(arts.back().ok) << arts.back().error;
@@ -68,9 +69,13 @@ BuildProgramArtifacts(const std::string& name, int distance, int rounds)
             core::AnnotateCandidate(*codes[i], arch, arts[i]));
     }
     for (size_t i = 0; i < codes.size(); ++i) {
-        units.push_back({codes[i].get(), &arts[i], &profiles[i]});
+        phases.push_back({&arts[i].compiled.qec_circuit, &profiles[i]});
     }
-    return core::BuildProgramSimArtifacts(*bound, units, arch, rounds);
+    core::SimArtifacts sim_arts;
+    sim_arts.experiment =
+        bound->Build(phases, core::NoiseParamsFor(arch), rounds);
+    sim_arts.dem = sim::BuildDem(sim_arts.experiment);
+    return sim_arts;
 }
 
 /**

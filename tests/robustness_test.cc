@@ -208,10 +208,6 @@ TEST_P(ExtendedCompileSweep, CompilesValidates)
         compiler::MakeDeviceFor(code, c.topology, c.capacity);
     compiler::CompilerOptions options;
     options.wise = c.wise;
-    if (c.wise) {
-        options.cooling_per_two_qubit_gate =
-            timing.cooling_per_two_qubit_gate;
-    }
     const auto result =
         compiler::CompileParityCheckRounds(code, 1, graph, timing, options);
     ASSERT_TRUE(result.ok) << result.error;

@@ -337,6 +337,11 @@ PinnedMixedBatch()
     add("no_code").code = nullptr;
     add("compile_rounds_0").compile_rounds = 0;
     add("compile_rounds_3").compile_rounds = 3;
+    {
+        SweepCandidate& c = add("certify_compile_only");
+        c.options.compile_only = true;
+        c.options.certify_distance = true;
+    }
     add("capacity_1").arch.trap_capacity = 1;
     add("no_program").options.workload =
         workloads::WorkloadSpec(workloads::WorkloadKind::kProgram);
@@ -384,6 +389,10 @@ TEST(SweepRunnerTest, MixedBatchOutcomesAndCountersArePinned)
         {false,
          "multi-round compilation is compile-only (the noise annotator "
          "requires a one-round schedule)",
+         ""},
+        {false,
+         "distance certification needs a simulation (it certifies the "
+         "DEM, which compile-only skips)",
          ""},
         {false,
          "trap capacity must be at least 2 (one slot is reserved for "
