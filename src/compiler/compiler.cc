@@ -11,8 +11,11 @@ namespace tiqec::compiler {
 int
 NumClustersFor(const qec::StabilizerCode& code, int trap_capacity)
 {
+    // Rounds up without forming n + cluster_size - 1, which overflows
+    // at the largest capacities.
+    const int n = code.num_qubits();
     const int cluster_size = trap_capacity - 1;
-    return (code.num_qubits() + cluster_size - 1) / cluster_size;
+    return n / cluster_size + (n % cluster_size != 0 ? 1 : 0);
 }
 
 qccd::DeviceGraph
@@ -68,7 +71,8 @@ CompileParityCheckRounds(const qec::StabilizerCode& code, int rounds,
         // q / (capacity - 1), clusters -> traps in construction order.
         const int fill = graph.trap_capacity() - 1;
         const int n = code.num_qubits();
-        result.partition.num_clusters = (n + fill - 1) / fill;
+        result.partition.num_clusters =
+            NumClustersFor(code, graph.trap_capacity());
         result.partition.cluster_of.resize(n);
         for (int q = 0; q < n; ++q) {
             result.partition.cluster_of[q] = q / fill;

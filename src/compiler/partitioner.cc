@@ -98,7 +98,8 @@ PartitionQubits(const qec::StabilizerCode& code, int cluster_size)
     const int n = code.num_qubits();
     Partition p;
     p.cluster_of.assign(n, -1);
-    p.num_clusters = (n + cluster_size - 1) / cluster_size;
+    // Rounds up without overflow, as NumClustersFor does.
+    p.num_clusters = n / cluster_size + (n % cluster_size != 0 ? 1 : 0);
 
     std::vector<QubitId> qubits;
     qubits.reserve(n);

@@ -152,10 +152,14 @@ class Router
         // Chain-slot arena: trap i's chain occupies
         // chain_[chain_off_[i] .. chain_off_[i] + chain_len_[i]), in the
         // same front-to-back order DeviceState keeps its chain vectors.
+        // A chain never holds more than every ion, so a block needs no
+        // more slots than that, whatever the trap capacity.
         chain_off_.resize(num_nodes + 1);
         chain_off_[0] = 0;
         for (int i = 0; i < num_nodes; ++i) {
-            chain_off_[i + 1] = chain_off_[i] + (is_trap_[i] ? cap_[i] : 0);
+            chain_off_[i + 1] =
+                chain_off_[i] +
+                (is_trap_[i] ? std::min(cap_[i], native.num_qubits()) : 0);
         }
         chain_.resize(chain_off_[num_nodes]);
         chain_len_.assign(num_nodes, 0);

@@ -4,7 +4,7 @@
  *
  *   compile  — device synthesis + QEC-to-QCCD compilation
  *   annotate — schedule walk -> per-gate / per-idle noise profile
- *   build-sim — noisy memory experiment + detector error model
+ *   build-sim — the workload's noisy experiment + detector error model
  *
  * `core::SweepRunner` chains the stages, memoising each behind a keyed
  * artifact cache so a design-space sweep compiles, annotates, and
@@ -75,23 +75,15 @@ noise::RoundNoiseProfile AnnotateCandidate(const qec::StabilizerCode& code,
                                            const ArchitectureConfig& arch,
                                            const CompileArtifacts& arts);
 
-/** Output of the build-sim stage: what the Monte-Carlo estimate needs. */
+/** Output of the build-sim stage: what the Monte-Carlo estimate needs.
+ *  The runner builds the experiment with `workloads::BuildExperiment`
+ *  (memory / stability / surgery) or `BoundProgram::Build` (a program),
+ *  then its DEM with `sim::BuildDem`. */
 struct SimArtifacts
 {
     sim::NoisyCircuit experiment{0};
     sim::DetectorErrorModel dem;
 };
-
-/** Build-sim stage: the noisy experiment the workload spec selects
- *  (memory / stability / surgery, workloads/experiment.h) over `rounds`
- *  rounds plus its detector error model (the decoder graph source).
- *  Throws std::invalid_argument when the code cannot host the workload
- *  (e.g. surgery on a plain patch). */
-SimArtifacts BuildSimArtifacts(const qec::StabilizerCode& code,
-                               const CompileArtifacts& arts,
-                               const noise::RoundNoiseProfile& profile,
-                               const ArchitectureConfig& arch, int rounds,
-                               const workloads::WorkloadSpec& spec);
 
 /**
  * Fills the compiler/noise/resource metrics (everything except the
@@ -127,15 +119,6 @@ std::string CheckProgramCandidate(const qec::StabilizerCode& code,
  */
 std::vector<const qec::StabilizerCode*> UnitCodesFor(
     const qec::StabilizerCode& code, const workloads::WorkloadSpec& spec);
-
-/** Wraps sampler totals into a `LerEstimate` (Wilson intervals for the
- *  any-observable and per-observable counts, per-round conversion) —
- *  shared by `EstimateLogicalErrorRate` and the sweep engine so both
- *  report identical statistics. */
-LerEstimate FinishLerEstimate(
-    std::int64_t shots, std::int64_t logical_errors,
-    const std::vector<std::int64_t>& per_observable_errors,
-    std::int64_t shards, bool early_stopped, int rounds);
 
 }  // namespace tiqec::core
 

@@ -30,51 +30,21 @@
 #include <string>
 #include <vector>
 
-#include "core/architecture.h"
 #include "core/sweep.h"
-#include "core/toolflow.h"
 
 namespace tiqec::core {
 
 /**
- * A parsed request line, before any code object is built. `family` and
- * `program` are mutually exclusive (`workload.kind` selects which);
- * everything else lands directly in the embedded architecture/options.
- */
-struct RequestSpec
-{
-    /** qec::MakeCode family (every workload except program). */
-    std::string family;
-    /** Canonical program name (workload=program only). */
-    std::string program;
-    int distance = 0;
-    ArchitectureConfig arch;
-    EvaluationOptions options;
-    int compile_rounds = 1;
-    std::string label;
-};
-
-/** Parses one request line into a spec. Returns false with a message on
- *  malformed input; `*out` is untouched on failure. Purely syntactic —
- *  no code or program objects are built yet. */
-bool ParseRequestLine(const std::string& line, RequestSpec* out,
-                      std::string* error);
-
-/**
- * Realises a parsed spec as a sweep candidate: `qec::MakeCode` for a
- * family request, or `workloads::CanonicalProgram` +
+ * Parses one request line and builds its sweep candidate: `qec::MakeCode`
+ * for a family request, or `workloads::CanonicalProgram` +
  * `workloads::BoundProgram::Bind` for a program request (the candidate's
  * code is the program's primary phase code, aliased to the bound
  * program's lifetime, and `options.workload` carries the program spec).
  * Applies the default label (`<family>_d<distance>` /
- * `<program>_d<distance>`). Throws std::invalid_argument on an unknown
- * family or program, or a program that fails validation.
+ * `<program>_d<distance>`). Returns false with the message in `*error`
+ * on malformed input, an unknown family or program, or a program that
+ * fails validation; `*out` is untouched then.
  */
-SweepCandidate MakeSweepCandidate(const RequestSpec& spec);
-
-/** `ParseRequestLine` + `MakeSweepCandidate` with every failure — parse
- *  or build — reported through `*error`. Returns false on failure;
- *  `*out` is untouched then. */
 bool ParseRequestCandidate(const std::string& line, SweepCandidate* out,
                            std::string* error);
 

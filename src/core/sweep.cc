@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <exception>
@@ -14,12 +15,14 @@
 #include <utility>
 
 #include "analysis/analysis.h"
+#include "common/stats.h"
 #include "common/worker_pool.h"
 #include "decoder/union_find_decoder.h"
 #include "sim/dem.h"
 #include "sim/parallel_sampler.h"
 #include "store/artifact_store.h"
 #include "store/keys.h"
+#include "workloads/experiment.h"
 #include "workloads/program.h"
 
 namespace tiqec::core {
@@ -291,8 +294,9 @@ SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
     // ---- Stage 1: compile once per unique key. With a store attached,
     // each unique compile probes the store first: a hit skips the
     // compiler entirely, a corrupt artifact isolates the candidate with
-    // the store's diagnostic (exactly like a compile error), and a miss
-    // compiles and persists the successful bundle.
+    // the store's diagnostic (exactly like a compile error) and is
+    // discarded, as in every stage, so the next run recomputes it; a
+    // miss compiles and persists the successful bundle.
     const auto compile = [&](CompileEntry& entry) {
         const SweepCandidate& c = *entry.exemplar;
         entry.arts = std::make_shared<CompileArtifacts>();
@@ -312,6 +316,7 @@ SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
                 return;
             }
             if (status == store::LoadStatus::kCorrupt) {
+                astore->Discard(entry.key);
                 arts = CompileArtifacts{};
                 arts.error = err;
                 return;
@@ -362,6 +367,7 @@ SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
                 return;
             }
             if (status == store::LoadStatus::kCorrupt) {
+                astore->Discard(nkey);
                 entry.error = err;
                 return;
             }
@@ -504,6 +510,7 @@ SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
                 return;
             }
             if (status == store::LoadStatus::kCorrupt) {
+                astore->Discard(entry.store_key);
                 entry.error = err;
                 return;
             }
@@ -522,12 +529,13 @@ SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
                 }
                 arts->experiment = spec.program->Build(
                     phases, NoiseParamsFor(c.arch), RoundsOf(c));
-                arts->dem = sim::BuildDem(arts->experiment);
             } else {
-                *arts = BuildSimArtifacts(*c.code, *comp.arts,
-                                          noise_cache.at(nk).profile, c.arch,
-                                          RoundsOf(c), spec);
+                arts->experiment = workloads::BuildExperiment(
+                    *c.code, comp.arts->compiled.qec_circuit,
+                    noise_cache.at(nk).profile, NoiseParamsFor(c.arch),
+                    RoundsOf(c), spec);
             }
+            arts->dem = sim::BuildDem(arts->experiment);
             num_sim_builds.fetch_add(1, std::memory_order_relaxed);
             entry.arts = std::move(arts);
             if (astore != nullptr) {
@@ -628,6 +636,7 @@ SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
             const store::LoadStatus status = astore->LoadCertificate(
                 key, entry.arts->dem, cert.get(), &err);
             if (status == store::LoadStatus::kCorrupt) {
+                astore->Discard(key);
                 *entry.certification = err;
                 return;
             }
@@ -771,19 +780,24 @@ SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
             continue;  // compile-only
         }
         // A non-positive budget reports an empty estimate; its sim
-        // artifacts are still built, checked and reported on.
-        const sim::LogicalErrorEstimate run =
+        // artifacts are still built, checked and reported on. Every
+        // rate is a Wilson interval over the committed shots.
+        sim::LogicalErrorEstimate run =
             st != nullptr ? st->run->Finish() : sim::LogicalErrorEstimate{};
-        const LerEstimate ler = FinishLerEstimate(
-            run.shots, run.logical_errors, run.per_observable_errors,
-            run.shards, run.early_stopped, RoundsOf(c));
+        const auto shots = static_cast<std::uint64_t>(run.shots);
+        metrics.shots = run.shots;
+        metrics.logical_errors = run.logical_errors;
+        metrics.ler_per_shot = WilsonInterval(
+            static_cast<std::uint64_t>(run.logical_errors), shots);
+        const double p = metrics.ler_per_shot.rate;
+        metrics.ler_per_round =
+            p < 1.0 ? 1.0 - std::pow(1.0 - p, 1.0 / RoundsOf(c)) : 1.0;
+        for (const std::int64_t e : run.per_observable_errors) {
+            metrics.per_observable_ler.push_back(
+                WilsonInterval(static_cast<std::uint64_t>(e), shots));
+        }
+        metrics.per_observable_errors = std::move(run.per_observable_errors);
         const sim::DetectorErrorModel& dem = sims[i]->arts->dem;
-        metrics.shots = ler.shots;
-        metrics.logical_errors = ler.logical_errors;
-        metrics.ler_per_shot = ler.ler_per_shot;
-        metrics.ler_per_round = ler.ler_per_round;
-        metrics.per_observable_errors = ler.per_observable_errors;
-        metrics.per_observable_ler = ler.per_observable_ler;
         metrics.dem_hyperedges = dem.num_hyperedges;
         metrics.dem_undecomposable = dem.num_undecomposable;
         metrics.dem_dropped_probability = dem.dropped_probability;

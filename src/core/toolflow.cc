@@ -1,6 +1,5 @@
 #include "core/toolflow.h"
 
-#include <cmath>
 #include <exception>
 #include <memory>
 #include <stdexcept>
@@ -9,8 +8,6 @@
 #include "core/pipeline.h"
 #include "core/sweep.h"
 #include "noise/annotator.h"
-#include "sim/dem.h"
-#include "sim/parallel_sampler.h"
 
 namespace tiqec::core {
 
@@ -97,21 +94,6 @@ AnnotateCandidate(const qec::StabilizerCode& code,
                                NoiseParamsFor(arch), arts.timing);
 }
 
-SimArtifacts
-BuildSimArtifacts(const qec::StabilizerCode& code,
-                  const CompileArtifacts& arts,
-                  const noise::RoundNoiseProfile& profile,
-                  const ArchitectureConfig& arch, int rounds,
-                  const workloads::WorkloadSpec& spec)
-{
-    SimArtifacts sim_arts;
-    sim_arts.experiment = workloads::BuildExperiment(
-        code, arts.compiled.qec_circuit, profile, NoiseParamsFor(arch),
-        rounds, spec);
-    sim_arts.dem = sim::BuildDem(sim_arts.experiment);
-    return sim_arts;
-}
-
 std::string
 CheckProgramCandidate(const qec::StabilizerCode& code,
                       const workloads::WorkloadSpec& spec)
@@ -181,32 +163,6 @@ FillCompileMetrics(const qec::StabilizerCode& code,
                                    arch.trap_capacity));
 }
 
-LerEstimate
-FinishLerEstimate(std::int64_t shots, std::int64_t logical_errors,
-                  const std::vector<std::int64_t>& per_observable_errors,
-                  std::int64_t shards, bool early_stopped, int rounds)
-{
-    LerEstimate ler;
-    ler.shots = shots;
-    ler.logical_errors = logical_errors;
-    ler.shards = shards;
-    ler.early_stopped = early_stopped;
-    ler.ler_per_shot =
-        WilsonInterval(static_cast<std::uint64_t>(logical_errors),
-                       static_cast<std::uint64_t>(shots));
-    const double p = ler.ler_per_shot.rate;
-    ler.ler_per_round =
-        p < 1.0 ? 1.0 - std::pow(1.0 - p, 1.0 / rounds) : 1.0;
-    ler.per_observable_errors = per_observable_errors;
-    ler.per_observable_ler.reserve(per_observable_errors.size());
-    for (const std::int64_t e : per_observable_errors) {
-        ler.per_observable_ler.push_back(
-            WilsonInterval(static_cast<std::uint64_t>(e),
-                           static_cast<std::uint64_t>(shots)));
-    }
-    return ler;
-}
-
 Metrics
 Evaluate(const qec::StabilizerCode& code, const ArchitectureConfig& arch,
          const EvaluationOptions& options)
@@ -222,28 +178,6 @@ Evaluate(const qec::StabilizerCode& code, const ArchitectureConfig& arch,
     SweepRunnerOptions runner;
     runner.num_threads = options.num_threads;
     return SweepRunner(runner).Run({candidate}).front();
-}
-
-LerEstimate
-EstimateLogicalErrorRate(const sim::NoisyCircuit& experiment, int rounds,
-                         const EvaluationOptions& options)
-{
-    if (rounds < 1) {
-        throw std::invalid_argument(
-            "EstimateLogicalErrorRate: rounds must be >= 1");
-    }
-    const sim::DetectorErrorModel dem = sim::BuildDem(experiment);
-    sim::ParallelSamplerOptions sopts;
-    sopts.seed = options.seed;
-    sopts.num_threads = options.num_threads;
-    sopts.shard_shots = options.shard_shots;
-    sopts.correlated = options.correlated;
-    sim::ParallelSampler sampler(experiment, sopts);
-    const sim::LogicalErrorEstimate run = sampler.EstimateLogicalErrors(
-        dem, options.max_shots, options.target_logical_errors);
-    return FinishLerEstimate(run.shots, run.logical_errors,
-                             run.per_observable_errors, run.shards,
-                             run.early_stopped, rounds);
 }
 
 }  // namespace tiqec::core

@@ -8,8 +8,7 @@
  * `Evaluate` is the one-candidate entry point: a run of the staged
  * sweep engine (core/sweep.h), which chains the stages of
  * core/pipeline.h. The benchmark binaries in bench/ are thin drivers
- * over `Evaluate` and `SweepRunner`; `EstimateLogicalErrorRate` samples
- * an already-built experiment.
+ * over `Evaluate` and `SweepRunner`.
  */
 #ifndef TIQEC_CORE_TOOLFLOW_H
 #define TIQEC_CORE_TOOLFLOW_H
@@ -23,7 +22,6 @@
 #include "noise/noise_model.h"
 #include "qec/code.h"
 #include "resources/resource_model.h"
-#include "sim/memory_experiment.h"
 #include "workloads/experiment.h"
 
 namespace tiqec::core {
@@ -47,10 +45,10 @@ struct EvaluationOptions
      *  candidate's code. A bare `WorkloadKind` assigns here. */
     workloads::WorkloadSpec workload = workloads::WorkloadKind::kMemory;
     /** Worker threads of `Evaluate` (its pool runs every stage and the
-     *  Monte-Carlo shards) and of `EstimateLogicalErrorRate`; 0 means
-     *  hardware concurrency. The result is bit-identical for every value
-     *  (see DESIGN.md §3.4). A `SweepRunner` ignores it: the runner's
-     *  own pool owns the threads. */
+     *  Monte-Carlo shards); 0 means hardware concurrency. The result is
+     *  bit-identical for every value (see DESIGN.md §3.4). A
+     *  `SweepRunner` ignores it: the runner's own pool owns the
+     *  threads. */
     int num_threads = 0;
     /** Shots per RNG shard (the sampler's determinism unit). */
     int shard_shots = 1 << 12;
@@ -132,40 +130,12 @@ struct Metrics
     resources::ResourceEstimate resources;
 };
 
-/** Monte-Carlo logical-error-rate estimate for a built experiment. */
-struct LerEstimate
-{
-    std::int64_t shots = 0;
-    /** Shots mismatching ANY tracked observable. */
-    std::int64_t logical_errors = 0;
-    /** Committed sampler shards (the contiguous prefix counted). */
-    std::int64_t shards = 0;
-    BinomialEstimate ler_per_shot;
-    double ler_per_round = 0.0;
-    /** Per-observable mismatch counts and rates over the same committed
-     *  prefix (empty for a zero-shot budget). */
-    std::vector<std::int64_t> per_observable_errors;
-    std::vector<BinomialEstimate> per_observable_ler;
-    bool early_stopped = false;
-};
-
 /** Runs the full tool flow for one (code, architecture) pair: a
  *  one-candidate `SweepRunner` run whose pool is `options.num_threads`
  *  wide (core/sweep.h). */
 Metrics Evaluate(const qec::StabilizerCode& code,
                  const ArchitectureConfig& arch,
                  const EvaluationOptions& options = {});
-
-/**
- * Estimates the logical error rate of an already-built noisy memory
- * experiment via the sharded multi-threaded sampler (union-find
- * decoding, cooperative early stop at `options.target_logical_errors`).
- * `rounds` converts the per-shot rate into a per-round rate. Results
- * are bit-identical for every `options.num_threads`.
- */
-LerEstimate EstimateLogicalErrorRate(const sim::NoisyCircuit& experiment,
-                                     int rounds,
-                                     const EvaluationOptions& options);
 
 /** Noise parameters implied by an architecture (wiring + improvement). */
 noise::NoiseParams NoiseParamsFor(const ArchitectureConfig& arch);

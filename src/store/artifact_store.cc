@@ -68,6 +68,13 @@ ArtifactStore::PathFor(const StoreKey& key) const
     return root_ + "/" + key.kind + "/" + key.FileName();
 }
 
+void
+ArtifactStore::Discard(const StoreKey& key) const
+{
+    std::error_code ec;  // already gone is fine
+    std::filesystem::remove(PathFor(key), ec);
+}
+
 ArtifactStore::Counters
 ArtifactStore::counters() const
 {

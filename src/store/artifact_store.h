@@ -142,6 +142,11 @@ class ArtifactStore
     /** Full path an artifact for `key` would occupy (tests, tooling). */
     std::string PathFor(const StoreKey& key) const;
 
+    /** Removes the artifact for `key`, if any, so the next probe misses
+     *  and recomputes it. A load never removes what it rejects; the
+     *  runner discards each artifact it found corrupt. */
+    void Discard(const StoreKey& key) const;
+
   private:
     LoadStatus ReadPayload(const StoreKey& key, std::string* payload,
                            std::string* error) const;

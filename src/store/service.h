@@ -17,7 +17,7 @@
  *
  * The line grammar (keys, numeric discipline, error format) and the
  * batch reader are defined once in core/request.h
- * (`core::ParseRequestLine`, `core::ReadRequestBatch`) and shared with
+ * (`core::ParseRequestCandidate`, `core::ReadRequestBatch`) and shared with
  * the `tiqec_certify` driver; see there for the key list. A malformed
  * line isolates that request (its result line carries ok=false and the
  * parse error); the rest of the batch proceeds.

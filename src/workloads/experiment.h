@@ -69,9 +69,9 @@ WorkloadKind ParseWorkloadKind(const std::string& name);
  * the program's primary phase code).
  *
  * This is the single workload-selection surface, consumed by
- * `core::BuildSimArtifacts` and `core::SweepRunner` (and so by
- * `core::Evaluate`). A bare `WorkloadKind` converts implicitly, and
- * `spec == WorkloadKind::k...` comparisons keep working.
+ * `core::SweepRunner` (and so by `core::Evaluate`). A bare
+ * `WorkloadKind` converts implicitly, and `spec == WorkloadKind::k...`
+ * comparisons keep working.
  */
 struct WorkloadSpec
 {

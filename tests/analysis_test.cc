@@ -26,7 +26,9 @@
 #include "qccd/primitives.h"
 #include "qec/code.h"
 #include "qec/surgery.h"
+#include "sim/dem.h"
 #include "store/keys.h"
+#include "workloads/experiment.h"
 #include "workloads/program.h"
 
 namespace tiqec::analysis {
@@ -60,10 +62,12 @@ Clean()
             return f;
         }
         f->profile = core::AnnotateCandidate(f->code, f->arch, f->compile);
-        f->sim = core::BuildSimArtifacts(
-            f->code, f->compile, f->profile, f->arch, f->rounds,
+        f->sim.experiment = workloads::BuildExperiment(
+            f->code, f->compile.compiled.qec_circuit, f->profile,
+            core::NoiseParamsFor(f->arch), f->rounds,
             workloads::WorkloadSpec(workloads::WorkloadKind::kMemory,
                                     sim::MemoryBasis::kZ));
+        f->sim.dem = sim::BuildDem(f->sim.experiment);
         return f;
     }();
     return *fixture;
@@ -473,16 +477,20 @@ TEST(AnalysisClean, BothPipelinesAtD3AndD5ValidateAndCertifyAllWorkloads)
                                  std::to_string(static_cast<int>(kind)));
                     const workloads::WorkloadSpec spec(
                         kind, sim::MemoryBasis::kZ);
-                    const auto sim = core::BuildSimArtifacts(
-                        *code, arts, profile, arch, distance, spec);
+                    const sim::NoisyCircuit experiment =
+                        workloads::BuildExperiment(
+                            *code, arts.compiled.qec_circuit, profile,
+                            core::NoiseParamsFor(arch), distance, spec);
+                    const sim::DetectorErrorModel dem =
+                        sim::BuildDem(experiment);
                     const auto sim_diags = ValidateSimArtifacts(
-                        sim.experiment, sim.dem,
+                        experiment, dem,
                         SimValidationOptionsFor(*code, spec));
                     EXPECT_TRUE(sim_diags.empty()) << Join(sim_diags);
 
                     DistanceCertificate cert;
                     const auto cert_diags =
-                        CheckDistance(sim.dem, distance, {}, &cert);
+                        CheckDistance(dem, distance, {}, &cert);
                     EXPECT_TRUE(cert_diags.empty()) << Join(cert_diags);
                     for (const ObservableDistance& od : cert.observables) {
                         EXPECT_TRUE(od.found);

@@ -5,8 +5,9 @@
  * UnionFindDecoder::DecodeBatch are pinned bit-exactly against the
  * scalar SyndromeOf + Decode path — on hand-packed words and on
  * compiled memory-Z experiments up to the full d=5 case. End to end,
- * core::EstimateLogicalErrorRate's early-stopped count equals a per-shot
- * recount of its committed shots and is identical at 1/2/8 threads.
+ * sim::ParallelSampler::EstimateLogicalErrors's early-stopped count
+ * equals a per-shot recount of its committed shots and is identical at
+ * 1/2/8 threads.
  */
 #include <cstdint>
 #include <vector>
@@ -14,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "compiler/compiler.h"
-#include "core/toolflow.h"
 #include "decoder/union_find_decoder.h"
 #include "noise/annotator.h"
 #include "qec/code.h"
@@ -174,21 +174,19 @@ TEST(BatchDecodeTest, EstimateBatchMatchesScalarAcrossThreadsD5)
 
     // At 10X the budget holds only a few errors (4 in 16,384 shots), so
     // a target of 2 is what stops the run after a multi-shard prefix.
-    core::EvaluationOptions opts;
-    opts.max_shots = 1 << 14;
-    opts.target_logical_errors = 2;
-    opts.seed = 0xD15EA5E;
-    opts.num_threads = 1;
-    const core::LerEstimate reference =
-        core::EstimateLogicalErrorRate(w.circuit, 5, opts);
+    const std::int64_t max_shots = 1 << 14;
+    const std::int64_t target_errors = 2;
+    sim::ParallelSamplerOptions sopts;
+    sopts.seed = 0xD15EA5E;
+    sopts.num_threads = 1;
+    const sim::LogicalErrorEstimate reference =
+        sim::ParallelSampler(w.circuit, sopts)
+            .EstimateLogicalErrors(w.dem, max_shots, target_errors);
     ASSERT_TRUE(reference.early_stopped);
     ASSERT_GT(reference.shards, 1);
 
     // ParallelSampler::Sample reproduces the committed shard streams
     // byte-exactly.
-    sim::ParallelSamplerOptions sopts;
-    sopts.seed = opts.seed;
-    sopts.shard_shots = opts.shard_shots;
     const sim::SampleBatch batch =
         sim::ParallelSampler(w.circuit, sopts).Sample(reference.shots);
     decoder::UnionFindDecoder decoder(w.dem);
@@ -200,16 +198,15 @@ TEST(BatchDecodeTest, EstimateBatchMatchesScalarAcrossThreadsD5)
     EXPECT_EQ(reference.logical_errors, errors);
 
     for (const int threads : {1, 2, 8}) {
-        opts.num_threads = threads;
-        const core::LerEstimate est =
-            core::EstimateLogicalErrorRate(w.circuit, 5, opts);
+        sopts.num_threads = threads;
+        const sim::LogicalErrorEstimate est =
+            sim::ParallelSampler(w.circuit, sopts)
+                .EstimateLogicalErrors(w.dem, max_shots, target_errors);
         EXPECT_EQ(est.shots, reference.shots) << threads << " threads";
         EXPECT_EQ(est.logical_errors, reference.logical_errors)
             << threads << " threads";
         EXPECT_EQ(est.shards, reference.shards) << threads << " threads";
         EXPECT_EQ(est.early_stopped, reference.early_stopped)
-            << threads << " threads";
-        EXPECT_DOUBLE_EQ(est.ler_per_shot.rate, reference.ler_per_shot.rate)
             << threads << " threads";
     }
 }

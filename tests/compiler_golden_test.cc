@@ -24,6 +24,8 @@
 #include "core/pipeline.h"
 #include "qccd/timing.h"
 #include "qec/code.h"
+#include "sim/dem.h"
+#include "workloads/experiment.h"
 
 namespace tiqec::compiler {
 namespace {
@@ -132,12 +134,13 @@ TEST(CompilerGoldenTest, ValidatorsAcceptBothPipelinesThroughD9)
             core::CompileCandidate(code, arch);
         ASSERT_TRUE(arts.ok) << arts.error;
         const auto profile = core::AnnotateCandidate(code, arch, arts);
-        const auto sim = core::BuildSimArtifacts(
-            code, arts, profile, arch, g.distance,
+        const sim::NoisyCircuit experiment = workloads::BuildExperiment(
+            code, arts.compiled.qec_circuit, profile,
+            core::NoiseParamsFor(arch), g.distance,
             workloads::WorkloadSpec(workloads::WorkloadKind::kMemory,
                                     sim::MemoryBasis::kZ));
-        const auto sim_diags =
-            analysis::ValidateSimArtifacts(sim.experiment, sim.dem);
+        const auto sim_diags = analysis::ValidateSimArtifacts(
+            experiment, sim::BuildDem(experiment));
         EXPECT_TRUE(sim_diags.empty()) << analysis::FormatDiagnostics(
             analysis::kSimSubject, sim_diags);
     }

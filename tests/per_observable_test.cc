@@ -63,24 +63,20 @@ TEST(PerObservableTest, OneRunMatchesThreeSingleObservableRuns)
     const SurgeryWorkload w = BuildSurgery(3, 1.0);
     ASSERT_EQ(w.circuit.num_observables(), 3);
 
-    core::EvaluationOptions opts;
-    opts.max_shots = 1 << 13;
-    opts.target_logical_errors = 0;  // fixed budget, no early stop
-    opts.seed = 0xC0FFEE;
-    opts.num_threads = 2;
-    const core::LerEstimate est =
-        core::EstimateLogicalErrorRate(w.circuit, 3, opts);
-    ASSERT_EQ(est.shots, opts.max_shots);
+    const std::int64_t max_shots = 1 << 13;
+    sim::ParallelSamplerOptions sopts;
+    sopts.seed = 0xC0FFEE;
+    sopts.num_threads = 2;
+    sim::ParallelSampler sampler(w.circuit, sopts);
+    // A zero target is a fixed budget: no early stop.
+    const sim::LogicalErrorEstimate est =
+        sampler.EstimateLogicalErrors(w.dem, max_shots, 0);
+    ASSERT_EQ(est.shots, max_shots);
     ASSERT_EQ(est.per_observable_errors.size(), 3u);
-    ASSERT_EQ(est.per_observable_ler.size(), 3u);
 
     // Recount each observable independently over the identical shard
     // streams (ParallelSampler::Sample reproduces them byte-exactly).
-    sim::ParallelSamplerOptions sopts;
-    sopts.seed = opts.seed;
-    sopts.shard_shots = opts.shard_shots;
-    sim::ParallelSampler sampler(w.circuit, sopts);
-    const sim::SampleBatch batch = sampler.Sample(opts.max_shots);
+    const sim::SampleBatch batch = sampler.Sample(max_shots);
     for (int target = 0; target < 3; ++target) {
         decoder::UnionFindDecoder decoder(w.dem);
         std::int64_t errors = 0;
@@ -97,18 +93,21 @@ TEST(PerObservableTest, OneRunMatchesThreeSingleObservableRuns)
 }
 
 /** The combined any-observable count and the per-observable breakdown
- *  must be consistent: max(per_obs) <= any <= sum(per_obs), and each
- *  per-observable Wilson interval derives from its own count. */
+ *  of a surgery evaluation must be consistent: max(per_obs) <= any <=
+ *  sum(per_obs), and each per-observable Wilson interval the runner
+ *  reports derives from its own count. */
 TEST(PerObservableTest, SumAndAnyObservableConsistency)
 {
-    const SurgeryWorkload w = BuildSurgery(3, 1.0);
+    const qec::MergedPatchCode code(3, qec::SurgeryParity::kXX);
     core::EvaluationOptions opts;
     opts.max_shots = 1 << 13;
     opts.target_logical_errors = 0;
     opts.seed = 99;
-    const core::LerEstimate est =
-        core::EstimateLogicalErrorRate(w.circuit, 3, opts);
+    opts.workload = workloads::WorkloadKind::kSurgery;
+    const core::Metrics est = core::Evaluate(code, {}, opts);
+    ASSERT_TRUE(est.ok) << est.error;
     ASSERT_EQ(est.per_observable_errors.size(), 3u);
+    ASSERT_EQ(est.per_observable_ler.size(), 3u);
     ASSERT_GT(est.logical_errors, 0);
     std::int64_t max_obs = 0;
     std::int64_t sum_obs = 0;
@@ -136,18 +135,16 @@ TEST(PerObservableTest, BatchMatchesScalarAcrossThreads)
 {
     const SurgeryWorkload w = BuildSurgery(3, 1.0);
 
-    core::EvaluationOptions opts;
-    opts.max_shots = 1 << 13;
-    opts.target_logical_errors = 60;
-    opts.seed = 0xD15EA5E;
-    opts.num_threads = 1;
-    const core::LerEstimate reference =
-        core::EstimateLogicalErrorRate(w.circuit, 3, opts);
+    const std::int64_t max_shots = 1 << 13;
+    const std::int64_t target_errors = 60;
+    sim::ParallelSamplerOptions sopts;
+    sopts.seed = 0xD15EA5E;
+    sopts.num_threads = 1;
+    const sim::LogicalErrorEstimate reference =
+        sim::ParallelSampler(w.circuit, sopts)
+            .EstimateLogicalErrors(w.dem, max_shots, target_errors);
     ASSERT_TRUE(reference.early_stopped);
 
-    sim::ParallelSamplerOptions sopts;
-    sopts.seed = opts.seed;
-    sopts.shard_shots = opts.shard_shots;
     const sim::SampleBatch batch =
         sim::ParallelSampler(w.circuit, sopts).Sample(reference.shots);
     decoder::UnionFindDecoder decoder(w.dem);
@@ -166,9 +163,10 @@ TEST(PerObservableTest, BatchMatchesScalarAcrossThreads)
 
     for (const int threads : {1, 2, 8}) {
         SCOPED_TRACE(std::to_string(threads) + " threads");
-        opts.num_threads = threads;
-        const core::LerEstimate est =
-            core::EstimateLogicalErrorRate(w.circuit, 3, opts);
+        sopts.num_threads = threads;
+        const sim::LogicalErrorEstimate est =
+            sim::ParallelSampler(w.circuit, sopts)
+                .EstimateLogicalErrors(w.dem, max_shots, target_errors);
         EXPECT_EQ(est.shots, reference.shots);
         EXPECT_EQ(est.logical_errors, reference.logical_errors);
         EXPECT_EQ(est.shards, reference.shards);
@@ -184,15 +182,16 @@ TEST(PerObservableTest, BatchMatchesScalarAcrossThreads)
 TEST(PerObservableTest, CorrelatedImprovesSurgeryLer)
 {
     const SurgeryWorkload w = BuildSurgery(3, 1.0);
-    core::EvaluationOptions opts;
-    opts.max_shots = 1 << 14;
-    opts.target_logical_errors = 0;
-    opts.seed = 7;
-    const core::LerEstimate correlated =
-        core::EstimateLogicalErrorRate(w.circuit, 3, opts);
-    opts.correlated = false;
-    const core::LerEstimate plain =
-        core::EstimateLogicalErrorRate(w.circuit, 3, opts);
+    const std::int64_t max_shots = 1 << 14;
+    sim::ParallelSamplerOptions sopts;
+    sopts.seed = 7;
+    const sim::LogicalErrorEstimate correlated =
+        sim::ParallelSampler(w.circuit, sopts)
+            .EstimateLogicalErrors(w.dem, max_shots, 0);
+    sopts.correlated = false;
+    const sim::LogicalErrorEstimate plain =
+        sim::ParallelSampler(w.circuit, sopts)
+            .EstimateLogicalErrors(w.dem, max_shots, 0);
     ASSERT_EQ(plain.shots, correlated.shots);
     EXPECT_LT(correlated.logical_errors, plain.logical_errors);
     // The joint parity (observable 0) itself must improve, not just the

@@ -102,11 +102,12 @@ TEST(ProgramPipelineTest, SingleMergeInstructionIdenticalToSurgery)
         core::AnnotateCandidate(*merged, arch, arts);
     const WorkloadSpec spec(WorkloadKind::kSurgery,
                             sim::MemoryBasis::kZ);
-    const core::SimArtifacts surgery_arts = core::BuildSimArtifacts(
-        *merged, arts, profile, arch, d, spec);
+    const sim::NoisyCircuit surgery = workloads::BuildExperiment(
+        *merged, arts.compiled.qec_circuit, profile,
+        core::NoiseParamsFor(arch), d, spec);
 
     EXPECT_EQ(sim::FormatNoisyCircuit(program_arts.experiment),
-              sim::FormatNoisyCircuit(surgery_arts.experiment));
+              sim::FormatNoisyCircuit(surgery));
 }
 
 core::SweepCandidate

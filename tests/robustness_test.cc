@@ -233,7 +233,12 @@ INSTANTIATE_TEST_SUITE_P(
         SweepCase{5, 3, TopologyKind::kGrid, 2, true},
         SweepCase{3, 3, TopologyKind::kGrid, 2, true},
         SweepCase{3, 3, TopologyKind::kGrid, 12, true},
-        SweepCase{4, 6, TopologyKind::kGrid, 3, false}),
+        SweepCase{4, 6, TopologyKind::kGrid, 3, false},
+        // Capacities far above the ion count: the router's slot blocks
+        // and the cluster counts must not overflow.
+        SweepCase{3, 3, TopologyKind::kGrid, 357913942, false},
+        SweepCase{3, 3, TopologyKind::kGrid, 2147483647, false},
+        SweepCase{3, 3, TopologyKind::kLinear, 2147483647, false}),
     [](const auto& info) {
         const SweepCase& c = info.param;
         return "dx" + std::to_string(c.dx) + "dy" + std::to_string(c.dy) +

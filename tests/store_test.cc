@@ -23,10 +23,12 @@
 #include "noise/profile_io.h"
 #include "qec/code.h"
 #include "sim/circuit_io.h"
+#include "sim/dem.h"
 #include "sim/dem_io.h"
 #include "store/artifact_store.h"
 #include "store/keys.h"
 #include "store/service.h"
+#include "workloads/experiment.h"
 
 namespace tiqec {
 namespace {
@@ -59,8 +61,10 @@ BuildPipelineArtifacts()
     p.compile = core::CompileCandidate(*p.code, p.arch, 1, nullptr);
     EXPECT_TRUE(p.compile.ok) << p.compile.error;
     p.profile = core::AnnotateCandidate(*p.code, p.arch, p.compile);
-    p.sim = core::BuildSimArtifacts(*p.code, p.compile, p.profile, p.arch,
-                                    3, workloads::WorkloadSpec{});
+    p.sim.experiment = workloads::BuildExperiment(
+        *p.code, p.compile.compiled.qec_circuit, p.profile,
+        core::NoiseParamsFor(p.arch), 3, workloads::WorkloadSpec{});
+    p.sim.dem = sim::BuildDem(p.sim.experiment);
     return p;
 }
 
@@ -571,6 +575,16 @@ TEST(SweepStoreTest, GarbagePayloadIsolatesWithDiagnostic)
     // The untouched candidate proceeds normally off its own artifacts.
     EXPECT_TRUE(outcomes[1].metrics.ok) << outcomes[1].metrics.error;
     EXPECT_EQ(warm.last_run_stats().store_corrupt, 1);
+
+    // The corrupt artifact was discarded: the next run recompiles it
+    // and both candidates pass.
+    core::SweepRunner healed(opts);
+    for (const core::SweepOutcome& outcome :
+         healed.RunDetailed(WarmStoreCandidates())) {
+        EXPECT_TRUE(outcome.metrics.ok) << outcome.metrics.error;
+    }
+    EXPECT_EQ(healed.last_run_stats().store_corrupt, 0);
+    EXPECT_EQ(healed.last_run_stats().compiles, 1);
 }
 
 /** Sets CSV field `field` of the first schedule row of kind `kind` (of
@@ -1017,6 +1031,16 @@ TEST(CertificateStoreTest, CorruptCertificateIsolatesOnlyItsCandidate)
         EXPECT_TRUE(outcomes[1].metrics.ok) << outcomes[1].metrics.error;
         EXPECT_EQ(warm.last_run_stats().store_corrupt, 1);
         EXPECT_EQ(warm.last_run_stats().certifies, 0);
+
+        // The corrupt certificate was discarded: the next run certifies
+        // again and both candidates pass.
+        core::SweepRunner healed(opts);
+        for (const core::SweepOutcome& outcome :
+             healed.RunDetailed(CertifiedCandidates())) {
+            EXPECT_TRUE(outcome.metrics.ok) << outcome.metrics.error;
+        }
+        EXPECT_EQ(healed.last_run_stats().store_corrupt, 0);
+        EXPECT_EQ(healed.last_run_stats().certifies, 1);
     }
 }
 

@@ -341,9 +341,10 @@ TEST(SurgeryExperimentTest, PinnedDemStatsAtD3AndD5)
         const auto arts = core::CompileCandidate(code, arch);
         ASSERT_TRUE(arts.ok) << arts.error;
         const auto profile = core::AnnotateCandidate(code, arch, arts);
-        const auto sim_arts = core::BuildSimArtifacts(
-            code, arts, profile, arch, pin.d, WorkloadSpec(pin.kind));
-        const sim::DetectorErrorModel& dem = sim_arts.dem;
+        const sim::DetectorErrorModel dem =
+            sim::BuildDem(workloads::BuildExperiment(
+                code, arts.compiled.qec_circuit, profile,
+                core::NoiseParamsFor(arch), pin.d, WorkloadSpec(pin.kind)));
         EXPECT_EQ(dem.num_detectors, pin.detectors);
         EXPECT_EQ(dem.num_observables, pin.observables);
         EXPECT_EQ(static_cast<int>(dem.edges.size()), pin.edges);
