@@ -44,6 +44,9 @@ struct CompileArtifacts
     int compile_rounds = 1;
     qccd::TimingModel timing;
     qccd::DeviceGraph graph;
+    /** In a successful bundle `compiled.routing.ops` is empty, whether
+     *  it was computed or loaded from the store: the schedule holds
+     *  every op. */
     compiler::CompilationResult compiled;
 };
 

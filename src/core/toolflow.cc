@@ -70,6 +70,10 @@ CompileCandidate(const qec::StabilizerCode& code,
             arts.error = arts.compiled.error;
             return arts;
         }
+        // The schedule holds every op; free the router's copy, which a
+        // store-loaded bundle never carries either.
+        arts.compiled.routing.ops.clear();
+        arts.compiled.routing.ops.shrink_to_fit();
         arts.ok = true;
     } catch (const std::exception& e) {
         arts.ok = false;

@@ -42,6 +42,7 @@ UnionFindDecoder::UnionFindDecoder(const sim::DetectorErrorModel& dem,
     for (int i = 0; i < n; ++i) {
         parent_[i] = i;
     }
+    pot_.assign(n, 0);
     defect_.assign(n, 0);
     in_cluster_.assign(n, 0);
     edge_grown_.assign(edges_.size(), 0);
@@ -137,6 +138,10 @@ UnionFindDecoder::UnionFindDecoder(const sim::DetectorErrorModel& dem,
     }
     stage2_ = !hyper_residual_.empty();
     if (stage2_) {
+        edge_stage2_.assign(edges_.size(), 0);
+        for (const std::int32_t ei : hyper_edge_list_) {
+            edge_stage2_[ei] = 1;
+        }
         edge_used_.assign(edges_.size(), 0);
         edge_claimed_.assign(edges_.size(), 0);
         hyper_seen_.assign(hyper_residual_.size(), 0);
@@ -145,10 +150,16 @@ UnionFindDecoder::UnionFindDecoder(const sim::DetectorErrorModel& dem,
 }
 
 int
-UnionFindDecoder::Find(int x)
+UnionFindDecoder::Find(int x, std::uint32_t& pot)
 {
+    // Each re-pointed node first folds its parent's potential into its
+    // own, so pot_ stays relative to parent_.
+    pot = 0;
     while (parent_[x] != x) {
-        parent_[x] = parent_[parent_[x]];
+        const int p = parent_[x];
+        pot_[x] ^= pot_[p];
+        parent_[x] = parent_[p];
+        pot ^= pot_[x];
         x = parent_[x];
     }
     return x;
@@ -159,6 +170,7 @@ UnionFindDecoder::ResetScratch()
 {
     for (const std::int32_t node : touched_nodes_) {
         parent_[node] = node;
+        pot_[node] = 0;
         defect_[node] = 0;
         in_cluster_[node] = 0;
         cluster_of_root_[node] = -1;
@@ -190,7 +202,7 @@ UnionFindDecoder::ResetScratch()
 }
 
 void
-UnionFindDecoder::BuildBfsForest()
+UnionFindDecoder::BuildBfsForest(std::span<const int> syndrome)
 {
     // order_ doubles as the BFS queue (nodes are appended once and
     // scanned once), so no per-decode queue allocation.
@@ -209,19 +221,24 @@ UnionFindDecoder::BuildBfsForest()
             }
         }
     };
+    const auto needs_forest = [&](int node) {
+        return clusters_[cluster_of_root_[Find(node)]].needs_forest;
+    };
     for (const std::int32_t ei : grown_edges_) {
         const Edge& e = edges_[ei];
-        if (e.v == BoundaryNode() && !visited_[e.u]) {
+        if (e.v == BoundaryNode() && !visited_[e.u] && needs_forest(e.u)) {
             visited_[e.u] = 1;
             parent_edge_[e.u] = ei;  // parent is the boundary
             bfs_from(e.u);
         }
     }
-    for (const std::int32_t node : touched_nodes_) {
-        if (!visited_[node]) {
-            visited_[node] = 1;
-            parent_edge_[node] = -1;  // interior forest root
-            bfs_from(node);
+    // Every cluster holds a defect and the defects were touched first, so
+    // an interior cluster roots at its first defect.
+    for (const int d : syndrome) {
+        if (!visited_[d] && needs_forest(d)) {
+            visited_[d] = 1;
+            parent_edge_[d] = -1;  // interior forest root
+            bfs_from(d);
         }
     }
 }
@@ -281,14 +298,17 @@ UnionFindDecoder::BuildWeightedForest(std::span<const int> syndrome)
     for (const std::int32_t ei : grown_edges_) {
         const Edge& e = edges_[ei];
         if (e.v == BoundaryNode()) {
-            clusters_[cluster_of_root_[Find(e.u)]].seeds.push_back(ei);
+            Cluster& c = clusters_[cluster_of_root_[Find(e.u)]];
+            if (c.needs_forest) {
+                c.seeds.push_back(ei);
+            }
         }
     }
     for (const int d : syndrome) {
         const int root = Find(d);
         const std::int32_t ci = cluster_of_root_[root];
-        if (ci < 0) {
-            continue;  // this cluster was searched from an earlier defect
+        if (ci < 0 || !clusters_[ci].needs_forest) {
+            continue;  // searched from an earlier defect, or no forest
         }
         cluster_of_root_[root] = -1;
         Cluster& c = clusters_[ci];
@@ -370,12 +390,26 @@ UnionFindDecoder::Decode(std::span<const int> syndrome)
         Cluster& c = clusters_[i];
         c.parity = 1;
         c.boundary = false;
+        c.boundary_pot = 0;
+        c.needs_forest = false;
         c.frontier.clear();
         c.frontier.push_back(d);
         cluster_of_root_[d] = static_cast<std::int32_t>(i);
     }
 
     // ---- Growth ----------------------------------------------------------
+    // Growth also keeps each cluster's observable potentials (pot_) and
+    // flags the clusters whose correction depends on the forest
+    // (DESIGN.md §3.6, fact 5). Once a cluster is flagged its potentials
+    // are never read again.
+    const auto join_boundary = [](Cluster& c, std::uint32_t pot) {
+        if (!c.boundary) {
+            c.boundary = true;
+            c.boundary_pot = pot;
+        } else if (pot != c.boundary_pot) {
+            c.needs_forest = true;  // odd cycle through the boundary
+        }
+    };
     bool any_odd = true;
     while (any_odd) {
         any_odd = false;
@@ -394,6 +428,13 @@ UnionFindDecoder::Decode(std::span<const int> syndrome)
             frontier_scratch_.clear();
             frontier_scratch_.swap(c.frontier);
             for (const std::int32_t node : frontier_scratch_) {
+                // Potentials are kept only while the cluster needs no
+                // forest; node_pot is the node's, in the root's frame.
+                const bool track = !c.needs_forest;
+                std::uint32_t node_pot = 0;
+                if (track) {
+                    Find(node, node_pot);
+                }
                 const std::int32_t arcs_end = arc_off_[node + 1];
                 for (std::int32_t a = arc_off_[node]; a < arcs_end; ++a) {
                     const Arc arc = arcs_[a];
@@ -403,28 +444,46 @@ UnionFindDecoder::Decode(std::span<const int> syndrome)
                     edge_grown_[arc.edge] = 1;
                     grown_edges_.push_back(arc.edge);
                     grown_adj_[node].push_back(arc);
+                    if (stage2_ && edge_stage2_[arc.edge]) {
+                        c.needs_forest = true;
+                    }
+                    // The far endpoint's potential if this edge is
+                    // consistent.
+                    const std::uint32_t far_pot =
+                        track ? node_pot ^ edges_[arc.edge].obs_mask : 0;
                     const int other = arc.other;
                     if (other == BoundaryNode()) {
-                        c.boundary = true;
+                        join_boundary(c, far_pot);
                         continue;
                     }
                     grown_adj_[other].push_back({node, arc.edge});
                     if (!in_cluster_[other]) {
                         touch(other);
                         parent_[other] = root;
+                        pot_[other] = far_pot;
                         c.frontier.push_back(other);
                         continue;
                     }
-                    const int other_root = Find(other);
+                    std::uint32_t other_pot = 0;
+                    const int other_root = Find(other, other_pot);
                     if (other_root == root) {
+                        if (other_pot != far_pot) {
+                            c.needs_forest = true;  // odd cycle
+                        }
                         continue;
                     }
-                    // Merge the other cluster into this one.
+                    // Merge the other cluster into this one, re-framed so
+                    // that this edge is consistent.
+                    pot_[other_root] = far_pot ^ other_pot;
                     const std::int32_t oc = cluster_of_root_[other_root];
                     if (oc >= 0) {
                         Cluster& o = clusters_[oc];
                         c.parity += o.parity;
-                        c.boundary = c.boundary || o.boundary;
+                        c.needs_forest = c.needs_forest || o.needs_forest;
+                        if (o.boundary) {
+                            join_boundary(c,
+                                          o.boundary_pot ^ pot_[other_root]);
+                        }
                         c.frontier.insert(c.frontier.end(),
                                           o.frontier.begin(),
                                           o.frontier.end());
@@ -456,18 +515,34 @@ UnionFindDecoder::Decode(std::span<const int> syndrome)
         }
     }
 
-    // ---- Peeling ---------------------------------------------------------
-    // Spanning forest over grown edges; boundary-touching clusters root at
-    // the boundary so leftover defects can drain into it.
+    // ---- Observable-consistent clusters ---------------------------------
+    // Every peel of such a cluster yields the XOR of its defects'
+    // potentials, plus the boundary's when its defect count is odd, and
+    // uses no stage-2 edge, so it needs no forest. XORing boundary_pot
+    // once per defect adds it exactly when the count is odd.
     std::uint32_t correction = 0;
-    // Trees must root at the boundary where possible, so no node a search
-    // has reached is ever re-seeded as a root; otherwise every cluster
-    // node would become its own parentless root and defects could never
-    // drain along tree edges.
-    if (weighted_) {
+    bool any_forest = false;
+    for (const int d : syndrome) {
+        std::uint32_t pot = 0;
+        const Cluster& c = clusters_[cluster_of_root_[Find(d, pot)]];
+        if (c.needs_forest) {
+            any_forest = true;
+        } else {
+            correction ^= pot ^ c.boundary_pot;
+        }
+    }
+
+    // ---- Peeling ---------------------------------------------------------
+    // Spanning forest over the grown edges of the remaining clusters;
+    // boundary-touching clusters root at the boundary so leftover defects
+    // can drain into it. Trees must root at the boundary where possible,
+    // so no node a search has reached is ever re-seeded as a root;
+    // otherwise every cluster node would become its own parentless root
+    // and defects could never drain along tree edges.
+    if (any_forest && weighted_) {
         BuildWeightedForest(syndrome);
-    } else {
-        BuildBfsForest();
+    } else if (any_forest) {
+        BuildBfsForest(syndrome);
     }
     // Peel from the leaves (reverse of the parent-before-child order_).
     for (auto it = order_.rbegin(); it != order_.rend(); ++it) {

@@ -10,6 +10,10 @@
  *  2. Peeling: within each grown cluster, a spanning forest is peeled
  *     from the leaves; a leaf edge joins the correction iff its leaf node
  *     carries a defect, and the defect parity is pushed to the parent.
+ *     Growth keeps an observable potential per node, so a cluster whose
+ *     grown cycles all have even observable action (and which grows no
+ *     edge of an active stage-2 entry) skips this stage: every peel of
+ *     it yields the XOR of its defects' potentials (DESIGN.md §3.6).
  *
  * The predicted logical-observable flip is the XOR of the observable
  * masks of the correction edges. This is the standard almost-linear-time
@@ -146,6 +150,13 @@ class UnionFindDecoder
     {
         int parity = 0;  ///< number of defects in the cluster
         bool boundary = false;
+        /** The boundary node's observable potential in the root's frame
+         *  (0 until the cluster touches the boundary). */
+        std::uint32_t boundary_pot = 0;
+        /** Set once a grown cycle has odd observable action or a grown
+         *  edge belongs to an active stage-2 entry; only such clusters
+         *  get a peeling forest (DESIGN.md §3.6, fact 5). */
+        bool needs_forest = false;
         std::vector<std::int32_t> frontier;
         /** Grown boundary edges; filled and consumed by
          *  BuildWeightedForest, empty between decodes. */
@@ -165,15 +176,23 @@ class UnionFindDecoder
 
     int BoundaryNode() const { return num_detectors_; }
 
-    int Find(int x);
+    /** Root of x's set, with path halving. `pot` receives x's observable
+     *  potential relative to the root. */
+    int Find(int x, std::uint32_t& pot);
+    int Find(int x)
+    {
+        std::uint32_t pot = 0;
+        return Find(x, pot);
+    }
 
-    /** Spanning-forest builders over the grown edges: unweighted BFS
-     *  (the PR-5 baseline) or most-probable-path Dijkstra under
-     *  w = -log p. Both root boundary-touching clusters at the boundary
-     *  and append nodes to order_ parent-before-child for the peel; the
-     *  Dijkstra never offers a dead end and stops each cluster at its
-     *  last defect, so it appends only the nodes the peel can read. */
-    void BuildBfsForest();
+    /** Spanning-forest builders over the grown edges of the clusters
+     *  that need a forest: unweighted BFS (the PR-5 baseline) or
+     *  most-probable-path Dijkstra under w = -log p. Both root
+     *  boundary-touching clusters at the boundary and append nodes to
+     *  order_ parent-before-child for the peel; the Dijkstra never
+     *  offers a dead end and stops each cluster at its last defect, so
+     *  it appends only the nodes the peel can read. */
+    void BuildBfsForest(std::span<const int> syndrome);
     void BuildWeightedForest(std::span<const int> syndrome);
 
     /** Restores all touched scratch to its idle state; called on every
@@ -192,6 +211,10 @@ class UnionFindDecoder
     // reset via touched_nodes_ / grown_edges_, so a decode costs
     // O(cluster sizes), not O(graph).
     std::vector<std::int32_t> parent_;
+    /** Observable potential relative to parent_ (0 at a root): along
+     *  every grown edge of a cluster that needs no forest, the
+     *  endpoints' potentials differ by the edge's observable mask. */
+    std::vector<std::uint32_t> pot_;
     std::vector<char> defect_;
     std::vector<char> in_cluster_;
     std::vector<char> edge_grown_;
@@ -225,6 +248,7 @@ class UnionFindDecoder
     std::vector<std::uint32_t> hyper_residual_;  ///< obs XOR to re-apply
     std::vector<std::int32_t> hyper_mech_;       ///< dense mechanism id
     std::vector<std::vector<std::int32_t>> edge_hyper_;  ///< edge -> entries
+    std::vector<char> edge_stage2_;  ///< 1 iff an active entry lists the edge
 
     // Correlated stage-2 scratch, reset via used_edges_ / hyper_cands_ /
     // mechs_claimed_ in ResetScratch.

@@ -399,10 +399,17 @@ TEST(CorrelatedDecodeTest, EqualProbabilityRoutesBreakTiesOnEdgeIndex)
     dem.edges.push_back({2, DemEdge::kBoundary, 0.01, 1});  // e3
     UnionFindDecoder decoder(dem);
     EXPECT_EQ(decoder.Decode({0}), 1u);
-    // Swapping the two inner edges' indices swaps the route.
+    // The BFS forest roots the cluster at its first grown boundary
+    // edge (growth order e0, e1, e3, e2) and reaches D0 through D2.
+    UnionFindDecoder plain(dem, UnionFindDecoder::Options{false});
+    EXPECT_EQ(plain.Decode({0}), 1u);
+    // Swapping the two inner edges' indices swaps the route, and the
+    // BFS tree now roots at D1 (growth order e0, e1, e2, e3).
     std::swap(dem.edges[0], dem.edges[1]);
     UnionFindDecoder swapped(dem);
     EXPECT_EQ(swapped.Decode({0}), 0u);
+    UnionFindDecoder swapped_plain(dem, UnionFindDecoder::Options{false});
+    EXPECT_EQ(swapped_plain.Decode({0}), 0u);
 }
 
 TEST(CorrelatedDecodeTest, EqualDistanceNodesSettleInNodeOrder)
@@ -422,6 +429,90 @@ TEST(CorrelatedDecodeTest, EqualDistanceNodesSettleInNodeOrder)
     dem.edges.push_back({2, DemEdge::kBoundary, 0.01, 1});  // e4
     UnionFindDecoder decoder(dem);
     EXPECT_EQ(decoder.Decode({0}), 0u);
+    // The BFS forest roots at the first grown boundary edge, e4 (growth
+    // order e1, e2, e0, e4, e3), and reaches D0 from D2 through e1.
+    UnionFindDecoder plain(dem, UnionFindDecoder::Options{false});
+    EXPECT_EQ(plain.Decode({0}), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Clusters without an odd observable cycle skip the forest (DESIGN.md §3.6,
+// fact 5); the others keep each forest's route
+// ---------------------------------------------------------------------------
+
+TEST(UnionFindDecoderTest, OddCycleInInteriorClusterDecidesTheRoute)
+{
+    // Defects D0 and D3 on the square D0-D1-D3-D2-D0. D0's cluster grows
+    // e0 and e1; D3's grows e2, which merges the two, then e3, which
+    // closes the square. Only e3 flips obs 0, so the cycle has odd
+    // observable action and the two routes disagree: the weighted forest
+    // takes the probable route through D2 (e1, e3: obs 1), the BFS
+    // forest reaches D3 from D1 (e0, e2: obs 0).
+    DetectorErrorModel dem;
+    dem.num_detectors = 4;
+    dem.num_observables = 1;
+    dem.edges.push_back({0, 1, 0.01, 0});  // e0
+    dem.edges.push_back({0, 2, 0.2, 0});   // e1
+    dem.edges.push_back({1, 3, 0.01, 0});  // e2
+    dem.edges.push_back({2, 3, 0.2, 1});   // e3
+    for (const bool correlated : {true, false}) {
+        UnionFindDecoder decoder(dem, UnionFindDecoder::Options{correlated});
+        EXPECT_EQ(decoder.Decode({0, 3}), correlated ? 1u : 0u)
+            << "correlated=" << correlated;
+    }
+}
+
+TEST(UnionFindDecoderTest, MergedBoundaryClustersWithOddCycle)
+{
+    // D0 and D1 each touch the boundary (e0, e2) and meet at D2 (e1,
+    // e3). D0's cluster grows e0 and e1; D1's grows e2, then e3, which
+    // merges D0's cluster into it. Each cluster is consistent alone, but
+    // e3 flips obs 0, so the merged cluster's cycle B-D0-D2-D1-B is odd:
+    // the weighted forest drains both defects into the boundary (e0, e2:
+    // obs 0), the BFS forest roots at e0 and joins them through D2 (e1,
+    // e3: obs 1).
+    DetectorErrorModel dem;
+    dem.num_detectors = 3;
+    dem.num_observables = 1;
+    dem.edges.push_back({0, DemEdge::kBoundary, 0.01, 0});  // e0
+    dem.edges.push_back({0, 2, 0.01, 0});                  // e1
+    dem.edges.push_back({1, DemEdge::kBoundary, 0.01, 0});  // e2
+    dem.edges.push_back({1, 2, 0.01, 1});                  // e3
+    for (const bool correlated : {true, false}) {
+        UnionFindDecoder decoder(dem, UnionFindDecoder::Options{correlated});
+        EXPECT_EQ(decoder.Decode({0, 1}), correlated ? 0u : 1u)
+            << "correlated=" << correlated;
+    }
+}
+
+TEST(UnionFindDecoderTest, ConsistentClustersReportOneObservable)
+{
+    // Two components. Detectors 0-2 on obs 0: D0 reaches the boundary
+    // through D1 (e0, e2) or D2 (e1, e3), both routes flip obs 0 once,
+    // and the D2 route is the more probable one. Detectors 3-6 on obs 1:
+    // the square above with both edges at D3 (e4, e5) flipping obs 1, so
+    // both routes from D3 to D6 flip it once.
+    DetectorErrorModel dem;
+    dem.num_detectors = 7;
+    dem.num_observables = 2;
+    dem.edges.push_back({0, 1, 0.01, 1});                  // e0
+    dem.edges.push_back({0, 2, 0.2, 0});                   // e1
+    dem.edges.push_back({1, DemEdge::kBoundary, 0.01, 0});  // e2
+    dem.edges.push_back({2, DemEdge::kBoundary, 0.2, 1});   // e3
+    dem.edges.push_back({3, 4, 0.01, 2});                  // e4
+    dem.edges.push_back({3, 5, 0.2, 2});                   // e5
+    dem.edges.push_back({4, 6, 0.01, 0});                  // e6
+    dem.edges.push_back({5, 6, 0.2, 0});                   // e7
+    // The weighted forest takes D0-D2-B and D3-D5-D6, the BFS forest
+    // D0-D1-B (its first grown boundary edge is e2) and D3-D4-D6; every
+    // route flips its observable once.
+    for (const bool correlated : {true, false}) {
+        UnionFindDecoder decoder(dem, UnionFindDecoder::Options{correlated});
+        EXPECT_EQ(decoder.Decode({0}), 1u) << "correlated=" << correlated;
+        EXPECT_EQ(decoder.Decode({3, 6}), 2u) << "correlated=" << correlated;
+        EXPECT_EQ(decoder.Decode({0, 3, 6}), 3u)
+            << "correlated=" << correlated;
+    }
 }
 
 /** FNV-1a 64 of packed prediction planes, each word as 8 little-endian
