@@ -9,21 +9,13 @@
 
 namespace tiqec::analysis {
 
-namespace {
-
-/** The `dem.detector_coverage` unreferenced-record check: every tracked
- *  data qubit's measurement record must feed at least one detector or
- *  observable, unless the qubit is allowlisted (the surgery seam,
- *  measured out in the conjugate basis; DESIGN.md §5.3). An unreferenced
- *  readout means errors on that qubit vanish from the decoding problem
- *  entirely. */
-void
-CheckUnreferencedRecords(const sim::NoisyCircuit& circuit,
-                         const SimValidationOptions& options,
-                         std::vector<Diagnostic>& diagnostics)
+std::vector<Diagnostic>
+ValidateRecordCoverage(const sim::NoisyCircuit& circuit,
+                       const SimValidationOptions& options)
 {
+    std::vector<Diagnostic> diagnostics;
     if (options.tracked_data_qubits.empty()) {
-        return;
+        return diagnostics;
     }
     std::vector<int> record_qubit;
     record_qubit.reserve(static_cast<size_t>(circuit.num_measurements()));
@@ -59,9 +51,8 @@ CheckUnreferencedRecords(const sim::NoisyCircuit& circuit,
              "data-qubit readout feeds no detector or observable; errors "
              "on it are invisible to the decoder"});
     }
+    return diagnostics;
 }
-
-}  // namespace
 
 SimValidationOptions
 SimValidationOptionsFor(const qec::StabilizerCode& code,
@@ -122,11 +113,13 @@ ValidateSimArtifacts(const sim::NoisyCircuit& circuit,
                      const SimValidationOptions& options)
 {
     std::vector<Diagnostic> diagnostics = ValidateCircuit(circuit);
-    CheckUnreferencedRecords(circuit, options, diagnostics);
-    std::vector<Diagnostic> dem_diags = ValidateDem(dem);
-    diagnostics.insert(diagnostics.end(),
-                      std::make_move_iterator(dem_diags.begin()),
-                      std::make_move_iterator(dem_diags.end()));
+    const auto append = [&diagnostics](std::vector<Diagnostic> more) {
+        diagnostics.insert(diagnostics.end(),
+                           std::make_move_iterator(more.begin()),
+                           std::make_move_iterator(more.end()));
+    };
+    append(ValidateRecordCoverage(circuit, options));
+    append(ValidateDem(dem));
     if (dem.num_detectors != circuit.num_detectors() ||
         dem.num_observables != circuit.num_observables()) {
         std::ostringstream os;

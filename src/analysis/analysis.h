@@ -65,6 +65,17 @@ struct SimValidationOptions
 SimValidationOptions SimValidationOptionsFor(
     const qec::StabilizerCode& code, const workloads::WorkloadSpec& spec);
 
+/** The workload-aware `dem.detector_coverage` record check: every
+ *  tracked data qubit's measurement record must feed at least one
+ *  detector or observable, unless the qubit is allowlisted (the surgery
+ *  seam, measured out in the conjugate basis; DESIGN.md §5.3). An
+ *  unreferenced readout means errors on that qubit vanish from the
+ *  decoding problem entirely. It is the one rule `options` adds to the
+ *  workload-blind `ValidateSimArtifacts`, so a bundle that passed the
+ *  blind rules (a store load) needs only this check. */
+std::vector<Diagnostic> ValidateRecordCoverage(
+    const sim::NoisyCircuit& circuit, const SimValidationOptions& options);
+
 /** Runs the circuit.* and dem.* rules plus circuit/DEM cross-checks. */
 std::vector<Diagnostic> ValidateSimArtifacts(
     const sim::NoisyCircuit& circuit, const sim::DetectorErrorModel& dem,

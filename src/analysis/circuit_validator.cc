@@ -1,5 +1,6 @@
 #include "analysis/circuit_validator.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <sstream>
@@ -59,243 +60,9 @@ InstLocation(size_t index, SimOp op)
     return os.str();
 }
 
-/**
- * Aaronson-Gottesman stabilizer tableau over H/CNOT/SWAP/measure/reset
- * with *symbolic* measurement outcomes: a measurement whose result is
- * not determined by the stabilizer group is assigned a fresh GF(2)
- * symbol, and every row phase carries the linear combination of symbols
- * it has absorbed. A measurement record is then an exact symbol
- * combination, so a detector is deterministic in the noiseless circuit
- * iff the XOR of its records' symbol sets vanishes — this handles the
- * telescoping round-to-round syndrome comparisons (two individually
- * random measurements of the same stabilizer share their symbol) that
- * per-qubit tracking cannot.
- */
-class SymbolicTableau
-{
-  public:
-    SymbolicTableau(int num_qubits, int max_symbols)
-        : n_(num_qubits),
-          words_((num_qubits + 63) / 64),
-          sym_words_((max_symbols + 63) / 64)
-    {
-        const int rows = 2 * n_ + 1;  // destabilizers, stabilizers, scratch
-        x_.assign(static_cast<size_t>(rows) * words_, 0);
-        z_.assign(static_cast<size_t>(rows) * words_, 0);
-        r_.assign(rows, 0);
-        sym_.assign(static_cast<size_t>(rows) * sym_words_, 0);
-        for (int i = 0; i < n_; ++i) {
-            SetBit(x_, i, i);           // destabilizer i = X_i
-            SetBit(z_, n_ + i, i);      // stabilizer i = Z_i
-        }
-    }
-
-    int sym_words() const { return sym_words_; }
-
-    void ApplyH(int a)
-    {
-        for (int i = 0; i < 2 * n_; ++i) {
-            const bool x = GetBit(x_, i, a);
-            const bool z = GetBit(z_, i, a);
-            r_[i] ^= static_cast<std::uint8_t>(x && z);
-            PutBit(x_, i, a, z);
-            PutBit(z_, i, a, x);
-        }
-    }
-
-    void ApplyCnot(int c, int t)
-    {
-        for (int i = 0; i < 2 * n_; ++i) {
-            const bool xc = GetBit(x_, i, c);
-            const bool zc = GetBit(z_, i, c);
-            const bool xt = GetBit(x_, i, t);
-            const bool zt = GetBit(z_, i, t);
-            r_[i] ^= static_cast<std::uint8_t>(xc && zt && (xt == zc));
-            PutBit(x_, i, t, xt != xc);
-            PutBit(z_, i, c, zc != zt);
-        }
-    }
-
-    void ApplySwap(int a, int b)
-    {
-        for (int i = 0; i < 2 * n_; ++i) {
-            const bool xa = GetBit(x_, i, a);
-            const bool xb = GetBit(x_, i, b);
-            PutBit(x_, i, a, xb);
-            PutBit(x_, i, b, xa);
-            const bool za = GetBit(z_, i, a);
-            const bool zb = GetBit(z_, i, b);
-            PutBit(z_, i, a, zb);
-            PutBit(z_, i, b, za);
-        }
-    }
-
-    /** Measures Z_a. Writes the outcome's symbol combination into
-     *  `syms` (sym_words words) and returns its concrete bit. */
-    bool MeasureZ(int a, std::uint64_t* syms)
-    {
-        int p = -1;
-        for (int i = n_; i < 2 * n_; ++i) {
-            if (GetBit(x_, i, a)) {
-                p = i;
-                break;
-            }
-        }
-        if (p >= 0) {
-            // Random outcome: fresh symbol.
-            for (int i = 0; i < 2 * n_; ++i) {
-                if (i != p && GetBit(x_, i, a)) {
-                    RowSum(i, p);
-                }
-            }
-            CopyRow(p - n_, p);
-            ZeroRow(p);
-            SetBit(z_, p, a);
-            const int s = num_symbols_++;
-            Sym(p)[s / 64] |= 1ull << (s % 64);
-            for (int w = 0; w < sym_words_; ++w) {
-                syms[w] = 0;
-            }
-            syms[s / 64] = 1ull << (s % 64);
-            return false;
-        }
-        // Deterministic outcome: accumulate the stabilizer combination
-        // selected by the anticommuting destabilizers into the scratch
-        // row.
-        const int h = 2 * n_;
-        ZeroRow(h);
-        for (int i = 0; i < n_; ++i) {
-            if (GetBit(x_, i, a)) {
-                RowSum(h, n_ + i);
-            }
-        }
-        for (int w = 0; w < sym_words_; ++w) {
-            syms[w] = Sym(h)[w];
-        }
-        return r_[h] != 0;
-    }
-
-    /** Projects qubit `a` to |0>: measure, then X conditioned on the
-     *  (possibly symbolic) outcome. */
-    void Reset(int a)
-    {
-        scratch_syms_.assign(sym_words_, 0);
-        const bool value = MeasureZ(a, scratch_syms_.data());
-        for (int i = 0; i < 2 * n_; ++i) {
-            if (!GetBit(z_, i, a)) {
-                continue;
-            }
-            r_[i] ^= static_cast<std::uint8_t>(value);
-            std::uint64_t* row = Sym(i);
-            for (int w = 0; w < sym_words_; ++w) {
-                row[w] ^= scratch_syms_[w];
-            }
-        }
-    }
-
-  private:
-    bool GetBit(const std::vector<std::uint64_t>& bits, int row,
-                int col) const
-    {
-        return (bits[static_cast<size_t>(row) * words_ + col / 64] >>
-                (col % 64)) &
-               1ull;
-    }
-
-    void SetBit(std::vector<std::uint64_t>& bits, int row, int col)
-    {
-        bits[static_cast<size_t>(row) * words_ + col / 64] |=
-            1ull << (col % 64);
-    }
-
-    void PutBit(std::vector<std::uint64_t>& bits, int row, int col, bool v)
-    {
-        std::uint64_t& word =
-            bits[static_cast<size_t>(row) * words_ + col / 64];
-        const std::uint64_t mask = 1ull << (col % 64);
-        word = v ? (word | mask) : (word & ~mask);
-    }
-
-    std::uint64_t* Sym(int row)
-    {
-        return sym_.data() + static_cast<size_t>(row) * sym_words_;
-    }
-
-    /** Row h *= row i, with the CHP mod-4 phase bookkeeping; symbol
-     *  signs are plain ±1 factors, so their vectors simply XOR. */
-    void RowSum(int h, int i)
-    {
-        int sum = 2 * r_[h] + 2 * r_[i];
-        for (int j = 0; j < n_; ++j) {
-            const int x1 = GetBit(x_, i, j);
-            const int z1 = GetBit(z_, i, j);
-            const int x2 = GetBit(x_, h, j);
-            const int z2 = GetBit(z_, h, j);
-            if (x1 == 1 && z1 == 1) {
-                sum += z2 - x2;
-            } else if (x1 == 1 && z1 == 0) {
-                sum += z2 * (2 * x2 - 1);
-            } else if (x1 == 0 && z1 == 1) {
-                sum += x2 * (1 - 2 * z2);
-            }
-        }
-        r_[h] = static_cast<std::uint8_t>(((sum % 4) + 4) % 4 == 2);
-        for (int w = 0; w < words_; ++w) {
-            x_[static_cast<size_t>(h) * words_ + w] ^=
-                x_[static_cast<size_t>(i) * words_ + w];
-            z_[static_cast<size_t>(h) * words_ + w] ^=
-                z_[static_cast<size_t>(i) * words_ + w];
-        }
-        std::uint64_t* sh = Sym(h);
-        const std::uint64_t* si = Sym(i);
-        for (int w = 0; w < sym_words_; ++w) {
-            sh[w] ^= si[w];
-        }
-    }
-
-    void CopyRow(int dst, int src)
-    {
-        for (int w = 0; w < words_; ++w) {
-            x_[static_cast<size_t>(dst) * words_ + w] =
-                x_[static_cast<size_t>(src) * words_ + w];
-            z_[static_cast<size_t>(dst) * words_ + w] =
-                z_[static_cast<size_t>(src) * words_ + w];
-        }
-        r_[dst] = r_[src];
-        std::uint64_t* sd = Sym(dst);
-        const std::uint64_t* ss = Sym(src);
-        for (int w = 0; w < sym_words_; ++w) {
-            sd[w] = ss[w];
-        }
-    }
-
-    void ZeroRow(int row)
-    {
-        for (int w = 0; w < words_; ++w) {
-            x_[static_cast<size_t>(row) * words_ + w] = 0;
-            z_[static_cast<size_t>(row) * words_ + w] = 0;
-        }
-        r_[row] = 0;
-        std::uint64_t* s = Sym(row);
-        for (int w = 0; w < sym_words_; ++w) {
-            s[w] = 0;
-        }
-    }
-
-    int n_;
-    int words_;
-    int sym_words_;
-    int num_symbols_ = 0;
-    std::vector<std::uint64_t> x_;
-    std::vector<std::uint64_t> z_;
-    std::vector<std::uint8_t> r_;
-    std::vector<std::uint64_t> sym_;
-    std::vector<std::uint64_t> scratch_syms_;
-};
-
 /** Structural pass: operand ranges, probabilities, record/detector/
  *  observable references, measured-out qubits. Returns false when an
- *  out-of-range reference makes the tableau walk unsafe. */
+ *  out-of-range reference makes the frame walk unsafe. */
 bool
 CheckStructure(const NoisyCircuit& circuit, Reporter& report)
 {
@@ -412,66 +179,98 @@ CheckStructure(const NoisyCircuit& circuit, Reporter& report)
     return indexable;
 }
 
-/** Semantic pass: noiseless symbolic-tableau walk; every detector's
- *  record parity must be independent of random measurement outcomes. */
+/** Semantic pass: is every detector's record parity fixed in the
+ *  noiseless circuit? Its random choices are all Z gauges, since a Z
+ *  flip of a Z eigenstate changes nothing: one per qubit at the start,
+ *  one per measurement and one per reset. Each qubit's Pauli frame is an
+ *  X and a Z plane over those gauges, so a record's plane names the
+ *  gauges that flip it, and a detector is random iff the XOR of its
+ *  records' planes is non-zero. A frame simulation that randomizes
+ *  exactly these gauges samples the noiseless record distribution
+ *  (Gidney, arXiv:2103.02202), so the verdict is a stabilizer tableau's,
+ *  at a few word operations per instruction and per 64 gauges. */
 void
 CheckDeterminism(const NoisyCircuit& circuit, Reporter& report)
 {
     const int nq = circuit.num_qubits();
-    if (nq == 0) {
-        return;
-    }
-    int max_symbols = 0;
+    size_t gauges = static_cast<size_t>(nq);
     for (const SimInstruction& inst : circuit.instructions()) {
         if (inst.op == SimOp::kMeasure || inst.op == SimOp::kReset) {
-            ++max_symbols;
+            ++gauges;
         }
     }
-    SymbolicTableau tableau(nq, max_symbols);
-    const int sw = tableau.sym_words();
-    std::vector<std::uint64_t> record_syms;
-    record_syms.reserve(static_cast<size_t>(circuit.num_measurements()) *
-                        sw);
-    std::vector<std::uint64_t> acc(sw);
+    const size_t words = (gauges + 63) / 64;
+    std::vector<std::uint64_t> x(static_cast<size_t>(nq) * words, 0);
+    std::vector<std::uint64_t> z(x.size(), 0);
+    std::vector<std::uint64_t> records(
+        static_cast<size_t>(circuit.num_measurements()) * words, 0);
+    const auto x_of = [&](int q) {
+        return x.data() + static_cast<size_t>(q) * words;
+    };
+    const auto z_of = [&](int q) {
+        return z.data() + static_cast<size_t>(q) * words;
+    };
+    // Gauges are handed out in order, so every plane is zero from word
+    // `live` on.
+    size_t next = 0;
+    size_t live = 0;
+    const auto fresh_z = [&](int q) {
+        std::uint64_t* zq = z_of(q);
+        std::fill_n(zq, live, 0);
+        zq[next / 64] = std::uint64_t{1} << (next % 64);
+        ++next;
+        live = (next + 63) / 64;
+    };
+    for (int q = 0; q < nq; ++q) {
+        fresh_z(q);
+    }
+    size_t measured = 0;
     int detector = 0;
     for (const SimInstruction& inst : circuit.instructions()) {
         switch (inst.op) {
           case SimOp::kH:
-            tableau.ApplyH(inst.q0);
+            std::swap_ranges(x_of(inst.q0), x_of(inst.q0) + live,
+                             z_of(inst.q0));
             break;
-          case SimOp::kCnot:
-            tableau.ApplyCnot(inst.q0, inst.q1);
-            break;
-          case SimOp::kSwap:
-            tableau.ApplySwap(inst.q0, inst.q1);
-            break;
-          case SimOp::kMeasure: {
-            const size_t at = record_syms.size();
-            record_syms.resize(at + sw);
-            tableau.MeasureZ(inst.q0, record_syms.data() + at);
+          case SimOp::kCnot: {
+            const std::uint64_t* xc = x_of(inst.q0);
+            std::uint64_t* xt = x_of(inst.q1);
+            std::uint64_t* zc = z_of(inst.q0);
+            const std::uint64_t* zt = z_of(inst.q1);
+            for (size_t w = 0; w < live; ++w) {
+                xt[w] ^= xc[w];
+                zc[w] ^= zt[w];
+            }
             break;
           }
+          case SimOp::kSwap:
+            std::swap_ranges(x_of(inst.q0), x_of(inst.q0) + live,
+                             x_of(inst.q1));
+            std::swap_ranges(z_of(inst.q0), z_of(inst.q0) + live,
+                             z_of(inst.q1));
+            break;
+          case SimOp::kMeasure:
+            std::copy_n(x_of(inst.q0), live,
+                        records.data() + measured++ * words);
+            fresh_z(inst.q0);
+            break;
           case SimOp::kReset:
-            tableau.Reset(inst.q0);
+            std::fill_n(x_of(inst.q0), live, 0);
+            fresh_z(inst.q0);
             break;
           case SimOp::kDetector: {
-            std::fill(acc.begin(), acc.end(), 0);
-            for (const std::int32_t m : inst.targets) {
-                const std::uint64_t* rs =
-                    record_syms.data() + static_cast<size_t>(m) * sw;
-                for (int w = 0; w < sw; ++w) {
-                    acc[w] ^= rs[w];
-                }
-            }
             bool random = false;
-            for (int w = 0; w < sw; ++w) {
-                random = random || acc[w] != 0;
+            for (size_t w = 0; w < live && !random; ++w) {
+                std::uint64_t parity = 0;
+                for (const std::int32_t m : inst.targets) {
+                    parity ^= records[static_cast<size_t>(m) * words + w];
+                }
+                random = parity != 0;
             }
             if (random) {
-                std::ostringstream os;
-                os << "detector " << detector;
                 report.Report(
-                    kRuleDetectorDeterminism, os.str(),
+                    kRuleDetectorDeterminism,
+                    "detector " + std::to_string(detector),
                     "parity depends on random measurement outcomes in "
                     "the noiseless circuit");
             }

@@ -5,7 +5,9 @@
  * range, channel probabilities well-formed, no Clifford gate on a
  * measured-out (collapsed, not-yet-reset) qubit, and — the deep check —
  * every detector deterministic in the noiseless circuit, established by
- * a stabilizer-tableau walk with symbolic measurement outcomes.
+ * propagating the circuit's Z gauges (one per qubit at the start, one
+ * per measurement and per reset) through word-parallel Pauli frames: a
+ * detector is random iff some gauge flips the parity of its records.
  */
 #ifndef TIQEC_ANALYSIS_CIRCUIT_VALIDATOR_H
 #define TIQEC_ANALYSIS_CIRCUIT_VALIDATOR_H

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <map>
 #include <numeric>
-#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -65,7 +64,26 @@ void
 CheckEdges(const DetectorErrorModel& dem, Reporter& report)
 {
     const int nd = dem.num_detectors;
-    std::set<std::pair<int, int>> seen;
+    const auto canonical = [nd](const DemEdge& e) {
+        return e.d0 >= 0 && e.d0 < nd &&
+               (e.d1 == DemEdge::kBoundary || (e.d1 > e.d0 && e.d1 < nd));
+    };
+    // Canonical edges sorted by (endpoints, index): in each run of equal
+    // endpoints, every edge after the first is a second edge.
+    std::vector<std::pair<std::pair<int, int>, size_t>> by_endpoints;
+    for (size_t i = 0; i < dem.edges.size(); ++i) {
+        const DemEdge& e = dem.edges[i];
+        if (canonical(e)) {
+            by_endpoints.push_back({{e.d0, e.d1}, i});
+        }
+    }
+    std::sort(by_endpoints.begin(), by_endpoints.end());
+    std::vector<char> duplicate(dem.edges.size(), 0);
+    for (size_t k = 1; k < by_endpoints.size(); ++k) {
+        if (by_endpoints[k].first == by_endpoints[k - 1].first) {
+            duplicate[by_endpoints[k].second] = 1;
+        }
+    }
     for (size_t i = 0; i < dem.edges.size(); ++i) {
         const DemEdge& e = dem.edges[i];
         if (!ProbabilityOk(e.p)) {
@@ -74,18 +92,13 @@ CheckEdges(const DetectorErrorModel& dem, Reporter& report)
             report.Report(kRuleDemProbabilityRange, EdgeLocation(i),
                           os.str());
         }
-        const bool d0_ok = e.d0 >= 0 && e.d0 < nd;
-        const bool d1_ok =
-            e.d1 == DemEdge::kBoundary || (e.d1 > e.d0 && e.d1 < nd);
-        if (!d0_ok || !d1_ok) {
+        if (!canonical(e)) {
             std::ostringstream os;
             os << "endpoints (" << e.d0 << ", " << e.d1
                << ") not canonical for " << nd
                << " detectors (want 0 <= d0 < d1 < n, or d1 = -1)";
             report.Report(kRuleDemDetectorRange, EdgeLocation(i), os.str());
-            continue;
-        }
-        if (!seen.insert({e.d0, e.d1}).second) {
+        } else if (duplicate[i]) {
             std::ostringstream os;
             os << "second edge with endpoints (" << e.d0 << ", " << e.d1
                << "); parallel edges must be coalesced or demoted";
@@ -100,6 +113,7 @@ CheckHyperedges(const DetectorErrorModel& dem, Reporter& report)
     const int nd = dem.num_detectors;
     const int ne = static_cast<int>(dem.edges.size());
     int last_mechanism = -1;
+    std::vector<int> endpoints;
     for (size_t i = 0; i < dem.hyperedges.size(); ++i) {
         const DemHyperedge& h = dem.hyperedges[i];
         if (!ProbabilityOk(h.p)) {
@@ -135,8 +149,9 @@ CheckHyperedges(const DetectorErrorModel& dem, Reporter& report)
         }
         // The decomposition must tile the signature: every referenced
         // edge exists, and the edges' non-boundary endpoints cover each
-        // signature detector exactly once.
-        std::map<int, int> covered;
+        // signature detector exactly once. The signature is strictly
+        // ascending, so that is: the sorted endpoints equal it.
+        endpoints.clear();
         bool edges_ok = !h.edges.empty();
         for (size_t j = 0; j < h.edges.size(); ++j) {
             const int e = h.edges[j];
@@ -145,23 +160,14 @@ CheckHyperedges(const DetectorErrorModel& dem, Reporter& report)
                 edges_ok = false;
                 break;
             }
-            ++covered[dem.edges[e].d0];
+            endpoints.push_back(dem.edges[e].d0);
             if (dem.edges[e].d1 != DemEdge::kBoundary) {
-                ++covered[dem.edges[e].d1];
+                endpoints.push_back(dem.edges[e].d1);
             }
         }
         if (edges_ok) {
-            if (covered.size() != h.dets.size()) {
-                edges_ok = false;
-            } else {
-                for (const int d : h.dets) {
-                    const auto it = covered.find(d);
-                    if (it == covered.end() || it->second != 1) {
-                        edges_ok = false;
-                        break;
-                    }
-                }
-            }
+            std::sort(endpoints.begin(), endpoints.end());
+            edges_ok = endpoints == h.dets;
         }
         if (!edges_ok) {
             report.Report(kRuleDemHyperedgeEdges, HyperedgeLocation(i),
@@ -336,13 +342,13 @@ CheckLogicalOperators(const DetectorErrorModel& dem, Reporter& report)
     const std::uint32_t valid_mask =
         no >= 32 ? ~0u : (1u << static_cast<unsigned>(std::max(no, 0))) - 1u;
     std::vector<int> support(static_cast<size_t>(std::max(no, 0)), 0);
-    const auto account = [&](std::uint32_t obs_mask,
-                             const std::string& location) {
+    // `location()` spells the mechanism, and runs only for a report.
+    const auto account = [&](std::uint32_t obs_mask, const auto& location) {
         if ((obs_mask & ~valid_mask) != 0) {
             std::ostringstream os;
             os << "observable mask 0x" << std::hex << obs_mask << std::dec
                << " has bits beyond the model's " << no << " observables";
-            report.Report(kRuleDemLogicalOperator, location, os.str());
+            report.Report(kRuleDemLogicalOperator, location(), os.str());
         }
         for (int o = 0; o < no; ++o) {
             if (obs_mask >> o & 1u) {
@@ -351,7 +357,7 @@ CheckLogicalOperators(const DetectorErrorModel& dem, Reporter& report)
         }
     };
     for (size_t i = 0; i < dem.edges.size(); ++i) {
-        account(dem.edges[i].obs_mask, EdgeLocation(i));
+        account(dem.edges[i].obs_mask, [i] { return EdgeLocation(i); });
     }
     int last_mechanism = -1;
     for (size_t i = 0; i < dem.hyperedges.size(); ++i) {
@@ -359,7 +365,8 @@ CheckLogicalOperators(const DetectorErrorModel& dem, Reporter& report)
             continue;  // later variant of the same mechanism
         }
         last_mechanism = dem.hyperedges[i].mechanism;
-        account(dem.hyperedges[i].obs_mask, HyperedgeLocation(i));
+        account(dem.hyperedges[i].obs_mask,
+                [i] { return HyperedgeLocation(i); });
     }
     for (int o = 0; o < no; ++o) {
         if (support[static_cast<size_t>(o)] != 0) {

@@ -102,6 +102,12 @@ ParseRequestCandidate(const std::string& line, SweepCandidate* out,
                 program = value;
             } else if (key == "distance") {
                 distance = text::ParseInt32(value, "distance");
+                if (distance > kMaxRequestDistance) {
+                    throw std::invalid_argument(
+                        "distance must be at most " +
+                        std::to_string(kMaxRequestDistance) + ", got '" +
+                        value + "'");
+                }
             } else if (key == "topology") {
                 c.arch.topology = ParseTopology(value);
             } else if (key == "capacity") {

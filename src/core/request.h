@@ -14,9 +14,9 @@
  *   workload=program program=cnot distance=3 certify=1
  *
  * Keys: family (required unless workload=program; qec::MakeCode name),
- * distance (required), program (canonical program name,
- * workloads/program.h; requires workload=program, which in turn forbids
- * family), topology (linear|grid|switch), capacity, wiring
+ * distance (required, 1 to `kMaxRequestDistance`), program (canonical
+ * program name, workloads/program.h; requires workload=program, which
+ * in turn forbids family), topology (linear|grid|switch), capacity, wiring
  * (standard|wise), improvement (finite, > 0), rounds, compile_rounds,
  * shots, target_errors, seed, basis (z|x), workload
  * (memory|stability|surgery|program), compile_only (0|1), validate
@@ -33,6 +33,12 @@
 #include "core/sweep.h"
 
 namespace tiqec::core {
+
+/** The largest `distance` a request may ask for. A code of distance d
+ *  has about 2 d^2 qubits, so an unbounded distance lets one line take
+ *  all the memory, or overflow `int` from d = 46341, before any other
+ *  check runs; 99 is far above the d=17 blocks the benchmark compiles. */
+inline constexpr int kMaxRequestDistance = 99;
 
 /**
  * Parses one request line and builds its sweep candidate: `qec::MakeCode`

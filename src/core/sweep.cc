@@ -77,6 +77,8 @@ struct CompileEntry
     store::StoreKey key;
     /** The bundle; a metrics-only run drops it after its last consumer. */
     std::shared_ptr<CompileArtifacts> arts;
+    /** The store served the bundle, so its load ran the schedule rules. */
+    bool loaded = false;
     /** The candidates whose compile chain waits on this compile, once
      *  per referencing unit, in candidate order. */
     std::vector<size_t> waiters;
@@ -108,6 +110,9 @@ struct SimEntry
     /** Null until built or loaded; `error` says why it stayed null. */
     std::shared_ptr<const SimArtifacts> arts;
     std::string error;
+    /** The store served the bundle, so its load ran the workload-blind
+     *  circuit and DEM rules. */
+    bool loaded = false;
     /** The entry's store key (set only when a store is attached). */
     store::StoreKey store_key;
     /** Sim-validation and certification verdicts, as for
@@ -313,6 +318,7 @@ SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
                 entry.key, *entry.unit, c.arch, c.compile_rounds,
                 c.device.get(), &arts, &err);
             if (status == store::LoadStatus::kHit) {
+                entry.loaded = true;
                 return;
             }
             if (status == store::LoadStatus::kCorrupt) {
@@ -333,14 +339,19 @@ SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
     // ---- Stage 1b: validate each compile a validating candidate needs,
     // once. A failure fails only the validating candidates (the cached
     // artifacts stay shared), with the formatted diagnostics as error.
+    // A store hit's load already ran these rules on the same arguments
+    // and passed, so its verdict is counted, not recomputed.
     const auto validate = [&](CompileEntry& entry) {
+        num_validations.fetch_add(1, std::memory_order_relaxed);
+        if (entry.loaded) {
+            return;
+        }
         // The key covers the wiring, so the exemplar's will do.
         const CompileArtifacts& arts = *entry.arts;
         const std::vector<analysis::Diagnostic> diags =
             analysis::ValidateCompiledArtifacts(
                 arts.compiled, arts.graph, arts.timing,
                 entry.exemplar->arch.wiring == WiringKind::kWise);
-        num_validations.fetch_add(1, std::memory_order_relaxed);
         if (!diags.empty()) {
             num_validation_failures.fetch_add(1, std::memory_order_relaxed);
             entry.validation = analysis::FormatDiagnostics(
@@ -507,6 +518,7 @@ SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
                 astore->LoadSim(entry.store_key, arts.get(), &err);
             if (status == store::LoadStatus::kHit) {
                 entry.arts = std::move(arts);
+                entry.loaded = true;
                 return;
             }
             if (status == store::LoadStatus::kCorrupt) {
@@ -570,7 +582,9 @@ SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
 
     // ---- Stage 3b: validate the simulation artifacts once per sim
     // entry any validating candidate needs (circuit + DEM rules, plus
-    // the workload-aware unreferenced-record check).
+    // the workload-aware unreferenced-record check). A store hit passed
+    // the rest when it loaded, so the record check alone gives the same
+    // list.
     const auto sim_validating = [&](size_t i) {
         return simulated(i) && candidates[i].options.validate_artifacts;
     };
@@ -584,11 +598,14 @@ SweepRunner::Execute(const std::vector<SweepCandidate>& candidates,
             return;
         }
         const SweepCandidate& c = candidates[entry.exemplar];
+        const analysis::SimValidationOptions options =
+            analysis::SimValidationOptionsFor(*c.code, c.options.workload);
         const std::vector<analysis::Diagnostic> diags =
-            analysis::ValidateSimArtifacts(
-                entry.arts->experiment, entry.arts->dem,
-                analysis::SimValidationOptionsFor(*c.code,
-                                                  c.options.workload));
+            entry.loaded ? analysis::ValidateRecordCoverage(
+                               entry.arts->experiment, options)
+                         : analysis::ValidateSimArtifacts(
+                               entry.arts->experiment, entry.arts->dem,
+                               options);
         num_validations.fetch_add(1, std::memory_order_relaxed);
         if (!diags.empty()) {
             num_validation_failures.fetch_add(1, std::memory_order_relaxed);

@@ -881,5 +881,199 @@ TEST(ScheduleValidatorDigest, MutationCorpusReportsArePinned)
     }
 }
 
+/** Applies one random corruption to `m`: an endpoint, a duplicate
+ *  edge, an observable bit, a probability, a decomposition entry, a
+ *  signature detector, a mechanism id, or a recorded total. */
+void
+MutateDemOnce(sim::DetectorErrorModel& m, Rng& rng)
+{
+    const auto pick = [&rng](size_t n) {
+        return static_cast<int>(rng.NextBelow(n));
+    };
+    const int nd = m.num_detectors;
+    const int ne = static_cast<int>(m.edges.size());
+    sim::DemEdge& e = m.edges[static_cast<size_t>(pick(m.edges.size()))];
+    sim::DemHyperedge& h =
+        m.hyperedges[static_cast<size_t>(pick(m.hyperedges.size()))];
+    switch (rng.NextBelow(13)) {
+      case 0: e.d0 = pick(static_cast<size_t>(nd) + 4) - 2; break;
+      case 1: e.d1 = pick(static_cast<size_t>(nd) + 4) - 2; break;
+      case 2: std::swap(e.d0, e.d1); break;
+      case 3: m.edges.push_back(e); break;
+      case 4: e.obs_mask ^= 1u << pick(4); break;
+      case 5: e.p = rng.NextBelow(2) == 0 ? 1.5 : 0.0; break;
+      case 6:
+        h.edges[static_cast<size_t>(pick(h.edges.size()))] =
+            pick(static_cast<size_t>(ne) + 3) - 1;
+        break;
+      case 7:
+        if (h.edges.size() > 1) {
+            h.edges.pop_back();
+        } else {
+            h.edges.push_back(pick(static_cast<size_t>(ne)));
+        }
+        break;
+      case 8:
+        h.dets[static_cast<size_t>(pick(h.dets.size()))] =
+            pick(static_cast<size_t>(nd) + 2) - 1;
+        break;
+      case 9: h.obs_mask ^= 1u << pick(4); break;
+      case 10: h.mechanism += pick(3) - 1; break;
+      case 11: h.p = -0.25; break;
+      default:
+        if (rng.NextBelow(2) == 0) {
+            m.hyperedge_probability *= 1.5;
+        } else {
+            ++m.num_detectors;  // a dead detector
+        }
+        break;
+    }
+}
+
+/** The DEM rules' exact reports (rule, location, message, order and
+ *  the 16-per-rule cap) on seeded corruptions of the clean d=3 model.
+ *  The digest was produced before the rules stopped formatting
+ *  locations they do not report and stopped tallying endpoints in
+ *  ordered containers. */
+TEST(DemValidatorDigest, MutationCorpusReportsArePinned)
+{
+    constexpr int kSets = 2000;
+    Rng rng(0xDE3Du);
+    std::string report;
+    std::set<std::string> fired;
+    int diagnostics = 0;
+    for (int set = 0; set < kSets; ++set) {
+        sim::DetectorErrorModel mutated = Clean().sim.dem;
+        const int mutations = 1 + static_cast<int>(rng.NextBelow(6));
+        for (int k = 0; k < mutations; ++k) {
+            MutateDemOnce(mutated, rng);
+        }
+        const std::vector<Diagnostic> diags = ValidateDem(mutated);
+        diagnostics += static_cast<int>(diags.size());
+        for (const Diagnostic& d : diags) {
+            fired.insert(d.rule);
+        }
+        report += "set " + std::to_string(set) + "\n" + Join(diags);
+    }
+    for (const std::string_view rule :
+         {kRuleDemProbabilityRange, kRuleDemDetectorRange,
+          kRuleDemDuplicateEdge, kRuleDemHyperedgeEdges,
+          kRuleDemMassConservation, kRuleDemDetectorCoverage,
+          kRuleDemLogicalOperator}) {
+        EXPECT_TRUE(fired.count(std::string(rule))) << rule;
+    }
+    EXPECT_EQ(diagnostics, 14551);
+    const std::uint64_t digest = store::Fnv1a64(report);
+    EXPECT_EQ(digest, 0xdd0b52975c966299ull) << "0x" << std::hex << digest;
+}
+
+/** A seeded H/CNOT/SWAP/M/R circuit on 1-6 qubits whose detectors each
+ *  read 1-3 distinct earlier records. Unless `gates_on_measured_out`,
+ *  Clifford gates only touch qubits that are not measured out. */
+sim::NoisyCircuit
+RandomCliffordCircuit(Rng& rng, bool gates_on_measured_out)
+{
+    const int nq = 1 + static_cast<int>(rng.NextBelow(6));
+    sim::NoisyCircuit circuit(nq);
+    std::vector<char> collapsed(static_cast<size_t>(nq), 0);
+    // A qubit a Clifford gate may act on, other than `avoid`; -1 if none.
+    const auto gate_qubit = [&](int avoid) {
+        std::vector<int> eligible;
+        for (int q = 0; q < nq; ++q) {
+            if (q != avoid && (gates_on_measured_out ||
+                               !collapsed[static_cast<size_t>(q)])) {
+                eligible.push_back(q);
+            }
+        }
+        return eligible.empty()
+                   ? -1
+                   : eligible[rng.NextBelow(eligible.size())];
+    };
+    const int ops = 1 + static_cast<int>(rng.NextBelow(40));
+    for (int k = 0; k < ops; ++k) {
+        const std::uint64_t kind = rng.NextBelow(6);
+        const int q = static_cast<int>(rng.NextBelow(nq));
+        switch (kind) {
+          case 0:
+            if (const int a = gate_qubit(-1); a >= 0) {
+                circuit.AddH(a);
+            }
+            break;
+          case 1:
+          case 2: {
+            const int a = gate_qubit(-1);
+            const int b = a >= 0 ? gate_qubit(a) : -1;
+            if (b < 0) {
+                break;
+            }
+            if (kind == 1) {
+                circuit.AddCnot(a, b);
+            } else {
+                circuit.AddSwap(a, b);
+            }
+            break;
+          }
+          case 3:
+            circuit.AddMeasure(q, 0.0);
+            collapsed[static_cast<size_t>(q)] = 1;
+            break;
+          case 4:
+            circuit.AddReset(q, 0.0);
+            collapsed[static_cast<size_t>(q)] = 0;
+            break;
+          default: {
+            const int records = circuit.num_measurements();
+            if (records == 0) {
+                break;
+            }
+            const int want = 1 + static_cast<int>(rng.NextBelow(3));
+            std::vector<std::int32_t> targets;
+            while (static_cast<int>(targets.size()) <
+                   std::min(want, records)) {
+                const auto m =
+                    static_cast<std::int32_t>(rng.NextBelow(records));
+                if (std::find(targets.begin(), targets.end(), m) ==
+                    targets.end()) {
+                    targets.push_back(m);
+                }
+            }
+            circuit.AddDetector(std::move(targets), Coord{}, 0);
+            break;
+          }
+        }
+    }
+    return circuit;
+}
+
+/** The determinism verdicts (and every other circuit diagnostic, in
+ *  order) on a seeded corpus of small random Clifford circuits, half of
+ *  them with gates on measured-out qubits. The digest and the count were
+ *  produced by the symbolic-tableau implementation of
+ *  `circuit.detector_determinism`; the gauge-frame check that replaced
+ *  it must reproduce both exactly. */
+TEST(CircuitValidatorDigest, RandomCliffordCircuitVerdictsArePinned)
+{
+    constexpr int kCircuits = 20000;
+    Rng rng(0xDE7E12u);
+    std::string report;
+    int detectors = 0;
+    int random_detectors = 0;
+    for (int c = 0; c < kCircuits; ++c) {
+        const sim::NoisyCircuit circuit =
+            RandomCliffordCircuit(rng, /*gates_on_measured_out=*/c % 2 == 1);
+        detectors += circuit.num_detectors();
+        const std::vector<Diagnostic> diags = ValidateCircuit(circuit);
+        random_detectors += static_cast<int>(std::count_if(
+            diags.begin(), diags.end(), [](const Diagnostic& d) {
+                return d.rule == kRuleDetectorDeterminism;
+            }));
+        report += "circuit " + std::to_string(c) + "\n" + Join(diags);
+    }
+    EXPECT_EQ(detectors, 50444);
+    EXPECT_EQ(random_detectors, 13232);
+    const std::uint64_t digest = store::Fnv1a64(report);
+    EXPECT_EQ(digest, 0x18d923d3f48f9001ull) << "0x" << std::hex << digest;
+}
+
 }  // namespace
 }  // namespace tiqec::analysis

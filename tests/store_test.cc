@@ -732,6 +732,65 @@ TEST(SweepStoreTest, BadSwapInStoredNoiseProfileIsolatesItsCandidate)
     EXPECT_EQ(warm.last_run_stats().sim_builds, 1);
 }
 
+TEST(SweepStoreTest, WarmHitStillRunsTheRecordCheck)
+{
+    // A store load runs the workload-blind sim rules; a validating run
+    // must still apply the workload-aware record check to what it loads.
+    core::SweepCandidate c;
+    c.code = qec::MakeCode("rotated", 3);
+    c.options.max_shots = 0;
+    c.options.validate_artifacts = true;
+    const std::vector<core::SweepCandidate> candidates = {c};
+    core::SweepRunnerOptions opts;
+    opts.store =
+        std::make_shared<store::ArtifactStore>(FreshDir("store_records"));
+    const std::vector<core::SweepOutcome> cold =
+        core::SweepRunner(opts).RunDetailed(candidates);
+    ASSERT_TRUE(cold[0].metrics.ok) << cold[0].metrics.error;
+    ASSERT_NE(cold[0].sim, nullptr);
+
+    // Every data readout of the memory experiment feeds a final
+    // detector, so read one data qubit out once more into a record that
+    // nothing reads: the circuit stays deterministic and the rebuilt DEM
+    // passes its rules, so only the record check objects.
+    core::SimArtifacts tampered = *cold[0].sim;
+    tampered.experiment.AddMeasure(c.code->data_qubits().front().value,
+                                   0.0);
+    tampered.dem = sim::BuildDem(tampered.experiment);
+    ASSERT_TRUE(
+        analysis::ValidateSimArtifacts(tampered.experiment, tampered.dem)
+            .empty());
+    const std::vector<analysis::Diagnostic> strict =
+        analysis::ValidateSimArtifacts(
+            tampered.experiment, tampered.dem,
+            analysis::SimValidationOptionsFor(*c.code, c.options.workload));
+    ASSERT_EQ(strict.size(), 1u);
+    EXPECT_EQ(strict[0].rule, analysis::kRuleDemDetectorCoverage);
+    const store::StoreKey key = store::SimStoreKey(
+        store::NoiseStoreKey(store::CompileStoreKey(*c.code, c.arch, 1,
+                                                    nullptr),
+                             c.arch.gate_improvement),
+        c.code->distance(), static_cast<int>(c.options.workload.basis),
+        static_cast<int>(c.options.workload.kind));
+    std::string error;
+    ASSERT_TRUE(opts.store->StoreSim(key, tampered, &error)) << error;
+
+    core::SweepRunner warm(opts);
+    const std::vector<core::SweepOutcome> outcomes =
+        warm.RunDetailed(candidates);
+    EXPECT_FALSE(outcomes[0].metrics.ok);
+    EXPECT_EQ(outcomes[0].metrics.error,
+              analysis::FormatDiagnostics(analysis::kSimSubject, strict));
+    const core::SweepRunStats& stats = warm.last_run_stats();
+    EXPECT_EQ(stats.compiles + stats.annotates + stats.sim_builds, 0);
+    EXPECT_EQ(stats.store_corrupt, 0);
+    // One verdict per validated entry (the schedule and the sim bundle),
+    // and one validate-on-load per loaded artifact with rules.
+    EXPECT_EQ(stats.validations, 2);
+    EXPECT_EQ(stats.validation_failures, 1);
+    EXPECT_EQ(stats.store_validated, 2);
+}
+
 // ---------------------------------------------------------- certificates
 
 TEST(CertificateStoreTest, SerializerRoundTripIsByteStable)
@@ -1280,6 +1339,43 @@ TEST(SweepServiceTest, ParseFillsCandidate)
         EXPECT_TRUE(c.options.compile_only);
         EXPECT_EQ(c.label, "custom");
     }
+}
+
+TEST(SweepServiceTest, DistanceAboveTheCapIsAParseError)
+{
+    // The cap itself parses and builds its code.
+    core::SweepCandidate c;
+    std::string error;
+    ASSERT_TRUE(core::ParseRequestCandidate(
+        "family=rotated distance=" +
+            std::to_string(core::kMaxRequestDistance),
+        &c, &error))
+        << error;
+    EXPECT_EQ(c.code->distance(), core::kMaxRequestDistance);
+
+    // Above it, a line fails before any code is built (46341^2
+    // overflows int), and the rest of the batch proceeds.
+    const std::string requests =
+        "family=rotated distance=46341 compile_only=1 label=huge\n"
+        "family=rotated distance=3 compile_only=1 label=good\n"
+        "workload=program program=cnot distance=100 label=program\n";
+    const store::SweepServiceResult result =
+        store::RunSweepService(requests, store::SweepServiceOptions{});
+    ASSERT_EQ(result.result_lines.size(), 3u);
+    EXPECT_EQ(result.num_ok, 1);
+    EXPECT_NE(result.result_lines[0].find(
+                  "request parse: distance must be at most 99, got "
+                  "'46341'"),
+              std::string::npos)
+        << result.result_lines[0];
+    EXPECT_NE(result.result_lines[1].find("\"ok\":true"),
+              std::string::npos)
+        << result.result_lines[1];
+    EXPECT_NE(result.result_lines[2].find(
+                  "request parse: distance must be at most 99, got "
+                  "'100'"),
+              std::string::npos)
+        << result.result_lines[2];
 }
 
 TEST(SweepServiceTest, BatchIsolatesMalformedLines)
