@@ -59,7 +59,7 @@ MakeWorkload(const qec::StabilizerCode& code, workloads::WorkloadKind kind,
     noise::NoiseParams params;
     params.gate_improvement = improvement;
     const auto profile =
-        noise::AnnotateRound(code, graph, result, params, timing);
+        noise::ProfileRound(code, graph, result, params, timing);
     w.circuit = workloads::BuildExperiment(
         code, result.qec_circuit, profile, params, distance,
         workloads::WorkloadSpec(kind, sim::MemoryBasis::kZ));

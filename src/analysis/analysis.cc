@@ -46,8 +46,7 @@ ValidateRecordCoverage(const sim::NoisyCircuit& circuit,
         std::ostringstream loc;
         loc << "record " << r << " (qubit " << q << ")";
         diagnostics.push_back(
-            {Severity::kError, std::string(kRuleDemDetectorCoverage),
-             loc.str(),
+            {std::string(kRuleDemDetectorCoverage), loc.str(),
              "data-qubit readout feeds no detector or observable; errors "
              "on it are invisible to the decoder"});
     }
@@ -126,8 +125,7 @@ ValidateSimArtifacts(const sim::NoisyCircuit& circuit,
         os << "model is sized for " << dem.num_detectors << " detectors / "
            << dem.num_observables << " observables but the circuit has "
            << circuit.num_detectors() << " / " << circuit.num_observables();
-        diagnostics.push_back({Severity::kError,
-                               std::string(kRuleDemDetectorRange), "dem",
+        diagnostics.push_back({std::string(kRuleDemDetectorRange), "dem",
                                os.str()});
     }
     return diagnostics;
@@ -139,7 +137,7 @@ ValidateProgram(const workloads::LogicalProgram& program, int distance)
     std::vector<Diagnostic> diagnostics;
     for (workloads::ProgramIssue& issue :
          workloads::CheckProgram(program, distance)) {
-        diagnostics.push_back({Severity::kError, std::move(issue.rule),
+        diagnostics.push_back({std::move(issue.rule),
                                std::move(issue.location),
                                std::move(issue.message)});
     }

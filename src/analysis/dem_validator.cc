@@ -29,8 +29,8 @@ class Reporter
         if (++count_[rule] > kMaxPerRule) {
             return;
         }
-        out_.push_back({Severity::kError, std::string(rule),
-                        std::move(location), std::move(message)});
+        out_.push_back(
+            {std::string(rule), std::move(location), std::move(message)});
     }
 
   private:

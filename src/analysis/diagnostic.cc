@@ -5,16 +5,6 @@
 
 namespace tiqec::analysis {
 
-std::string_view
-SeverityName(Severity severity)
-{
-    switch (severity) {
-      case Severity::kWarning: return "warning";
-      case Severity::kError: return "error";
-    }
-    return "?";
-}
-
 std::span<const std::string_view>
 AllRuleIds()
 {
@@ -51,35 +41,16 @@ AllRuleIds()
     return kRules;
 }
 
-bool
-HasErrors(const std::vector<Diagnostic>& diagnostics)
-{
-    for (const Diagnostic& d : diagnostics) {
-        if (d.severity == Severity::kError) {
-            return true;
-        }
-    }
-    return false;
-}
-
 std::string
 FormatDiagnostics(std::string_view subject,
                   const std::vector<Diagnostic>& diagnostics, int max_listed)
 {
-    int num_errors = 0;
-    for (const Diagnostic& d : diagnostics) {
-        if (d.severity == Severity::kError) {
-            ++num_errors;
-        }
-    }
+    const int num_errors = static_cast<int>(diagnostics.size());
     std::ostringstream os;
     os << "artifact validation failed: " << subject << " has " << num_errors
        << (num_errors == 1 ? " error" : " errors");
     int listed = 0;
     for (const Diagnostic& d : diagnostics) {
-        if (d.severity != Severity::kError) {
-            continue;
-        }
         if (listed == max_listed) {
             os << "; ... and " << (num_errors - listed) << " more";
             break;

@@ -4,14 +4,12 @@
  * §6): every rule a validator can fire has a stable dotted rule-id
  * (`schedule.*`, `circuit.*`, `dem.*`) listed in `AllRuleIds()`, so
  * tests can assert the registry has no dead rules and pin which rule a
- * given defect trips. Severity contract: an error fails the candidate
- * (it reports through `Metrics::error` exactly like a compile failure);
- * a warning is carried in the diagnostic list but never fails.
+ * given defect trips. Every diagnostic fails its candidate: it reports
+ * through `Metrics::error` exactly like a compile failure.
  */
 #ifndef TIQEC_ANALYSIS_DIAGNOSTIC_H
 #define TIQEC_ANALYSIS_DIAGNOSTIC_H
 
-#include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
@@ -19,17 +17,9 @@
 
 namespace tiqec::analysis {
 
-enum class Severity : std::uint8_t {
-    kWarning,
-    kError,
-};
-
-std::string_view SeverityName(Severity severity);
-
 /** One validation finding, tied to a registered rule-id. */
 struct Diagnostic
 {
-    Severity severity = Severity::kError;
     /** Stable dotted rule-id, e.g. "schedule.ion_overlap". */
     std::string rule;
     /** Artifact location, e.g. "op 41 (SPLIT ion 3)" / "detector 12". */
@@ -101,11 +91,8 @@ inline constexpr std::string_view kRuleProgramDistance = "program.distance";
 /** Every registered rule-id, grouped by validator. */
 std::span<const std::string_view> AllRuleIds();
 
-/** True if any diagnostic is an error. */
-bool HasErrors(const std::vector<Diagnostic>& diagnostics);
-
 /**
- * Renders error diagnostics into the one-line failure message a failing
+ * Renders diagnostics into the one-line failure message a failing
  * candidate carries through `Metrics::error`: the sweep engine's
  * checks, the artifact store's load-time re-validation and
  * `tiqec_certify` all report through it. `subject` names the artifact

@@ -501,8 +501,7 @@ JudgeDistance(const DetectorErrorModel& dem, const DistanceCertificate& cert,
            << dem.undecomposable_probability
            << ") were dropped from the model and are invisible to the "
               "certifier";
-        diagnostics.push_back({Severity::kError,
-                               std::string(kRuleDemDistance), "dem",
+        diagnostics.push_back({std::string(kRuleDemDistance), "dem",
                                os.str()});
     }
     for (const ObservableDistance& od : cert.observables) {
@@ -514,9 +513,8 @@ JudgeDistance(const DetectorErrorModel& dem, const DistanceCertificate& cert,
                << " below expected " << expected_distance
                << "; witness mechanism set "
                << FormatWitness(cert, od.witness);
-            diagnostics.push_back({Severity::kError,
-                                   std::string(kRuleDemDistance),
-                                   location.str(), os.str()});
+            diagnostics.push_back(
+                {std::string(kRuleDemDistance), location.str(), os.str()});
         } else if (!cert.graph_like &&
                    expected_distance > cert.searched_weight + 1) {
             std::ostringstream os;
@@ -525,9 +523,8 @@ JudgeDistance(const DetectorErrorModel& dem, const DistanceCertificate& cert,
                   "hyperedge mechanisms and the exhaustive search covers "
                   "weight <= "
                << cert.searched_weight;
-            diagnostics.push_back({Severity::kError,
-                                   std::string(kRuleDemDistance),
-                                   location.str(), os.str()});
+            diagnostics.push_back(
+                {std::string(kRuleDemDistance), location.str(), os.str()});
         }
     }
     return diagnostics;

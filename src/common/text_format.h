@@ -8,15 +8,17 @@
  *    parses back to the identical double (std::to_chars), which is what
  *    makes serialize -> parse -> re-serialize byte-stable;
  *  - strict fields: `StripCr` tolerates CRLF input (git autocrlf /
- *    Windows checkouts) and `SplitFields` preserves empty fields so a
+ *    Windows checkouts) and `SplitViews` preserves empty fields so a
  *    short or trailing-empty row is an explicit error, never a silent
  *    truncation;
  *  - one line reader: `LineReader` is the reader behind every
  *    tagged-line artifact format (the DEM, noisy-circuit and
  *    noise-profile texts and the artifact store's payloads), so the
  *    rules for a missing, malformed or trailing line are stated once.
- *    The schedule CSV, program text and request lines have grammars of
- *    their own and keep their own loops.
+ *    The schedule CSV (comma fields under a header row) takes its lines
+ *    from `LineReader::Next` and splits them with `SplitViews`; program
+ *    text and request lines have grammars of their own and keep their
+ *    own loops.
  *
  * Everything routes through std::to_chars / std::from_chars, which are
  * locale-independent by specification — snprintf("%g") is not: under a
@@ -223,6 +225,27 @@ class LineReader
         }
     }
 
+    /**
+     * Moves to the next line, unsplit and unchecked, or returns false at
+     * the end (getline semantics: a last line without a newline counts).
+     * A grammar of its own, the schedule CSV, loops on this and `line()`.
+     */
+    bool
+    Next()
+    {
+        if (rest_.empty()) {
+            return false;
+        }
+        const size_t end = std::min(rest_.find('\n'), rest_.size());
+        line_ = rest_.substr(0, end);
+        rest_.remove_prefix(std::min(end + 1, rest_.size()));
+        if (!line_.empty() && line_.back() == '\r') {
+            line_.remove_suffix(1);
+        }
+        return true;
+    }
+
+    std::string_view line() const { return line_; }
     const std::vector<std::string_view>& fields() const { return fields_; }
 
     /** Field `k` of the current line, which the caller knows exists. */
@@ -261,22 +284,6 @@ class LineReader
     }
 
   private:
-    /** getline semantics: a last line without a newline counts. */
-    bool
-    Next()
-    {
-        if (rest_.empty()) {
-            return false;
-        }
-        const size_t end = std::min(rest_.find('\n'), rest_.size());
-        line_ = rest_.substr(0, end);
-        rest_.remove_prefix(std::min(end + 1, rest_.size()));
-        if (!line_.empty() && line_.back() == '\r') {
-            line_.remove_suffix(1);
-        }
-        return true;
-    }
-
     std::string
     What() const
     {

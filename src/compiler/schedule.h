@@ -17,19 +17,12 @@
 
 namespace tiqec::compiler {
 
-/** One primitive with its scheduled execution window and chain context. */
+/** One primitive with its scheduled execution window. */
 struct TimedOp
 {
     qccd::PrimitiveOp op;
     Microseconds start = 0.0;
     Microseconds duration = 0.0;
-    /**
-     * Ions sharing the trap while a gate executes (annotated by the
-     * heating tracker; 1 until annotated). Gates only.
-     */
-    int chain_size = 1;
-    /** Chain vibrational energy n-bar at gate time (gates only). */
-    double nbar = 0.0;
 
     Microseconds end() const { return start + duration; }
 };

@@ -1,9 +1,8 @@
 #include "compiler/schedule_io.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <map>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -16,54 +15,30 @@ namespace tiqec::compiler {
 namespace {
 
 constexpr char kCsvHeader[] =
-    "index,pass,kind,ion0,ion1,node,segment,start_us,duration_us,chain,"
-    "nbar,source_gate";
-constexpr size_t kNumFields = 12;
-
-constexpr std::array<qccd::OpKind, 10> kAllOpKinds = {
-    qccd::OpKind::kMs,           qccd::OpKind::kRotation,
-    qccd::OpKind::kMeasure,      qccd::OpKind::kReset,
-    qccd::OpKind::kShuttle,      qccd::OpKind::kSplit,
-    qccd::OpKind::kMerge,        qccd::OpKind::kJunctionEnter,
-    qccd::OpKind::kJunctionExit, qccd::OpKind::kGateSwap,
-};
+    "index,pass,kind,ion0,ion1,node,segment,start_us,duration_us,"
+    "source_gate";
+constexpr size_t kNumFields = 10;
 
 qccd::OpKind
-OpKindFromName(const std::string& name, const std::string& line)
+OpKindFromName(std::string_view name, std::string_view line)
 {
-    for (const qccd::OpKind kind : kAllOpKinds) {
+    for (int k = 0; k < qccd::kNumOpKinds; ++k) {
+        const auto kind = static_cast<qccd::OpKind>(k);
         if (qccd::OpKindName(kind) == name) {
             return kind;
         }
     }
     throw std::invalid_argument("ParseScheduleCsv: unknown op kind '" +
-                                name + "' in line: " + line);
-}
-
-std::int32_t
-ParseInt(const std::string& field, const std::string& line)
-{
-    return text::ParseInt32(field, "line: " + line);
-}
-
-/** Times and n-bar must be finite: std::from_chars accepts "nan" and
- *  "inf", and a NaN start would break RecomputeStats' interval sort. */
-double
-ParseDouble(const std::string& field, const std::string& line)
-{
-    const double value = text::ParseDouble(field, "line: " + line);
-    if (!std::isfinite(value)) {
-        throw std::invalid_argument("bad number '" + field +
-                                    "' in line: " + line);
-    }
-    return value;
+                                std::string(name) + "' in line: " +
+                                std::string(line));
 }
 
 }  // namespace
 
-void
-WriteScheduleCsv(const Schedule& schedule, std::ostream& os)
+std::string
+ScheduleCsv(const Schedule& schedule)
 {
+    std::ostringstream os;
     os << kCsvHeader << '\n';
     for (size_t i = 0; i < schedule.ops.size(); ++i) {
         const TimedOp& t = schedule.ops[i];
@@ -71,113 +46,86 @@ WriteScheduleCsv(const Schedule& schedule, std::ostream& os)
            << qccd::OpKindName(t.op.kind) << ',' << t.op.ion0.value << ','
            << t.op.ion1.value << ',' << t.op.node.value << ','
            << t.op.segment.value << ',' << text::ExactDouble(t.start) << ','
-           << text::ExactDouble(t.duration) << ',' << t.chain_size << ','
-           << text::ExactDouble(t.nbar) << ',' << t.op.source_gate.value
+           << text::ExactDouble(t.duration) << ',' << t.op.source_gate.value
            << '\n';
     }
-}
-
-std::string
-ScheduleCsv(const Schedule& schedule)
-{
-    std::ostringstream os;
-    WriteScheduleCsv(schedule, os);
     return os.str();
 }
 
 Schedule
-ParseScheduleCsv(std::istream& is)
+ParseScheduleCsv(std::string_view csv)
 {
-    std::string line;
-    if (!std::getline(is, line)) {
+    text::LineReader reader(csv);
+    if (!reader.Next()) {
         throw std::invalid_argument("ParseScheduleCsv: empty input");
     }
-    // CRLF input (git autocrlf / Windows checkout) reaches us with a
-    // trailing '\r' on every line; strip it before the header compare
-    // and before the last field of each row, or the header check fails
-    // and the trailing nbar field parses as corrupt.
-    text::StripCr(line);
-    if (line != kCsvHeader) {
+    if (reader.line() != kCsvHeader) {
         throw std::invalid_argument(
-            "ParseScheduleCsv: missing or unexpected header: " + line);
+            "ParseScheduleCsv: missing or unexpected header: " +
+            std::string(reader.line()));
     }
+    // Error text is built only when a check fails.
+    const auto in_line = [&reader] {
+        return "line: " + std::string(reader.line());
+    };
+    const auto malformed = [&](const std::string& what) {
+        throw std::invalid_argument("ParseScheduleCsv: " + what + " in " +
+                                    in_line());
+    };
     Schedule schedule;
     std::int32_t max_pass = -1;
-    while (std::getline(is, line)) {
-        text::StripCr(line);
+    std::vector<std::string_view> fields;
+    const auto int_at = [&](size_t k) {
+        return text::ParseAs<std::int32_t>(fields[k], in_line);
+    };
+    // Times must be finite: std::from_chars accepts "nan" and "inf",
+    // and a NaN start would break RecomputeStats' interval sort.
+    const auto time_at = [&](size_t k) {
+        const double value = text::ParseAs<double>(fields[k], in_line);
+        if (!std::isfinite(value)) {
+            throw std::invalid_argument("bad number '" +
+                                        std::string(fields[k]) +
+                                        "' in " + in_line());
+        }
+        return value;
+    };
+    while (reader.Next()) {
+        const std::string_view line = reader.line();
         if (line.empty()) {
             continue;
         }
-        // SplitFields preserves empty fields, so a row ending in ',' is
+        // SplitViews preserves empty fields, so a row ending in ',' is
         // reported as a field-count error rather than silently losing
-        // its trailing field the way a getline(',') loop does.
-        const std::vector<std::string> fields =
-            text::SplitFields(line, ',');
+        // its trailing field.
+        text::SplitViews(line, ',', fields);
         if (fields.size() != kNumFields) {
-            throw std::invalid_argument(
-                "ParseScheduleCsv: expected " +
-                std::to_string(kNumFields) + " fields, got " +
-                std::to_string(fields.size()) + " in line: " + line);
+            malformed("expected " + std::to_string(kNumFields) +
+                      " fields, got " + std::to_string(fields.size()));
         }
-        const std::int32_t index = ParseInt(fields[0], line);
-        if (index != static_cast<std::int32_t>(schedule.ops.size())) {
-            throw std::invalid_argument(
-                "ParseScheduleCsv: out-of-order index in line: " + line);
+        if (int_at(0) != static_cast<std::int32_t>(schedule.ops.size())) {
+            malformed("out-of-order index");
         }
         TimedOp t;
-        t.op.pass = ParseInt(fields[1], line);
+        t.op.pass = int_at(1);
+        // num_passes = max_pass + 1 must not overflow.
+        if (t.op.pass < 0 ||
+            t.op.pass == std::numeric_limits<std::int32_t>::max()) {
+            malformed("pass out of range");
+        }
         t.op.kind = OpKindFromName(fields[2], line);
-        t.op.ion0 = QubitId(ParseInt(fields[3], line));
-        t.op.ion1 = QubitId(ParseInt(fields[4], line));
-        t.op.node = NodeId(ParseInt(fields[5], line));
-        t.op.segment = SegmentId(ParseInt(fields[6], line));
-        t.start = ParseDouble(fields[7], line);
-        t.duration = ParseDouble(fields[8], line);
-        t.chain_size = ParseInt(fields[9], line);
-        t.nbar = ParseDouble(fields[10], line);
-        t.op.source_gate = GateId(ParseInt(fields[11], line));
+        t.op.ion0 = QubitId(int_at(3));
+        t.op.ion1 = QubitId(int_at(4));
+        t.op.node = NodeId(int_at(5));
+        t.op.segment = SegmentId(int_at(6));
+        t.start = time_at(7);
+        t.duration = time_at(8);
+        t.op.source_gate = GateId(int_at(9));
         max_pass = std::max(max_pass, t.op.pass);
         schedule.ops.push_back(t);
     }
     schedule.RecomputeStats();
     schedule.num_passes = max_pass + 1;
     return schedule;
-}
-
-Schedule
-ParseScheduleCsv(const std::string& csv)
-{
-    std::istringstream is(csv);
-    return ParseScheduleCsv(is);
-}
-
-std::string
-ScheduleSummary(const Schedule& schedule)
-{
-    struct PassInfo
-    {
-        Microseconds lo = 1e300;
-        Microseconds hi = 0.0;
-        int gates = 0;
-        int moves = 0;
-    };
-    std::map<std::int32_t, PassInfo> passes;
-    for (const TimedOp& t : schedule.ops) {
-        PassInfo& p = passes[t.op.pass];
-        p.lo = std::min(p.lo, t.start);
-        p.hi = std::max(p.hi, t.end());
-        (qccd::IsMovement(t.op.kind) ? p.moves : p.gates) += 1;
-    }
-    std::ostringstream os;
-    os << "makespan " << schedule.makespan << " us, movement "
-       << schedule.num_movement_ops << " ops / " << schedule.movement_time
-       << " us busy\n";
-    for (const auto& [pass, info] : passes) {
-        os << "pass " << pass << ": [" << info.lo << ", " << info.hi
-           << "] us, " << info.gates << " gates, " << info.moves
-           << " movement ops\n";
-    }
-    return os.str();
 }
 
 }  // namespace tiqec::compiler

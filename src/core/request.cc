@@ -58,6 +58,20 @@ ParseBasis(const std::string& value)
     throw std::invalid_argument("unknown basis '" + value + "' (z|x)");
 }
 
+/** Parses `value` as an integer no larger than `max`, or throws
+ *  "<key> must be at most <max>, got '<value>'". */
+std::int32_t
+ParseAtMost(const std::string& value, const std::string& key, int max)
+{
+    const std::int32_t parsed = text::ParseInt32(value, key);
+    if (parsed > max) {
+        throw std::invalid_argument(key + " must be at most " +
+                                    std::to_string(max) + ", got '" +
+                                    value + "'");
+    }
+    return parsed;
+}
+
 bool
 ParseBool01(const std::string& value, const std::string& key)
 {
@@ -101,13 +115,7 @@ ParseRequestCandidate(const std::string& line, SweepCandidate* out,
             } else if (key == "program") {
                 program = value;
             } else if (key == "distance") {
-                distance = text::ParseInt32(value, "distance");
-                if (distance > kMaxRequestDistance) {
-                    throw std::invalid_argument(
-                        "distance must be at most " +
-                        std::to_string(kMaxRequestDistance) + ", got '" +
-                        value + "'");
-                }
+                distance = ParseAtMost(value, key, kMaxRequestDistance);
             } else if (key == "topology") {
                 c.arch.topology = ParseTopology(value);
             } else if (key == "capacity") {
@@ -126,14 +134,14 @@ ParseRequestCandidate(const std::string& line, SweepCandidate* out,
                         value + "'");
                 }
             } else if (key == "rounds") {
-                c.options.rounds = text::ParseInt32(value, "rounds");
+                c.options.rounds = ParseAtMost(value, key, kMaxRequestRounds);
                 // The runner reads a non-positive count as d rounds.
                 if (c.options.rounds < 1) {
                     throw std::invalid_argument(
                         "rounds must be at least 1, got '" + value + "'");
                 }
             } else if (key == "compile_rounds") {
-                c.compile_rounds = text::ParseInt32(value, "compile_rounds");
+                c.compile_rounds = ParseAtMost(value, key, kMaxRequestRounds);
             } else if (key == "shots") {
                 c.options.max_shots = text::ParseInt64(value, "shots");
                 if (c.options.max_shots < 0) {

@@ -17,7 +17,8 @@
  * distance (required, 1 to `kMaxRequestDistance`), program (canonical
  * program name, workloads/program.h; requires workload=program, which
  * in turn forbids family), topology (linear|grid|switch), capacity, wiring
- * (standard|wise), improvement (finite, > 0), rounds, compile_rounds,
+ * (standard|wise), improvement (finite, > 0), rounds (1 to
+ * `kMaxRequestRounds`), compile_rounds (at most `kMaxRequestRounds`),
  * shots, target_errors, seed, basis (z|x), workload
  * (memory|stability|surgery|program), compile_only (0|1), validate
  * (0|1), certify (0|1; certification needs the simulation, so a
@@ -39,6 +40,12 @@ namespace tiqec::core {
  *  all the memory, or overflow `int` from d = 46341, before any other
  *  check runs; 99 is far above the d=17 blocks the benchmark compiles. */
 inline constexpr int kMaxRequestDistance = 99;
+
+/** The largest `rounds` or `compile_rounds` a request may ask for. The
+ *  experiment and the compile block grow with the round count, so an
+ *  unbounded one lets one line take all the memory; the benchmark's
+ *  blocks compile d <= 17 rounds. */
+inline constexpr int kMaxRequestRounds = kMaxRequestDistance;
 
 /**
  * Parses one request line and builds its sweep candidate: `qec::MakeCode`

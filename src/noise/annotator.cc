@@ -11,16 +11,10 @@ namespace tiqec::noise {
 using qccd::DeviceState;
 using qccd::OpKind;
 
-namespace {
-
-/** The schedule walk behind both entry points. With `backfill` non-null
- *  (the schedule's own op vector), each gate's chain size and n-bar are
- *  written back to it; the walk itself never reads those fields. */
 RoundNoiseProfile
-WalkRound(const qec::StabilizerCode& code, const qccd::DeviceGraph& graph,
-          const compiler::CompilationResult& result,
-          const NoiseParams& params, const qccd::TimingModel& timing,
-          std::vector<compiler::TimedOp>* backfill)
+ProfileRound(const qec::StabilizerCode& code, const qccd::DeviceGraph& graph,
+             const compiler::CompilationResult& result,
+             const NoiseParams& params, const qccd::TimingModel& timing)
 {
     assert(result.ok);
     RoundNoiseProfile profile;
@@ -47,14 +41,7 @@ WalkRound(const qec::StabilizerCode& code, const qccd::DeviceGraph& graph,
         return peak;
     };
 
-    const auto record = [&](size_t i, int chain_size, double chain_nbar) {
-        if (backfill != nullptr) {
-            (*backfill)[i].chain_size = chain_size;
-            (*backfill)[i].nbar = chain_nbar;
-        }
-    };
-    for (size_t i = 0; i < result.schedule.ops.size(); ++i) {
-        const compiler::TimedOp& timed = result.schedule.ops[i];
+    for (const compiler::TimedOp& timed : result.schedule.ops) {
         const qccd::PrimitiveOp& op = timed.op;
         busy[op.ion0.value] += timed.duration;
         if (op.ion1.valid()) {
@@ -69,7 +56,6 @@ WalkRound(const qec::StabilizerCode& code, const qccd::DeviceGraph& graph,
                 params.TwoQubitError(timing.ms_gate, n, nb);
             const double p = 1.0 - std::pow(1.0 - p_ms, 3.0);
             profile.swaps.push_back({op.ion0, op.ion1, p, last_qec_gate});
-            record(i, n, nb);
             const auto err = state.TryApply(op);
             assert(!err.has_value());
             (void)err;
@@ -87,7 +73,6 @@ WalkRound(const qec::StabilizerCode& code, const qccd::DeviceGraph& graph,
         const NodeId trap = state.NodeOf(op.ion0);
         const int n = state.Occupancy(trap);
         const double nb = chain_nbar(trap);
-        record(i, n, nb);
         GateId qec_gate;
         if (op.source_gate.valid()) {
             qec_gate = result.native.gate(op.source_gate).source;
@@ -149,26 +134,6 @@ WalkRound(const qec::StabilizerCode& code, const qccd::DeviceGraph& graph,
         profile.mean_two_qubit_error = ms_error_sum / ms_count;
     }
     return profile;
-}
-
-}  // namespace
-
-RoundNoiseProfile
-ProfileRound(const qec::StabilizerCode& code, const qccd::DeviceGraph& graph,
-             const compiler::CompilationResult& result,
-             const NoiseParams& params, const qccd::TimingModel& timing)
-{
-    return WalkRound(code, graph, result, params, timing, nullptr);
-}
-
-RoundNoiseProfile
-AnnotateRound(const qec::StabilizerCode& code,
-              const qccd::DeviceGraph& graph,
-              compiler::CompilationResult& result, const NoiseParams& params,
-              const qccd::TimingModel& timing)
-{
-    return WalkRound(code, graph, result, params, timing,
-                     &result.schedule.ops);
 }
 
 }  // namespace tiqec::noise

@@ -6,6 +6,7 @@
  * error probabilities that parameterise the noisy stabilizer circuit
  * handed to the simulator (the paper's "interfacing the physical noise
  * model and the execution schedule ... into a noisy quantum circuit").
+ * The walk reads the schedule and writes nothing back to it.
  */
 #ifndef TIQEC_NOISE_ANNOTATOR_H
 #define TIQEC_NOISE_ANNOTATOR_H
@@ -61,7 +62,8 @@ struct RoundNoiseProfile
 /**
  * Builds the noise profile for a one-round compilation result without
  * modifying it, so one cached result can be profiled under several
- * noise scenarios concurrently.
+ * noise scenarios concurrently. A gate's chain size and n-bar feed its
+ * error and are not kept.
  *
  * @param result Must be a successful one-round compilation.
  */
@@ -70,19 +72,6 @@ RoundNoiseProfile ProfileRound(const qec::StabilizerCode& code,
                                const compiler::CompilationResult& result,
                                const NoiseParams& params,
                                const qccd::TimingModel& timing);
-
-/**
- * `ProfileRound`, and also back-fills `chain_size` and `nbar` on the
- * schedule's gate ops (the toolflow reads neither; schedule export and
- * the tests do).
- *
- * @param result Must be a successful one-round compilation.
- */
-RoundNoiseProfile AnnotateRound(const qec::StabilizerCode& code,
-                                const qccd::DeviceGraph& graph,
-                                compiler::CompilationResult& result,
-                                const NoiseParams& params,
-                                const qccd::TimingModel& timing);
 
 }  // namespace tiqec::noise
 

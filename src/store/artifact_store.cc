@@ -242,8 +242,8 @@ ArtifactStore::LoadCompile(const StoreKey& key,
         if (csv_lines < 1) {
             throw std::invalid_argument("schedule block is empty");
         }
-        c.schedule = compiler::ParseScheduleCsv(
-            std::string(reader.Block(csv_lines, "schedule")));
+        c.schedule =
+            compiler::ParseScheduleCsv(reader.Block(csv_lines, "schedule"));
         // The compiler takes num_passes from the router, not from the
         // pass column (a trailing gate-only pass has no movement rows);
         // mirror that here so the reconstruction is field-exact.

@@ -47,7 +47,7 @@ BuildWorkload(int distance, int rounds, double improvement)
     noise::NoiseParams params;
     params.gate_improvement = improvement;
     const auto profile =
-        noise::AnnotateRound(code, graph, result, params, timing);
+        noise::ProfileRound(code, graph, result, params, timing);
     out.circuit = sim::BuildMemory(code, result.qec_circuit, profile,
                                    params, rounds, sim::MemoryBasis::kZ);
     out.dem = sim::BuildDem(out.circuit);

@@ -180,7 +180,7 @@ TEST(MemoryExperimentTest, DetectorCounts)
     ASSERT_TRUE(result.ok);
     noise::NoiseParams params;
     const auto profile =
-        noise::AnnotateRound(code, graph, result, params, timing);
+        noise::ProfileRound(code, graph, result, params, timing);
     const int rounds = 4;
     const auto experiment =
         sim::BuildMemory(code, result.qec_circuit, profile, params, rounds,
@@ -211,7 +211,7 @@ TEST(MemoryExperimentTest, NoiselessExperimentIsDeterministic)
     zero.a0 = 0.0;
     zero.t2_us = 1e30;
     noise::RoundNoiseProfile profile =
-        noise::AnnotateRound(code, graph, result, zero, timing);
+        noise::ProfileRound(code, graph, result, zero, timing);
     const auto experiment = sim::BuildMemory(
         code, result.qec_circuit, profile, zero, 3, sim::MemoryBasis::kZ);
     sim::FrameSimulator simulator(experiment, 5);

@@ -175,7 +175,7 @@ BuildCompiledDem(int distance, int rounds, double improvement,
     noise::NoiseParams params;
     params.gate_improvement = improvement;
     const auto profile =
-        noise::AnnotateRound(code, graph, result, params, timing);
+        noise::ProfileRound(code, graph, result, params, timing);
     out.circuit = sim::BuildMemory(code, result.qec_circuit, profile,
                                    params, rounds, sim::MemoryBasis::kZ);
     out.dem = sim::BuildDem(out.circuit);
@@ -197,7 +197,7 @@ BuildSurgeryDem(int distance)
     noise::NoiseParams params;
     params.gate_improvement = 1.0;
     const auto profile =
-        noise::AnnotateRound(code, graph, result, params, timing);
+        noise::ProfileRound(code, graph, result, params, timing);
     workloads::WorkloadSpec spec(workloads::WorkloadKind::kSurgery,
                                  sim::MemoryBasis::kZ);
     out.circuit = workloads::BuildExperiment(code, result.qec_circuit,

@@ -152,7 +152,7 @@ TEST(MemoryXTest, NoiselessDeterministic)
     zero.a0 = 0.0;
     zero.t2_us = 1e30;
     const auto profile =
-        noise::AnnotateRound(code, graph, result, zero, timing);
+        noise::ProfileRound(code, graph, result, zero, timing);
     const auto experiment = sim::BuildMemory(
         code, result.qec_circuit, profile, zero, 3, sim::MemoryBasis::kX);
     sim::FrameSimulator simulator(experiment, 3);
@@ -170,7 +170,7 @@ TEST(MemoryXTest, DetectorCountsMirrorMemoryZ)
     ASSERT_TRUE(result.ok);
     noise::NoiseParams params;
     const auto profile =
-        noise::AnnotateRound(code, graph, result, params, timing);
+        noise::ProfileRound(code, graph, result, params, timing);
     const int rounds = 4;
     const auto x_exp = sim::BuildMemory(code, result.qec_circuit, profile,
                                         params, rounds, sim::MemoryBasis::kX);
@@ -244,7 +244,7 @@ TEST(CrossValidationTest, SampledDetectorRatesMatchDemEdgeMass)
     noise::NoiseParams params;
     params.gate_improvement = 5.0;
     const auto profile =
-        noise::AnnotateRound(code, graph, result, params, timing);
+        noise::ProfileRound(code, graph, result, params, timing);
     const auto experiment = sim::BuildMemory(
         code, result.qec_circuit, profile, params, 3, sim::MemoryBasis::kZ);
     const auto dem = sim::BuildDem(experiment);
@@ -285,7 +285,7 @@ TEST(CrossValidationTest, DemCoversAllSampledSyndromeBits)
     ASSERT_TRUE(result.ok);
     noise::NoiseParams params;
     const auto profile =
-        noise::AnnotateRound(code, graph, result, params, timing);
+        noise::ProfileRound(code, graph, result, params, timing);
     const auto experiment = sim::BuildMemory(
         code, result.qec_circuit, profile, params, 3, sim::MemoryBasis::kZ);
     const auto dem = sim::BuildDem(experiment);

@@ -109,7 +109,7 @@ TEST_F(AnnotatorTest, ProfileShapesMatchCircuit)
     Compile(code, TopologyKind::kGrid, 2);
     NoiseParams params;
     const RoundNoiseProfile profile =
-        AnnotateRound(code, *graph_, result_, params, timing_);
+        ProfileRound(code, *graph_, result_, params, timing_);
     EXPECT_EQ(static_cast<int>(profile.gate_noise.size()),
               result_.qec_circuit.size());
     EXPECT_EQ(static_cast<int>(profile.idle_z.size()), code.num_qubits());
@@ -122,7 +122,7 @@ TEST_F(AnnotatorTest, EveryCnotGetsPairError)
     Compile(code, TopologyKind::kGrid, 2);
     NoiseParams params;
     const RoundNoiseProfile profile =
-        AnnotateRound(code, *graph_, result_, params, timing_);
+        ProfileRound(code, *graph_, result_, params, timing_);
     for (int i = 0; i < result_.qec_circuit.size(); ++i) {
         const auto& g = result_.qec_circuit.gates()[i];
         if (g.kind == circuit::GateKind::kCnot) {
@@ -141,6 +141,31 @@ TEST_F(AnnotatorTest, EveryCnotGetsPairError)
     }
 }
 
+/**
+ * Expects every CNOT of `circuit` to carry the pair error of its one MS
+ * gate on a chain of `chain` ions at n-bar `nbar`, folded the way the
+ * annotator folds it: for p near 1e-3, 1 - (1 - p) is tens of ULPs
+ * off p itself, beyond EXPECT_DOUBLE_EQ's tolerance.
+ */
+void
+ExpectCnotPairErrors(const circuit::Circuit& circuit,
+                     const RoundNoiseProfile& profile,
+                     const NoiseParams& params, const TimingModel& timing,
+                     int chain, double nbar)
+{
+    const double expected =
+        1.0 - (1.0 - params.TwoQubitError(timing.ms_gate, chain, nbar));
+    int cnots = 0;
+    for (int i = 0; i < circuit.size(); ++i) {
+        if (circuit.gates()[i].kind == circuit::GateKind::kCnot) {
+            ++cnots;
+            EXPECT_DOUBLE_EQ(profile.gate_noise[i].p_pair, expected)
+                << "gate " << i;
+        }
+    }
+    EXPECT_GT(cnots, 0);
+}
+
 TEST_F(AnnotatorTest, MovementHeatsGates)
 {
     // On a capacity-2 grid every MS gate follows a merge, so the chain
@@ -148,16 +173,10 @@ TEST_F(AnnotatorTest, MovementHeatsGates)
     const qec::RotatedSurfaceCode code(3);
     Compile(code, TopologyKind::kGrid, 2);
     NoiseParams params;
-    AnnotateRound(code, *graph_, result_, params, timing_);
-    int ms_ops = 0;
-    for (const auto& t : result_.schedule.ops) {
-        if (t.op.kind == qccd::OpKind::kMs) {
-            ++ms_ops;
-            EXPECT_DOUBLE_EQ(t.nbar, timing_.nbar_split_merge);
-            EXPECT_EQ(t.chain_size, 2);
-        }
-    }
-    EXPECT_GT(ms_ops, 0);
+    const RoundNoiseProfile profile =
+        ProfileRound(code, *graph_, result_, params, timing_);
+    ExpectCnotPairErrors(result_.qec_circuit, profile, params, timing_, 2,
+                         timing_.nbar_split_merge);
 }
 
 TEST_F(AnnotatorTest, SingleChainHasNoHeating)
@@ -168,14 +187,10 @@ TEST_F(AnnotatorTest, SingleChainHasNoHeating)
     ASSERT_TRUE(result_.ok) << result_.error;
     NoiseParams params;
     const RoundNoiseProfile profile =
-        AnnotateRound(code, *graph_, result_, params, timing_);
+        ProfileRound(code, *graph_, result_, params, timing_);
     EXPECT_TRUE(profile.swaps.empty());
-    for (const auto& t : result_.schedule.ops) {
-        if (t.op.kind == qccd::OpKind::kMs) {
-            EXPECT_DOUBLE_EQ(t.nbar, timing_.nbar_cooled);
-            EXPECT_EQ(t.chain_size, code.num_qubits());
-        }
-    }
+    ExpectCnotPairErrors(result_.qec_circuit, profile, params, timing_,
+                         code.num_qubits(), timing_.nbar_cooled);
 }
 
 TEST_F(AnnotatorTest, IdleWindowsBoundedByRoundTime)
@@ -184,7 +199,7 @@ TEST_F(AnnotatorTest, IdleWindowsBoundedByRoundTime)
     Compile(code, TopologyKind::kGrid, 2);
     NoiseParams params;
     const RoundNoiseProfile profile =
-        AnnotateRound(code, *graph_, result_, params, timing_);
+        ProfileRound(code, *graph_, result_, params, timing_);
     const double full_round =
         params.IdleDephasing(profile.round_time);
     for (const double p : profile.idle_z) {
@@ -199,10 +214,10 @@ TEST_F(AnnotatorTest, SlowerRoundsDephaseMore)
     NoiseParams params;
     Compile(code, TopologyKind::kGrid, 2);
     const RoundNoiseProfile fast =
-        AnnotateRound(code, *graph_, result_, params, timing_);
+        ProfileRound(code, *graph_, result_, params, timing_);
     Compile(code, TopologyKind::kLinear, 2);
     const RoundNoiseProfile slow =
-        AnnotateRound(code, *graph_, result_, params, timing_);
+        ProfileRound(code, *graph_, result_, params, timing_);
     const int q = code.data_qubits().front().value;
     EXPECT_GT(slow.idle_z[q], 5.0 * fast.idle_z[q]);
 }

@@ -336,7 +336,7 @@ TEST(ParallelSamplerTest, EstimateLogicalErrorsMatchesEvaluate)
     core::ArchitectureConfig arch;
     const noise::NoiseParams params = core::NoiseParamsFor(arch);
     const auto profile =
-        noise::AnnotateRound(code, graph, compiled, params, timing);
+        noise::ProfileRound(code, graph, compiled, params, timing);
     const int rounds = code.distance();
     const NoisyCircuit experiment = BuildMemory(
         code, compiled.qec_circuit, profile, params, rounds, MemoryBasis::kZ);

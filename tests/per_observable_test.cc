@@ -46,7 +46,7 @@ BuildSurgery(int distance, double improvement)
     noise::NoiseParams params;
     params.gate_improvement = improvement;
     const auto profile =
-        noise::AnnotateRound(code, graph, result, params, timing);
+        noise::ProfileRound(code, graph, result, params, timing);
     workloads::WorkloadSpec spec(workloads::WorkloadKind::kSurgery,
                                  sim::MemoryBasis::kZ);
     out.circuit = workloads::BuildExperiment(code, result.qec_circuit,

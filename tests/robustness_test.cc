@@ -35,7 +35,7 @@ CompiledDem(const qec::StabilizerCode& code, int rounds, double improvement)
     noise::NoiseParams params;
     params.gate_improvement = improvement;
     const auto profile =
-        noise::AnnotateRound(code, graph, result, params, timing);
+        noise::ProfileRound(code, graph, result, params, timing);
     const auto experiment =
         sim::BuildMemory(code, result.qec_circuit, profile, params, rounds,
                          sim::MemoryBasis::kZ);
@@ -158,7 +158,7 @@ TEST(FailureInjectionTest, SaturatedNoiseStillDecodes)
     params.p_reset = 0.4;
     params.p_measure = 0.4;
     const auto profile =
-        noise::AnnotateRound(code, graph, result, params, timing);
+        noise::ProfileRound(code, graph, result, params, timing);
     const auto experiment = sim::BuildMemory(
         code, result.qec_circuit, profile, params, 3, sim::MemoryBasis::kZ);
     const auto dem = sim::BuildDem(experiment);

@@ -12,7 +12,6 @@
 
 #include "compiler/compiler.h"
 #include "compiler/schedule_io.h"
-#include "noise/annotator.h"
 #include "qccd/device_state.h"
 
 namespace tiqec::compiler {
@@ -58,7 +57,7 @@ TEST(ScheduleIoTest, CsvTimesAreConsistent)
         while (std::getline(ls, field, ',')) {
             fields.push_back(field);
         }
-        ASSERT_EQ(fields.size(), 12u) << line;
+        ASSERT_EQ(fields.size(), 10u) << line;
         const double start = std::stod(fields[7]);
         const double duration = std::stod(fields[8]);
         // Shortest-exact formatting: the parsed values are the doubles.
@@ -69,7 +68,7 @@ TEST(ScheduleIoTest, CsvTimesAreConsistent)
     EXPECT_EQ(i, result.schedule.ops.size());
 }
 
-// ---- CSV round-trip over every schedule a small sweep emits. ----
+// ---- CSV round-trip over every schedule shape the store keeps. ----
 
 std::vector<CompilationResult>
 SmallSweepCompilations()
@@ -91,14 +90,23 @@ SmallSweepCompilations()
             }
         }
     }
+    // A WISE row (cooled MS and gate-swap durations: capacity 3 swaps)
+    // and a 2-round block, as compile-only sweeps persist them.
+    const auto code = qec::MakeCode("rotated", 3);
+    results.push_back(CompileParityCheckRounds(
+        *code, 1, MakeDeviceFor(*code, TopologyKind::kGrid, 3), timing,
+        {.wise = true}));
+    results.push_back(CompileParityCheckRounds(
+        *code, 2, MakeDeviceFor(*code, TopologyKind::kGrid, 2), timing));
     return results;
 }
 
 TEST(ScheduleIoRoundTripTest, ParseInvertsWriteOverASmallSweep)
 {
     const auto results = SmallSweepCompilations();
-    ASSERT_GE(results.size(), 8u);
+    ASSERT_GE(results.size(), 10u);
     for (const auto& result : results) {
+        ASSERT_TRUE(result.ok) << result.error;
         const std::string csv = ScheduleCsv(result.schedule);
         const Schedule parsed = ParseScheduleCsv(csv);
         ASSERT_EQ(parsed.ops.size(), result.schedule.ops.size());
@@ -114,8 +122,6 @@ TEST(ScheduleIoRoundTripTest, ParseInvertsWriteOverASmallSweep)
             // Exact: shortest round-trip formatting loses nothing.
             EXPECT_EQ(a.start, b.start) << i;
             EXPECT_EQ(a.duration, b.duration) << i;
-            EXPECT_EQ(a.chain_size, b.chain_size) << i;
-            EXPECT_EQ(a.nbar, b.nbar) << i;
             EXPECT_EQ(a.op.source_gate, b.op.source_gate) << i;
         }
         EXPECT_EQ(parsed.makespan, result.schedule.makespan);
@@ -134,48 +140,31 @@ TEST(ScheduleIoRoundTripTest, ReserializationIsByteStable)
     }
 }
 
-TEST(ScheduleIoRoundTripTest, AnnotatedSchedulesRoundTripToo)
-{
-    // chain_size / nbar are back-filled by the noise annotator; the
-    // round-trip must carry them (nbar is a non-trivial double).
-    const qec::RotatedSurfaceCode code(3);
-    const TimingModel timing;
-    const auto graph = MakeDeviceFor(code, TopologyKind::kGrid, 2);
-    auto result = CompileParityCheckRounds(code, 1, graph, timing);
-    ASSERT_TRUE(result.ok);
-    noise::AnnotateRound(code, graph, result, noise::NoiseParams{},
-                         timing);
-    const std::string csv = ScheduleCsv(result.schedule);
-    const Schedule parsed = ParseScheduleCsv(csv);
-    bool saw_nontrivial_nbar = false;
-    ASSERT_EQ(parsed.ops.size(), result.schedule.ops.size());
-    for (size_t i = 0; i < parsed.ops.size(); ++i) {
-        EXPECT_EQ(parsed.ops[i].chain_size,
-                  result.schedule.ops[i].chain_size);
-        EXPECT_EQ(parsed.ops[i].nbar, result.schedule.ops[i].nbar);
-        saw_nontrivial_nbar |= parsed.ops[i].nbar != 0.0;
-    }
-    EXPECT_TRUE(saw_nontrivial_nbar);
-    EXPECT_EQ(csv, ScheduleCsv(parsed));
-}
-
 TEST(ScheduleIoRoundTripTest, MalformedInputThrows)
 {
     EXPECT_THROW(ParseScheduleCsv(std::string("not,a,header\n")),
                  std::invalid_argument);
     const std::string header =
         "index,pass,kind,ion0,ion1,node,segment,start_us,duration_us,"
-        "chain,nbar,source_gate\n";
+        "source_gate\n";
     EXPECT_THROW(
-        ParseScheduleCsv(header + "0,0,BOGUS,0,-1,0,-1,0,1,1,0,-1\n"),
+        ParseScheduleCsv(header + "0,0,BOGUS,0,-1,0,-1,0,1,-1\n"),
         std::invalid_argument);
     EXPECT_THROW(ParseScheduleCsv(header + "0,0,MS,0,-1,0,-1\n"),
                  std::invalid_argument);
     EXPECT_THROW(
-        ParseScheduleCsv(header + "5,0,MS,0,-1,0,-1,0,1,1,0,-1\n"),
+        ParseScheduleCsv(header + "5,0,MS,0,-1,0,-1,0,1,-1\n"),
         std::invalid_argument);
     EXPECT_THROW(
-        ParseScheduleCsv(header + "0,0,MS,x,-1,0,-1,0,1,1,0,-1\n"),
+        ParseScheduleCsv(header + "0,0,MS,x,-1,0,-1,0,1,-1\n"),
+        std::invalid_argument);
+    // A pass outside [0, INT32_MAX): the pass count is the largest
+    // pass plus one.
+    EXPECT_THROW(
+        ParseScheduleCsv(header + "0,-1,MS,0,-1,0,-1,0,1,-1\n"),
+        std::invalid_argument);
+    EXPECT_THROW(
+        ParseScheduleCsv(header + "0,2147483647,MS,0,-1,0,-1,0,1,-1\n"),
         std::invalid_argument);
     // An empty schedule round-trips to just the header.
     const Schedule empty = ParseScheduleCsv(header);
@@ -208,17 +197,16 @@ TEST(ScheduleIoRoundTripTest, TrailingEmptyFieldIsRejected)
 {
     // Regression: the getline(',') field loop silently dropped a
     // trailing empty field, so a row truncated after the final comma
-    // parsed as a short row with a wrong nbar instead of erroring.
+    // parsed as a short row instead of erroring.
     const std::string header =
         "index,pass,kind,ion0,ion1,node,segment,start_us,duration_us,"
-        "chain,nbar,source_gate\n";
-    // 12 commas -> 13 fields once the trailing empty one is counted.
-    EXPECT_THROW(
-        ParseScheduleCsv(header + "0,0,MS,0,-1,0,-1,0,1,1,0,-1,\n"),
-        std::invalid_argument);
+        "source_gate\n";
+    // 10 commas -> 11 fields once the trailing empty one is counted.
+    EXPECT_THROW(ParseScheduleCsv(header + "0,0,MS,0,-1,0,-1,0,1,-1,\n"),
+                 std::invalid_argument);
     // Final field empty (row ends in ','): the empty field must be an
     // explicit parse error, not silently dropped.
-    EXPECT_THROW(ParseScheduleCsv(header + "0,0,MS,0,-1,0,-1,0,1,1,0,\n"),
+    EXPECT_THROW(ParseScheduleCsv(header + "0,0,MS,0,-1,0,-1,0,1,\n"),
                  std::invalid_argument);
 }
 
@@ -228,14 +216,13 @@ TEST(ScheduleIoRoundTripTest, NonFiniteTimesAreRejected)
     // hand them on (a NaN start breaks the movement-time sort).
     const std::string header =
         "index,pass,kind,ion0,ion1,node,segment,start_us,duration_us,"
-        "chain,nbar,source_gate\n";
+        "source_gate\n";
     const std::string head = "0,0,MS,0,1,0,-1,";
     for (const std::string bad : {"nan", "-nan", "inf", "-inf", "NaN"}) {
         SCOPED_TRACE(bad);
-        // The bad value in start_us, then duration_us, then nbar.
-        const std::string rows[] = {head + bad + ",40,1,0,-1",
-                                    head + "0," + bad + ",1,0,-1",
-                                    head + "0,40,1," + bad + ",-1"};
+        // The bad value in start_us, then in duration_us.
+        const std::string rows[] = {head + bad + ",40,-1",
+                                    head + "0," + bad + ",-1"};
         for (const std::string& row : rows) {
             try {
                 ParseScheduleCsv(header + row + "\n");
@@ -251,21 +238,8 @@ TEST(ScheduleIoRoundTripTest, NonFiniteTimesAreRejected)
     }
     // The same row with finite values parses.
     const Schedule finite =
-        ParseScheduleCsv(header + head + "0,40,1,0,-1\n");
+        ParseScheduleCsv(header + head + "0,40,-1\n");
     EXPECT_EQ(finite.ops.size(), 1u);
-}
-
-TEST(ScheduleIoTest, SummaryListsEveryPass)
-{
-    const auto result = CompileD3();
-    ASSERT_TRUE(result.ok);
-    const std::string summary = ScheduleSummary(result.schedule);
-    for (int p = 0; p < result.routing.num_passes; ++p) {
-        EXPECT_NE(summary.find("pass " + std::to_string(p) + ":"),
-                  std::string::npos)
-            << summary;
-    }
-    EXPECT_NE(summary.find("makespan"), std::string::npos);
 }
 
 TEST(AblationOptionsTest, DisablingHomePreferenceStillCompiles)

@@ -602,7 +602,7 @@ SetScheduleField(const std::string& path, const std::string& kind,
         ASSERT_NE(block, lines.end()) << "no schedule block";
         for (auto row = block + 2; row != lines.end(); ++row) {
             std::vector<std::string> fields = text::SplitFields(*row, ',');
-            ASSERT_EQ(fields.size(), 12u) << *row;
+            ASSERT_EQ(fields.size(), 10u) << *row;
             if (!kind.empty() && fields[2] != kind) {
                 continue;
             }
@@ -1376,6 +1376,42 @@ TEST(SweepServiceTest, DistanceAboveTheCapIsAParseError)
                   "'100'"),
               std::string::npos)
         << result.result_lines[2];
+}
+
+TEST(SweepServiceTest, RoundCountsAboveTheCapAreParseErrors)
+{
+    // The cap parses for both keys; nothing here is run.
+    core::SweepCandidate c;
+    std::string error;
+    ASSERT_TRUE(core::ParseRequestCandidate(
+        "family=rotated distance=3 rounds=99 compile_rounds=99", &c,
+        &error))
+        << error;
+    EXPECT_EQ(c.options.rounds, core::kMaxRequestRounds);
+    EXPECT_EQ(c.compile_rounds, core::kMaxRequestRounds);
+
+    // Above it, a line fails before any code is built, and the line
+    // between them still parses.
+    const core::RequestBatch batch = core::ReadRequestBatch(
+        "family=rotated distance=3 shots=0 rounds=100\n"
+        "family=rotated distance=3 compile_only=1 compile_rounds=2\n"
+        "family=rotated distance=3 compile_only=1 "
+        "compile_rounds=2147483647\n"
+        "family=rotated distance=3 rounds=2147483647\n"
+        "family=rotated distance=3 compile_only=1 compile_rounds=100\n");
+    ASSERT_EQ(batch.requests.size(), 5u);
+    ASSERT_EQ(batch.candidates.size(), 1u);
+    EXPECT_EQ(batch.candidates[0].compile_rounds, 2);
+    const std::string expected[] = {
+        "rounds must be at most 99, got '100'",
+        "",
+        "compile_rounds must be at most 99, got '2147483647'",
+        "rounds must be at most 99, got '2147483647'",
+        "compile_rounds must be at most 99, got '100'",
+    };
+    for (size_t i = 0; i < batch.requests.size(); ++i) {
+        EXPECT_EQ(batch.requests[i].parse_error, expected[i]) << i;
+    }
 }
 
 TEST(SweepServiceTest, BatchIsolatesMalformedLines)
