@@ -2,16 +2,18 @@
  * @file
  * Workload-subsystem tests: golden/differential coverage for the
  * merged-patch surgery code (stabilizer counts, observable supports,
- * the joint-parity product algebra, pinned d=3/5 DEM stats), the
- * memory workload's bit-identity with the historical `BuildMemory`
- * path, the surgery/stability sweep's cross-thread bit-identity at
- * d=3/5, and cross-workload compile-artifact sharing in the sweep
- * cache.
+ * the joint-parity product algebra, pinned d=3/5 DEM stats), a digest
+ * of every experiment circuit the builders emit, the surgery/stability
+ * sweep's cross-thread bit-identity at d=3/5, and cross-workload
+ * compile-artifact sharing in the sweep cache.
  */
+#include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,9 +22,11 @@
 #include "core/sweep.h"
 #include "core/toolflow.h"
 #include "qec/surgery.h"
+#include "sim/circuit_io.h"
 #include "sim/dem.h"
-#include "sim/memory_experiment.h"
+#include "store/keys.h"
 #include "workloads/experiment.h"
+#include "workloads/program.h"
 
 namespace tiqec::workloads {
 namespace {
@@ -237,43 +241,238 @@ TEST(WorkloadSpecTest, SurgeryRequiresAMergedPatchCode)
     }
 }
 
-/** The memory workload through the experiment interface must be
- *  instruction-for-instruction identical to the historical
- *  `sim::BuildMemory` path (the refactor's bit-identity contract). */
-TEST(MemoryInterfaceTest, InstructionStreamMatchesBuildMemory)
+std::uint64_t
+CircuitDigest(const sim::NoisyCircuit& circuit)
 {
-    const qec::RotatedSurfaceCode code(3);
-    core::ArchitectureConfig arch;
-    arch.gate_improvement = 5.0;
-    const auto arts = core::CompileCandidate(code, arch);
-    ASSERT_TRUE(arts.ok) << arts.error;
-    const auto profile = core::AnnotateCandidate(code, arch, arts);
-    const auto params = core::NoiseParamsFor(arch);
+    return store::Fnv1a64(sim::FormatNoisyCircuit(circuit));
+}
 
-    for (const sim::MemoryBasis basis :
-         {sim::MemoryBasis::kZ, sim::MemoryBasis::kX}) {
-        SCOPED_TRACE(basis == sim::MemoryBasis::kZ ? "memory-Z"
-                                                   : "memory-X");
-        const sim::NoisyCircuit direct = sim::BuildMemory(
-            code, arts.compiled.qec_circuit, profile, params, 3, basis);
-        const sim::NoisyCircuit via_interface = BuildExperiment(
-            code, arts.compiled.qec_circuit, profile, params, 3,
-            WorkloadSpec(WorkloadKind::kMemory, basis));
-        ASSERT_EQ(via_interface.instructions().size(),
-                  direct.instructions().size());
-        for (size_t i = 0; i < direct.instructions().size(); ++i) {
-            const auto& a = direct.instructions()[i];
-            const auto& b = via_interface.instructions()[i];
-            ASSERT_EQ(a.op, b.op) << "instruction " << i;
-            ASSERT_EQ(a.q0, b.q0) << "instruction " << i;
-            ASSERT_EQ(a.q1, b.q1) << "instruction " << i;
-            ASSERT_TRUE(SameDouble(a.p, b.p)) << "instruction " << i;
-            ASSERT_EQ(a.index, b.index) << "instruction " << i;
-            ASSERT_EQ(a.targets, b.targets) << "instruction " << i;
+/**
+ * Builds every pinned experiment circuit and returns its label and the
+ * FNV-1a digest of its text, in build order: memory Z and X on every
+ * code family, plus stability and surgery on both merged patches, at
+ * d=3 and 5 with 1 and d rounds, on grid capacity 2 and on switch
+ * capacity 5 (which has in-trap swap noise); memory at d=5 on WISE
+ * wiring; and the canonical programs at d=3 with d rounds on the same
+ * two devices.
+ */
+std::vector<std::pair<std::string, std::uint64_t>>
+ExperimentCircuitDigests()
+{
+    std::vector<std::pair<std::string, std::uint64_t>> out;
+    const auto add_code = [&](const std::string& family, int d, int rounds,
+                              const std::string& device,
+                              const core::ArchitectureConfig& arch) {
+        const auto code = qec::MakeCode(family, d);
+        const core::CompileArtifacts arts =
+            core::CompileCandidate(*code, arch);
+        if (!arts.ok) {
+            ADD_FAILURE() << family << " on " << device << ": " << arts.error;
+            return;
         }
-        EXPECT_EQ(via_interface.num_detectors(), direct.num_detectors());
-        EXPECT_EQ(via_interface.num_observables(),
-                  direct.num_observables());
+        const auto profile = core::AnnotateCandidate(*code, arch, arts);
+        std::vector<std::pair<std::string, WorkloadSpec>> shapes = {
+            {"memory_z", {WorkloadKind::kMemory, sim::MemoryBasis::kZ}},
+            {"memory_x", {WorkloadKind::kMemory, sim::MemoryBasis::kX}},
+        };
+        if (family.rfind("merged", 0) == 0) {
+            shapes.emplace_back("stability", WorkloadKind::kStability);
+            shapes.emplace_back("surgery", WorkloadKind::kSurgery);
+        }
+        for (const auto& [name, spec] : shapes) {
+            out.emplace_back(
+                family + " d=" + std::to_string(d) + " r=" +
+                    std::to_string(rounds) + " " + device + " " + name,
+                CircuitDigest(BuildExperiment(
+                    *code, arts.compiled.qec_circuit, profile,
+                    core::NoiseParamsFor(arch), rounds, spec)));
+        }
+    };
+
+    core::ArchitectureConfig grid;
+    core::ArchitectureConfig swtch;
+    swtch.topology = qccd::TopologyKind::kSwitch;
+    swtch.trap_capacity = 5;
+    const std::pair<std::string, core::ArchitectureConfig> devices[] = {
+        {"grid_c2", grid}, {"switch_c5", swtch}};
+    for (const auto& [device, arch] : devices) {
+        for (const std::string family :
+             {"rotated", "repetition", "unrotated", "merged_xx",
+              "merged_zz"}) {
+            for (const int d : {3, 5}) {
+                for (const int rounds : {1, d}) {
+                    add_code(family, d, rounds, device, arch);
+                }
+            }
+        }
+    }
+    core::ArchitectureConfig wise;
+    wise.wiring = core::WiringKind::kWise;
+    add_code("rotated", 5, 5, "grid_c2_wise", wise);
+
+    for (const auto& [device, arch] : devices) {
+        for (const std::string& name : CanonicalProgramNames()) {
+            const auto bound = BoundProgram::Bind(CanonicalProgram(name), 3);
+            std::vector<core::CompileArtifacts> arts;
+            std::vector<noise::RoundNoiseProfile> profiles;
+            for (const auto& code : bound->phase_codes()) {
+                arts.push_back(core::CompileCandidate(*code, arch));
+                EXPECT_TRUE(arts.back().ok) << arts.back().error;
+                profiles.push_back(
+                    core::AnnotateCandidate(*code, arch, arts.back()));
+            }
+            std::vector<BoundProgram::PhaseCircuit> phases;
+            for (size_t i = 0; i < arts.size(); ++i) {
+                phases.push_back({&arts[i].compiled.qec_circuit, &profiles[i]});
+            }
+            out.emplace_back(
+                name + " d=3 r=3 " + device,
+                CircuitDigest(
+                    bound->Build(phases, core::NoiseParamsFor(arch), 3)));
+        }
+    }
+    return out;
+}
+
+/** Pins the text of every experiment circuit the workload builders and
+ *  the program executor emit. The digests were taken before memory and
+ *  surgery shared one builder, so any change to a circuit's
+ *  instructions, noise, detectors or observables shows up here. */
+TEST(ExperimentDigestTest, EveryExperimentCircuitIsPinned)
+{
+    struct Pin
+    {
+        const char* label;
+        std::uint64_t digest;
+    };
+    const Pin pinned[] = {
+        {"rotated d=3 r=1 grid_c2 memory_z", 0x01633cbfcf887866ULL},
+        {"rotated d=3 r=1 grid_c2 memory_x", 0x77744182eb95128eULL},
+        {"rotated d=3 r=3 grid_c2 memory_z", 0x26be146b5cf4bbb9ULL},
+        {"rotated d=3 r=3 grid_c2 memory_x", 0x664a60d052ee4233ULL},
+        {"rotated d=5 r=1 grid_c2 memory_z", 0x1e29f758df29a7aaULL},
+        {"rotated d=5 r=1 grid_c2 memory_x", 0x9de58df111ae6825ULL},
+        {"rotated d=5 r=5 grid_c2 memory_z", 0x62ebe3aa28a0de12ULL},
+        {"rotated d=5 r=5 grid_c2 memory_x", 0x09f81e63db52f2b4ULL},
+        {"repetition d=3 r=1 grid_c2 memory_z", 0x4f1336e6eb17ebc5ULL},
+        {"repetition d=3 r=1 grid_c2 memory_x", 0xf1ad3e230734dbaaULL},
+        {"repetition d=3 r=3 grid_c2 memory_z", 0x9ccbd88112eb2bbbULL},
+        {"repetition d=3 r=3 grid_c2 memory_x", 0xcbab662ce35a2058ULL},
+        {"repetition d=5 r=1 grid_c2 memory_z", 0x61a6b4b028e74ea2ULL},
+        {"repetition d=5 r=1 grid_c2 memory_x", 0xdd860a10ac88decfULL},
+        {"repetition d=5 r=5 grid_c2 memory_z", 0x277a5d61baee78baULL},
+        {"repetition d=5 r=5 grid_c2 memory_x", 0x5a6f6fcbaf73aed0ULL},
+        {"unrotated d=3 r=1 grid_c2 memory_z", 0x51d71c394d7f8b4bULL},
+        {"unrotated d=3 r=1 grid_c2 memory_x", 0x176eb9f085de23abULL},
+        {"unrotated d=3 r=3 grid_c2 memory_z", 0xe94f0ca0083f3c88ULL},
+        {"unrotated d=3 r=3 grid_c2 memory_x", 0xb50fc39adfe2b91cULL},
+        {"unrotated d=5 r=1 grid_c2 memory_z", 0xdee66c6368a0a484ULL},
+        {"unrotated d=5 r=1 grid_c2 memory_x", 0x71b3dc43fb7a30d7ULL},
+        {"unrotated d=5 r=5 grid_c2 memory_z", 0x3c8724f4cc89a704ULL},
+        {"unrotated d=5 r=5 grid_c2 memory_x", 0x0f271e30af28e929ULL},
+        {"merged_xx d=3 r=1 grid_c2 memory_z", 0x9a8f29dfc0cfbd35ULL},
+        {"merged_xx d=3 r=1 grid_c2 memory_x", 0xfce8e05f4d5023bfULL},
+        {"merged_xx d=3 r=1 grid_c2 stability", 0xd23dd26df894e156ULL},
+        {"merged_xx d=3 r=1 grid_c2 surgery", 0xd9a6eb227863139bULL},
+        {"merged_xx d=3 r=3 grid_c2 memory_z", 0x42219a5845645505ULL},
+        {"merged_xx d=3 r=3 grid_c2 memory_x", 0x37d545ae5eefec10ULL},
+        {"merged_xx d=3 r=3 grid_c2 stability", 0xff7d4e823c6c6ffeULL},
+        {"merged_xx d=3 r=3 grid_c2 surgery", 0x8dbf88b7237d36d3ULL},
+        {"merged_xx d=5 r=1 grid_c2 memory_z", 0x14dd13199c12ed2eULL},
+        {"merged_xx d=5 r=1 grid_c2 memory_x", 0x558e293e2f2be86eULL},
+        {"merged_xx d=5 r=1 grid_c2 stability", 0x106dddb61b834e95ULL},
+        {"merged_xx d=5 r=1 grid_c2 surgery", 0x93d35ef90a0ea021ULL},
+        {"merged_xx d=5 r=5 grid_c2 memory_z", 0xfd64e01c21f4a1c4ULL},
+        {"merged_xx d=5 r=5 grid_c2 memory_x", 0x4542d7ba8ea8b7c1ULL},
+        {"merged_xx d=5 r=5 grid_c2 stability", 0x3057e8f131b03316ULL},
+        {"merged_xx d=5 r=5 grid_c2 surgery", 0x1329164acf3aeaf9ULL},
+        {"merged_zz d=3 r=1 grid_c2 memory_z", 0x13e20c9f3c169842ULL},
+        {"merged_zz d=3 r=1 grid_c2 memory_x", 0xac70199bbd0b45f5ULL},
+        {"merged_zz d=3 r=1 grid_c2 stability", 0xb0dcd96f1883d0e5ULL},
+        {"merged_zz d=3 r=1 grid_c2 surgery", 0xb46ee2843495e69eULL},
+        {"merged_zz d=3 r=3 grid_c2 memory_z", 0x95dbf8e32bdce01dULL},
+        {"merged_zz d=3 r=3 grid_c2 memory_x", 0xc4646fe1b9744565ULL},
+        {"merged_zz d=3 r=3 grid_c2 stability", 0xa11a87820625553aULL},
+        {"merged_zz d=3 r=3 grid_c2 surgery", 0xe9a881470f589079ULL},
+        {"merged_zz d=5 r=1 grid_c2 memory_z", 0xd496132db255f6f2ULL},
+        {"merged_zz d=5 r=1 grid_c2 memory_x", 0xae2e92eb735ac461ULL},
+        {"merged_zz d=5 r=1 grid_c2 stability", 0xf78b71c05413a0ddULL},
+        {"merged_zz d=5 r=1 grid_c2 surgery", 0x731d761bc2f729c8ULL},
+        {"merged_zz d=5 r=5 grid_c2 memory_z", 0x6f82f4c7f7d3c2e7ULL},
+        {"merged_zz d=5 r=5 grid_c2 memory_x", 0x2b566798b2d1af68ULL},
+        {"merged_zz d=5 r=5 grid_c2 stability", 0x2df1a239ddec2217ULL},
+        {"merged_zz d=5 r=5 grid_c2 surgery", 0xbc281b19d9e127c0ULL},
+        {"rotated d=3 r=1 switch_c5 memory_z", 0x4e24557e4877da6cULL},
+        {"rotated d=3 r=1 switch_c5 memory_x", 0x03267e13649cf4c5ULL},
+        {"rotated d=3 r=3 switch_c5 memory_z", 0xd38d3c14fd39b852ULL},
+        {"rotated d=3 r=3 switch_c5 memory_x", 0x4f5adea592f08ac4ULL},
+        {"rotated d=5 r=1 switch_c5 memory_z", 0x2de6c98611b29da2ULL},
+        {"rotated d=5 r=1 switch_c5 memory_x", 0x3ac40bcd26779f9bULL},
+        {"rotated d=5 r=5 switch_c5 memory_z", 0xe486d37030edfc87ULL},
+        {"rotated d=5 r=5 switch_c5 memory_x", 0xce97c2d8438a5c20ULL},
+        {"repetition d=3 r=1 switch_c5 memory_z", 0x8d8a869c41964ff4ULL},
+        {"repetition d=3 r=1 switch_c5 memory_x", 0x4f9f4f0e30bf2152ULL},
+        {"repetition d=3 r=3 switch_c5 memory_z", 0x12086e30110ef2b4ULL},
+        {"repetition d=3 r=3 switch_c5 memory_x", 0x436486b620b4b391ULL},
+        {"repetition d=5 r=1 switch_c5 memory_z", 0x58118197693e8576ULL},
+        {"repetition d=5 r=1 switch_c5 memory_x", 0xcb75fe6fcca29b10ULL},
+        {"repetition d=5 r=5 switch_c5 memory_z", 0x229d31c0903d8ec7ULL},
+        {"repetition d=5 r=5 switch_c5 memory_x", 0x7194a9246cf28485ULL},
+        {"unrotated d=3 r=1 switch_c5 memory_z", 0x21aa8f5748ce55e6ULL},
+        {"unrotated d=3 r=1 switch_c5 memory_x", 0x7977d76b7c9fe840ULL},
+        {"unrotated d=3 r=3 switch_c5 memory_z", 0x2c057a98e79bbac8ULL},
+        {"unrotated d=3 r=3 switch_c5 memory_x", 0x2ef8955f4be06c4dULL},
+        {"unrotated d=5 r=1 switch_c5 memory_z", 0xf758829d336d07b7ULL},
+        {"unrotated d=5 r=1 switch_c5 memory_x", 0xd0f2ce759e7137a6ULL},
+        {"unrotated d=5 r=5 switch_c5 memory_z", 0xf3a92fea6f8602baULL},
+        {"unrotated d=5 r=5 switch_c5 memory_x", 0x14ee4d6fcd5b7f5aULL},
+        {"merged_xx d=3 r=1 switch_c5 memory_z", 0x7f3c512e96e18a00ULL},
+        {"merged_xx d=3 r=1 switch_c5 memory_x", 0x84d931fc556338a9ULL},
+        {"merged_xx d=3 r=1 switch_c5 stability", 0xe40204a93366e641ULL},
+        {"merged_xx d=3 r=1 switch_c5 surgery", 0xcc36825438da2d9fULL},
+        {"merged_xx d=3 r=3 switch_c5 memory_z", 0x49b283f039ebe9a3ULL},
+        {"merged_xx d=3 r=3 switch_c5 memory_x", 0xa95a9018b0d580fcULL},
+        {"merged_xx d=3 r=3 switch_c5 stability", 0x7e196a8bb9540898ULL},
+        {"merged_xx d=3 r=3 switch_c5 surgery", 0x34af09b6d5d4e9d9ULL},
+        {"merged_xx d=5 r=1 switch_c5 memory_z", 0x29781d9e893e8ab4ULL},
+        {"merged_xx d=5 r=1 switch_c5 memory_x", 0x76b0f484c457b279ULL},
+        {"merged_xx d=5 r=1 switch_c5 stability", 0xd19e75d2c14c87efULL},
+        {"merged_xx d=5 r=1 switch_c5 surgery", 0x5df366525321687aULL},
+        {"merged_xx d=5 r=5 switch_c5 memory_z", 0x656d2d08a471a154ULL},
+        {"merged_xx d=5 r=5 switch_c5 memory_x", 0x63187b23650cf903ULL},
+        {"merged_xx d=5 r=5 switch_c5 stability", 0x30a328884a82fcaeULL},
+        {"merged_xx d=5 r=5 switch_c5 surgery", 0xd6d5b66fb576b6fdULL},
+        {"merged_zz d=3 r=1 switch_c5 memory_z", 0x73a1ef5b01a1ecc9ULL},
+        {"merged_zz d=3 r=1 switch_c5 memory_x", 0x0215855dd6b1752dULL},
+        {"merged_zz d=3 r=1 switch_c5 stability", 0x4f4d9b7f122eab90ULL},
+        {"merged_zz d=3 r=1 switch_c5 surgery", 0x7b16f6c9644fa05bULL},
+        {"merged_zz d=3 r=3 switch_c5 memory_z", 0x6707db69e9eb659dULL},
+        {"merged_zz d=3 r=3 switch_c5 memory_x", 0x7792cc47d07bcad7ULL},
+        {"merged_zz d=3 r=3 switch_c5 stability", 0x201f100510c88f90ULL},
+        {"merged_zz d=3 r=3 switch_c5 surgery", 0xb462785bb68f353dULL},
+        {"merged_zz d=5 r=1 switch_c5 memory_z", 0xb0fca4a7944822cbULL},
+        {"merged_zz d=5 r=1 switch_c5 memory_x", 0xfd5f1710a232735aULL},
+        {"merged_zz d=5 r=1 switch_c5 stability", 0x41b0c5d5ed562e9eULL},
+        {"merged_zz d=5 r=1 switch_c5 surgery", 0x33c9f1417af688e9ULL},
+        {"merged_zz d=5 r=5 switch_c5 memory_z", 0x33278ad3ecd2c6d8ULL},
+        {"merged_zz d=5 r=5 switch_c5 memory_x", 0xbb9d3a010f0ecd21ULL},
+        {"merged_zz d=5 r=5 switch_c5 stability", 0x35d75c4d5d16aec0ULL},
+        {"merged_zz d=5 r=5 switch_c5 surgery", 0xe01dfb36ebd7ecf3ULL},
+        {"rotated d=5 r=5 grid_c2_wise memory_z", 0xf62914d1a535599aULL},
+        {"rotated d=5 r=5 grid_c2_wise memory_x", 0x643d47feb13f77c4ULL},
+        {"single_merge d=3 r=3 grid_c2", 0x8dbf88b7237d36d3ULL},
+        {"cnot d=3 r=3 grid_c2", 0xc4f82ac2c6937303ULL},
+        {"bell d=3 r=3 grid_c2", 0x50484a82121279a1ULL},
+        {"single_merge d=3 r=3 switch_c5", 0x34af09b6d5d4e9d9ULL},
+        {"cnot d=3 r=3 switch_c5", 0xd246e3437fc03cabULL},
+        {"bell d=3 r=3 switch_c5", 0x569df96ddbb2ea4fULL},
+    };
+    const auto actual = ExperimentCircuitDigests();
+    ASSERT_EQ(actual.size(), std::size(pinned));
+    for (size_t i = 0; i < actual.size(); ++i) {
+        EXPECT_EQ(actual[i].first, pinned[i].label);
+        EXPECT_EQ(actual[i].second, pinned[i].digest)
+            << actual[i].first << ": 0x" << std::hex << actual[i].second;
     }
 }
 
