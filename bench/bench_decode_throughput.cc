@@ -29,7 +29,6 @@
 #include "qec/surgery.h"
 #include "sim/dem.h"
 #include "sim/frame_simulator.h"
-#include "sim/memory_experiment.h"
 #include "workloads/experiment.h"
 
 namespace {

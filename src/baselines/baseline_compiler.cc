@@ -96,16 +96,6 @@ CountJunctions(const DeviceGraph& graph, const std::vector<NodeId>& path)
 
 }  // namespace
 
-std::string
-BaselineName(BaselineKind kind)
-{
-    switch (kind) {
-      case BaselineKind::kQccdSim: return "QCCDSim";
-      case BaselineKind::kMuzzleTheShuttle: return "MuzzleTheShuttle";
-    }
-    return "?";
-}
-
 compiler::CompilationResult
 CompileBaseline(BaselineKind kind, const qec::StabilizerCode& code,
                 int rounds, const qccd::DeviceGraph& graph,

@@ -22,8 +22,6 @@
 #ifndef TIQEC_BASELINES_BASELINE_COMPILER_H
 #define TIQEC_BASELINES_BASELINE_COMPILER_H
 
-#include <string>
-
 #include "compiler/compiler.h"
 #include "qccd/timing.h"
 #include "qccd/topology.h"
@@ -36,8 +34,6 @@ enum class BaselineKind
     kQccdSim,
     kMuzzleTheShuttle,
 };
-
-std::string BaselineName(BaselineKind kind);
 
 /**
  * Compiles `rounds` rounds of parity checks with a baseline strategy.

@@ -55,18 +55,6 @@ class Circuit
         return Append(
             {.kind = GateKind::kMs, .q0 = a, .q1 = b, .angle = angle});
     }
-    GateId AddRx(QubitId q, double angle)
-    {
-        return Append({.kind = GateKind::kRx, .q0 = q, .angle = angle});
-    }
-    GateId AddRy(QubitId q, double angle)
-    {
-        return Append({.kind = GateKind::kRy, .q0 = q, .angle = angle});
-    }
-    GateId AddRz(QubitId q, double angle)
-    {
-        return Append({.kind = GateKind::kRz, .q0 = q, .angle = angle});
-    }
     GateId AddMeasure(QubitId q)
     {
         return Append({.kind = GateKind::kMeasure, .q0 = q});

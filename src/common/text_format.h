@@ -122,19 +122,6 @@ SplitViews(std::string_view line, char delim,
 }
 
 /**
- * Splits on `delim`, preserving empty fields — "a,b," yields
- * {"a","b",""} where a getline loop would silently drop the trailing
- * empty field and turn a malformed row into a miscounted one.
- */
-inline std::vector<std::string>
-SplitFields(const std::string& line, char delim)
-{
-    std::vector<std::string_view> views;
-    SplitViews(line, delim, views);
-    return {views.begin(), views.end()};
-}
-
-/**
  * Reads a tagged-line text: lines of space-separated fields, most led by
  * a tag. A line is named by its tag ("counts line", fields "in counts")
  * or, as a list element, by a name and index ("edge 3"). Each line loses

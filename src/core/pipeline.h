@@ -26,7 +26,6 @@
 #include "qccd/topology.h"
 #include "qec/code.h"
 #include "sim/dem.h"
-#include "sim/memory_experiment.h"
 #include "sim/noisy_circuit.h"
 #include "workloads/experiment.h"
 #include "workloads/program.h"

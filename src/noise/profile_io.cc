@@ -73,7 +73,7 @@ FormatNoiseProfile(const RoundNoiseProfile& profile)
 namespace {
 
 void
-ParseNoiseProfileImpl(const std::string& text_in, RoundNoiseProfile* profile)
+ParseNoiseProfileImpl(std::string_view text_in, RoundNoiseProfile* profile)
 {
     text::LineReader in(text_in);
     in.ExpectHeader(kHeader);
@@ -150,7 +150,7 @@ ParseNoiseProfileImpl(const std::string& text_in, RoundNoiseProfile* profile)
 }  // namespace
 
 bool
-ParseNoiseProfile(const std::string& text, RoundNoiseProfile* profile,
+ParseNoiseProfile(std::string_view text, RoundNoiseProfile* profile,
                   std::string* error)
 {
     *profile = RoundNoiseProfile{};

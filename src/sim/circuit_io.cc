@@ -263,7 +263,7 @@ class Replayer
 };
 
 NoisyCircuit
-ParseNoisyCircuitImpl(const std::string& text_in)
+ParseNoisyCircuitImpl(std::string_view text_in)
 {
     text::LineReader in(text_in);
     in.ExpectHeader(kHeader);
@@ -290,7 +290,7 @@ ParseNoisyCircuitImpl(const std::string& text_in)
 }  // namespace
 
 std::optional<NoisyCircuit>
-ParseNoisyCircuit(const std::string& text, std::string* error)
+ParseNoisyCircuit(std::string_view text, std::string* error)
 {
     try {
         return ParseNoisyCircuitImpl(text);

@@ -14,6 +14,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "sim/noisy_circuit.h"
 
@@ -26,7 +27,7 @@ std::string FormatNoisyCircuit(const NoisyCircuit& circuit);
  * Parses text produced by `FormatNoisyCircuit`. Returns the rebuilt
  * circuit, or nullopt with a diagnostic in `*error`.
  */
-std::optional<NoisyCircuit> ParseNoisyCircuit(const std::string& text,
+std::optional<NoisyCircuit> ParseNoisyCircuit(std::string_view text,
                                               std::string* error);
 
 }  // namespace tiqec::sim

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <functional>
 #include <map>
-#include <sstream>
 #include <tuple>
 #include <utility>
 
@@ -82,25 +81,8 @@ SetBit(Plane& plane, int lane)
 
 }  // namespace
 
-std::string
-DetectorErrorModel::Stats() const
-{
-    std::ostringstream os;
-    os << "detectors=" << num_detectors << " observables="
-       << num_observables << " edges=" << edges.size()
-       << " components=" << num_components
-       << " decomposed=" << num_decomposed
-       << " hyperedges=" << num_hyperedges << " (variants="
-       << hyperedges.size() << ", p=" << hyperedge_probability << ")"
-       << " undecomposable=" << num_undecomposable << " (p="
-       << undecomposable_probability << ")"
-       << " dropped_p=" << dropped_probability;
-    return os.str();
-}
-
 DetectorErrorModel
-BuildDem(const NoisyCircuit& circuit,
-         std::vector<MechanismExample>* examples)
+BuildDem(const NoisyCircuit& circuit)
 {
     DetectorErrorModel dem;
     dem.num_detectors = circuit.num_detectors();
@@ -233,14 +215,8 @@ BuildDem(const NoisyCircuit& circuit,
         if (lane_dets[c].empty() && lane_obs[c] == 0) {
             continue;  // invisible component (e.g. Z before a reset)
         }
-        Key key{lane_dets[c], lane_obs[c]};
-        const bool fresh = merged.find(key) == merged.end();
-        double& p = merged[key];
+        double& p = merged[Key{lane_dets[c], lane_obs[c]}];
         p = p * (1.0 - comps[c].p) + comps[c].p * (1.0 - p);
-        if (fresh && examples != nullptr) {
-            examples->push_back({lane_dets[c], lane_obs[c],
-                                 comps[c].instruction, c});
-        }
     }
 
     // First pass: elementary (<= 2 detector) mechanisms become edges

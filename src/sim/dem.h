@@ -15,7 +15,6 @@
 #define TIQEC_SIM_DEM_H
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/noisy_circuit.h"
@@ -96,24 +95,10 @@ struct DetectorErrorModel
      *  single-edge hyperedges: a lower bound on what the elementary
      *  graph alone must misjudge. */
     double dropped_probability = 0.0;
-
-    std::string Stats() const;
 };
 
-/** Example error mechanism, for debugging conflicting-edge reports. */
-struct MechanismExample
-{
-    std::vector<int> detectors;
-    std::uint32_t obs_mask = 0;
-    int instruction = -1;  ///< channel instruction the component came from
-    int component = -1;    ///< lane index
-};
-
-/** Extracts the DEM of `circuit` by exhaustive component propagation.
- *  When `examples` is non-null it receives one example component per
- *  distinct (detector set, observable) mechanism. */
-DetectorErrorModel BuildDem(const NoisyCircuit& circuit,
-                            std::vector<MechanismExample>* examples = nullptr);
+/** Extracts the DEM of `circuit` by exhaustive component propagation. */
+DetectorErrorModel BuildDem(const NoisyCircuit& circuit);
 
 }  // namespace tiqec::sim
 

@@ -114,7 +114,7 @@ ParseMask(const text::LineReader& in, size_t k)
 }
 
 void
-ParseDemImpl(const std::string& text_in, DetectorErrorModel* dem)
+ParseDemImpl(std::string_view text_in, DetectorErrorModel* dem)
 {
     text::LineReader in(text_in);
     in.ExpectHeader(kHeader);
@@ -196,7 +196,7 @@ ParseDemImpl(const std::string& text_in, DetectorErrorModel* dem)
 }  // namespace
 
 bool
-ParseDem(const std::string& text, DetectorErrorModel* dem, std::string* error)
+ParseDem(std::string_view text, DetectorErrorModel* dem, std::string* error)
 {
     *dem = DetectorErrorModel{};
     try {

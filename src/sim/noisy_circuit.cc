@@ -1,7 +1,6 @@
 #include "sim/noisy_circuit.h"
 
 #include <cassert>
-#include <sstream>
 
 namespace tiqec::sim {
 
@@ -131,18 +130,6 @@ NoisyCircuit::CountNoiseChannels() const
         }
     }
     return n;
-}
-
-std::string
-NoisyCircuit::Stats() const
-{
-    std::ostringstream os;
-    os << "qubits=" << num_qubits_ << " instructions="
-       << instructions_.size() << " measurements=" << num_measurements_
-       << " detectors=" << num_detectors()
-       << " observables=" << num_observables_
-       << " noise_channels=" << CountNoiseChannels();
-    return os.str();
 }
 
 }  // namespace tiqec::sim

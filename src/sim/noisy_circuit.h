@@ -11,7 +11,6 @@
 #define TIQEC_SIM_NOISY_CIRCUIT_H
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/types.h"
@@ -100,8 +99,6 @@ class NoisyCircuit
 
     /** Number of stochastic channel instructions (for DEM sizing). */
     int CountNoiseChannels() const;
-
-    std::string Stats() const;
 
   private:
     void Push(SimInstruction inst);

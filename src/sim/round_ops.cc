@@ -27,32 +27,39 @@ RoundOps::RoundOps(const qec::StabilizerCode& code,
 }
 
 void
-RoundOps::AppendRound(NoisyCircuit& sim, std::vector<int>& meas_out) const
+RoundOps::AppendRound(NoisyCircuit& sim, std::vector<int>& meas_out,
+                      const std::vector<int>* qubit_map) const
 {
+    const auto at = [qubit_map](int q) {
+        return qubit_map != nullptr ? (*qubit_map)[q] : q;
+    };
     meas_out.assign(code_->num_ancillas(), -1);
     for (const auto* swap : swaps_at_start_) {
-        sim.AddDepolarize2(swap->a.value, swap->b.value, swap->p);
+        sim.AddDepolarize2(at(swap->a.value), at(swap->b.value), swap->p);
     }
     for (int gi = 0; gi < round_circuit_->size(); ++gi) {
         const circuit::Gate& g = round_circuit_->gates()[gi];
         const noise::GateNoise& gn = profile_->gate_noise[gi];
+        const int q0 = at(g.q0.value);
         switch (g.kind) {
           case circuit::GateKind::kReset:
-            sim.AddReset(g.q0.value, gn.p_q0);
+            sim.AddReset(q0, gn.p_q0);
             break;
           case circuit::GateKind::kH:
-            sim.AddH(g.q0.value);
-            sim.AddDepolarize1(g.q0.value, gn.p_q0);
+            sim.AddH(q0);
+            sim.AddDepolarize1(q0, gn.p_q0);
             break;
-          case circuit::GateKind::kCnot:
-            sim.AddCnot(g.q0.value, g.q1.value);
-            sim.AddDepolarize2(g.q0.value, g.q1.value, gn.p_pair);
-            sim.AddDepolarize1(g.q0.value, gn.p_q0);
-            sim.AddDepolarize1(g.q1.value, gn.p_q1);
+          case circuit::GateKind::kCnot: {
+            const int q1 = at(g.q1.value);
+            sim.AddCnot(q0, q1);
+            sim.AddDepolarize2(q0, q1, gn.p_pair);
+            sim.AddDepolarize1(q0, gn.p_q0);
+            sim.AddDepolarize1(q1, gn.p_q1);
             break;
+          }
           case circuit::GateKind::kMeasure: {
             const int k = check_of_ancilla_.at(g.q0.value);
-            meas_out[k] = sim.AddMeasure(g.q0.value, gn.p_q0);
+            meas_out[k] = sim.AddMeasure(q0, gn.p_q0);
             break;
           }
           default:
@@ -63,13 +70,14 @@ RoundOps::AppendRound(NoisyCircuit& sim, std::vector<int>& meas_out) const
         const auto it = swaps_after_.find(gi);
         if (it != swaps_after_.end()) {
             for (const auto* swap : it->second) {
-                sim.AddDepolarize2(swap->a.value, swap->b.value, swap->p);
+                sim.AddDepolarize2(at(swap->a.value), at(swap->b.value),
+                                   swap->p);
             }
         }
     }
     // Idle / reconfiguration dephasing accumulated over the round.
     for (int q = 0; q < code_->num_qubits(); ++q) {
-        sim.AddZError(q, profile_->idle_z[q]);
+        sim.AddZError(at(q), profile_->idle_z[q]);
     }
 }
 

@@ -6,13 +6,13 @@
  * channels, gate-swap noise, and per-round idle dephasing to a
  * `NoisyCircuit`, recording each check's measurement index.
  *
- * Every simulated workload (memory, surgery, stability - see
- * src/workloads/) repeats this identical round body and differs only in
- * preparation, detector placement, readout, and observables, so the
- * round walk lives here exactly once. The instruction stream it appends
- * is the one the historical memory experiment produced - the memory
- * workload's bit-identity with the pre-interface `BuildMemory` path
- * depends on that, and tests/workloads_test.cc pins it.
+ * Every simulated workload (memory, surgery, stability and each phase
+ * of a logical program - see src/workloads/) repeats this identical
+ * round body and differs only in preparation, detector placement,
+ * readout, and observables, so the round walk lives here exactly once.
+ * A program phase appends its round straight onto the fabric strip
+ * through the phase's qubit map. tests/workloads_test.cc pins the
+ * circuits built on it by digest.
  */
 #ifndef TIQEC_SIM_ROUND_OPS_H
 #define TIQEC_SIM_ROUND_OPS_H
@@ -44,10 +44,13 @@ class RoundOps
      * stream with per-gate noise and in-stream swap noise, then the
      * accumulated idle dephasing). `meas_out` is resized to the code's
      * check count; `meas_out[k]` receives the record index of check k's
-     * ancilla measurement this round. Detectors are the caller's job -
-     * their placement is what distinguishes the workloads.
+     * ancilla measurement this round. A non-null `qubit_map` renames
+     * every code qubit id q to `(*qubit_map)[q]` in `sim`. Detectors are
+     * the caller's job - their placement is what distinguishes the
+     * workloads.
      */
-    void AppendRound(NoisyCircuit& sim, std::vector<int>& meas_out) const;
+    void AppendRound(NoisyCircuit& sim, std::vector<int>& meas_out,
+                     const std::vector<int>* qubit_map) const;
 
   private:
     const qec::StabilizerCode* code_;

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <functional>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "analysis/analysis.h"
@@ -376,10 +377,10 @@ ArtifactStore::LoadSim(const StoreKey& key, core::SimArtifacts* arts,
     try {
         text::LineReader reader(payload);
         reader.Tagged("circuit", 2);
-        const std::string circuit_text(
-            reader.Block(reader.Int64(1), "circuit"));
+        const std::string_view circuit_text =
+            reader.Block(reader.Int64(1), "circuit");
         reader.Tagged("dem", 2);
-        const std::string dem_text(reader.Block(reader.Int64(1), "dem"));
+        const std::string_view dem_text = reader.Block(reader.Int64(1), "dem");
         reader.ExpectEnd();
 
         std::string parse_error;

@@ -12,7 +12,7 @@
  * Three single-code workloads are provided (DESIGN.md §5):
  *
  *  - memory: the logical-identity benchmark (paper §6.1), historically
- *    the only workload. Built by `sim::BuildMemory`.
+ *    the only workload.
  *  - surgery: a joint-parity measurement on a merged double patch
  *    (paper §8, qec/surgery.h) - transversal split-state preparation,
  *    `rounds` merged rounds whose first round measures the joint
@@ -23,6 +23,12 @@
  *    memory experiment; `rounds` is its distance knob. Surgery *is* a
  *    stability experiment for its parity outcome, which is why the two
  *    share the circuit.
+ *
+ * All three are one circuit shape, built by one builder that takes the
+ * workload's differences as data (DESIGN.md §5.3): which check type
+ * anchors the time boundaries, which data qubits (the seam) take the
+ * conjugate basis, which checks (the joint-parity checks) stay open at
+ * both boundaries, and what each observable reads.
  */
 #ifndef TIQEC_WORKLOADS_EXPERIMENT_H
 #define TIQEC_WORKLOADS_EXPERIMENT_H
@@ -35,8 +41,17 @@
 #include "noise/annotator.h"
 #include "noise/noise_model.h"
 #include "qec/code.h"
-#include "sim/memory_experiment.h"
 #include "sim/noisy_circuit.h"
+
+namespace tiqec::sim {
+
+/** Which logical memory is protected. */
+enum class MemoryBasis {
+    kZ,  ///< prepare |0_L>, read Z_L; Z checks anchor the detectors
+    kX,  ///< prepare |+_L>, read X_L; X checks anchor the detectors
+};
+
+}  // namespace tiqec::sim
 
 namespace tiqec::workloads {
 
@@ -110,12 +125,16 @@ inline constexpr int kPatchBLogicalObservable = 2;
 /**
  * Assembles the noisy experiment of `spec` over `rounds` compiled
  * rounds (`round_circuit`, the circuit `profile` was annotated
- * against): `sim::BuildMemory` for memory, `BuildSurgery` for surgery
- * and stability. A pure function of its arguments, the property the
+ * against): reset the data qubits, run `rounds` noisy rounds with
+ * round-0 detectors on the anchored checks and consecutive-round
+ * detectors on every check, read the data out transversally, close the
+ * anchored checks with space-like detectors, and include the workload's
+ * observables. A pure function of its arguments, the property the
  * sweep engine's artifact cache depends on. Throws
  * std::invalid_argument when the code cannot host the workload
  * (surgery/stability on anything that is not a `qec::MergedPatchCode`)
- * and for a program workload, which `BoundProgram` builds.
+ * and for a program workload, which `BoundProgram` builds, and
+ * tiqec::CheckError when `rounds` < 1.
  */
 sim::NoisyCircuit BuildExperiment(const qec::StabilizerCode& code,
                                   const circuit::Circuit& round_circuit,

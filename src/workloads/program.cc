@@ -1168,52 +1168,12 @@ BoundProgram::Build(const std::vector<PhaseCircuit>& phases,
     const auto append_phase = [&](int phase, const QubitMap& map,
                                   int joint_ordinal) {
         const qec::StabilizerCode& code = *phase_codes_[phase];
-        sim::NoisyCircuit scratch(code.num_qubits());
         std::vector<int> meas;
-        round_ops[phase]->AppendRound(scratch, meas);
-        std::vector<std::int32_t> rec_map(
-            static_cast<size_t>(scratch.num_measurements()), -1);
-        int next_meas = 0;
-        for (const sim::SimInstruction& inst : scratch.instructions()) {
-            switch (inst.op) {
-              case sim::SimOp::kH:
-                sim.AddH(map[inst.q0]);
-                break;
-              case sim::SimOp::kCnot:
-                sim.AddCnot(map[inst.q0], map[inst.q1]);
-                break;
-              case sim::SimOp::kSwap:
-                sim.AddSwap(map[inst.q0], map[inst.q1]);
-                break;
-              case sim::SimOp::kMeasure:
-                rec_map[next_meas++] = static_cast<std::int32_t>(
-                    sim.AddMeasure(map[inst.q0], inst.p));
-                break;
-              case sim::SimOp::kReset:
-                sim.AddReset(map[inst.q0], inst.p);
-                break;
-              case sim::SimOp::kXError:
-                sim.AddXError(map[inst.q0], inst.p);
-                break;
-              case sim::SimOp::kZError:
-                sim.AddZError(map[inst.q0], inst.p);
-                break;
-              case sim::SimOp::kDepolarize1:
-                sim.AddDepolarize1(map[inst.q0], inst.p);
-                break;
-              case sim::SimOp::kDepolarize2:
-                sim.AddDepolarize2(map[inst.q0], map[inst.q1], inst.p);
-                break;
-              default:
-                TIQEC_CHECK(false,
-                            "program build: unexpected instruction in a "
-                            "compiled round");
-            }
-        }
+        round_ops[phase]->AppendRound(sim, meas, &map);
         for (int k = 0; k < code.num_ancillas(); ++k) {
             const qec::Check& chk = code.checks()[k];
             const int slot = map[chk.ancilla.value];
-            const std::int32_t rec = rec_map[meas[k]];
+            const std::int32_t rec = meas[k];
             slot_type[slot] = chk.type;
             std::vector<int>& support = slot_support[slot];
             support.clear();
@@ -1251,7 +1211,7 @@ BoundProgram::Build(const std::vector<PhaseCircuit>& phases,
             const auto& merged =
                 static_cast<const qec::MergedPatchCode&>(code);
             for (const int k : merged.joint_parity_checks()) {
-                merge_records[joint_ordinal].push_back(rec_map[meas[k]]);
+                merge_records[joint_ordinal].push_back(meas[k]);
             }
         }
     };

@@ -51,8 +51,8 @@
 #include "noise/noise_model.h"
 #include "qec/code.h"
 #include "qec/surgery.h"
-#include "sim/memory_experiment.h"
 #include "sim/noisy_circuit.h"
+#include "workloads/experiment.h"
 
 namespace tiqec::workloads {
 

@@ -20,8 +20,8 @@
 #include "qec/code.h"
 #include "sim/dem.h"
 #include "sim/frame_simulator.h"
-#include "sim/memory_experiment.h"
 #include "sim/parallel_sampler.h"
+#include "workloads/experiment.h"
 
 namespace tiqec {
 namespace {
@@ -48,8 +48,9 @@ BuildWorkload(int distance, int rounds, double improvement)
     params.gate_improvement = improvement;
     const auto profile =
         noise::ProfileRound(code, graph, result, params, timing);
-    out.circuit = sim::BuildMemory(code, result.qec_circuit, profile,
-                                   params, rounds, sim::MemoryBasis::kZ);
+    out.circuit = workloads::BuildExperiment(
+        code, result.qec_circuit, profile, params, rounds,
+        workloads::WorkloadKind::kMemory);
     out.dem = sim::BuildDem(out.circuit);
     return out;
 }

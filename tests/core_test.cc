@@ -12,7 +12,7 @@
 #include "core/toolflow.h"
 #include "noise/annotator.h"
 #include "sim/frame_simulator.h"
-#include "sim/memory_experiment.h"
+#include "workloads/experiment.h"
 
 namespace tiqec::core {
 namespace {
@@ -183,8 +183,9 @@ TEST(MemoryExperimentTest, DetectorCounts)
         noise::ProfileRound(code, graph, result, params, timing);
     const int rounds = 4;
     const auto experiment =
-        sim::BuildMemory(code, result.qec_circuit, profile, params, rounds,
-                         sim::MemoryBasis::kZ);
+        workloads::BuildExperiment(code, result.qec_circuit, profile,
+                                   params, rounds,
+                                   workloads::WorkloadKind::kMemory);
     int z_checks = 0, x_checks = 0;
     for (const auto& chk : code.checks()) {
         (chk.type == qec::CheckType::kZ ? z_checks : x_checks) += 1;
@@ -212,8 +213,9 @@ TEST(MemoryExperimentTest, NoiselessExperimentIsDeterministic)
     zero.t2_us = 1e30;
     noise::RoundNoiseProfile profile =
         noise::ProfileRound(code, graph, result, zero, timing);
-    const auto experiment = sim::BuildMemory(
-        code, result.qec_circuit, profile, zero, 3, sim::MemoryBasis::kZ);
+    const auto experiment = workloads::BuildExperiment(
+        code, result.qec_circuit, profile, zero, 3,
+        workloads::WorkloadKind::kMemory);
     sim::FrameSimulator simulator(experiment, 5);
     const auto batch = simulator.Sample(512);
     EXPECT_EQ(batch.CountNonTrivialShots(), 0);

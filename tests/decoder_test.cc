@@ -21,7 +21,6 @@
 #include "qec/surgery.h"
 #include "sim/dem.h"
 #include "sim/frame_simulator.h"
-#include "sim/memory_experiment.h"
 #include "store/keys.h"
 #include "workloads/experiment.h"
 
@@ -176,8 +175,9 @@ BuildCompiledDem(int distance, int rounds, double improvement,
     params.gate_improvement = improvement;
     const auto profile =
         noise::ProfileRound(code, graph, result, params, timing);
-    out.circuit = sim::BuildMemory(code, result.qec_circuit, profile,
-                                   params, rounds, sim::MemoryBasis::kZ);
+    out.circuit = workloads::BuildExperiment(
+        code, result.qec_circuit, profile, params, rounds,
+        workloads::WorkloadKind::kMemory);
     out.dem = sim::BuildDem(out.circuit);
     return out;
 }

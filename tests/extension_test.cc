@@ -18,7 +18,7 @@
 #include "noise/annotator.h"
 #include "sim/dem.h"
 #include "sim/frame_simulator.h"
-#include "sim/memory_experiment.h"
+#include "workloads/experiment.h"
 
 namespace tiqec {
 namespace {
@@ -153,8 +153,9 @@ TEST(MemoryXTest, NoiselessDeterministic)
     zero.t2_us = 1e30;
     const auto profile =
         noise::ProfileRound(code, graph, result, zero, timing);
-    const auto experiment = sim::BuildMemory(
-        code, result.qec_circuit, profile, zero, 3, sim::MemoryBasis::kX);
+    const auto experiment = workloads::BuildExperiment(
+        code, result.qec_circuit, profile, zero, 3,
+        {workloads::WorkloadKind::kMemory, sim::MemoryBasis::kX});
     sim::FrameSimulator simulator(experiment, 3);
     const auto batch = simulator.Sample(512);
     EXPECT_EQ(batch.CountNonTrivialShots(), 0);
@@ -172,10 +173,12 @@ TEST(MemoryXTest, DetectorCountsMirrorMemoryZ)
     const auto profile =
         noise::ProfileRound(code, graph, result, params, timing);
     const int rounds = 4;
-    const auto x_exp = sim::BuildMemory(code, result.qec_circuit, profile,
-                                        params, rounds, sim::MemoryBasis::kX);
-    const auto z_exp = sim::BuildMemory(code, result.qec_circuit, profile,
-                                        params, rounds, sim::MemoryBasis::kZ);
+    const auto x_exp = workloads::BuildExperiment(
+        code, result.qec_circuit, profile, params, rounds,
+        {workloads::WorkloadKind::kMemory, sim::MemoryBasis::kX});
+    const auto z_exp = workloads::BuildExperiment(
+        code, result.qec_circuit, profile, params, rounds,
+        {workloads::WorkloadKind::kMemory, sim::MemoryBasis::kZ});
     // The rotated code has equal numbers of X and Z checks at odd d, so
     // the detector counts coincide.
     EXPECT_EQ(x_exp.num_detectors(), z_exp.num_detectors());
@@ -245,8 +248,9 @@ TEST(CrossValidationTest, SampledDetectorRatesMatchDemEdgeMass)
     params.gate_improvement = 5.0;
     const auto profile =
         noise::ProfileRound(code, graph, result, params, timing);
-    const auto experiment = sim::BuildMemory(
-        code, result.qec_circuit, profile, params, 3, sim::MemoryBasis::kZ);
+    const auto experiment = workloads::BuildExperiment(
+        code, result.qec_circuit, profile, params, 3,
+        workloads::WorkloadKind::kMemory);
     const auto dem = sim::BuildDem(experiment);
 
     std::vector<double> expected(experiment.num_detectors(), 0.0);
@@ -286,8 +290,9 @@ TEST(CrossValidationTest, DemCoversAllSampledSyndromeBits)
     noise::NoiseParams params;
     const auto profile =
         noise::ProfileRound(code, graph, result, params, timing);
-    const auto experiment = sim::BuildMemory(
-        code, result.qec_circuit, profile, params, 3, sim::MemoryBasis::kZ);
+    const auto experiment = workloads::BuildExperiment(
+        code, result.qec_circuit, profile, params, 3,
+        workloads::WorkloadKind::kMemory);
     const auto dem = sim::BuildDem(experiment);
     std::set<int> covered;
     for (const auto& e : dem.edges) {

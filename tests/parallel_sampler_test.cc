@@ -22,8 +22,8 @@
 #include "noise/annotator.h"
 #include "qec/code.h"
 #include "sim/dem.h"
-#include "sim/memory_experiment.h"
 #include "sim/parallel_sampler.h"
+#include "workloads/experiment.h"
 
 namespace tiqec::sim {
 namespace {
@@ -338,8 +338,9 @@ TEST(ParallelSamplerTest, EstimateLogicalErrorsMatchesEvaluate)
     const auto profile =
         noise::ProfileRound(code, graph, compiled, params, timing);
     const int rounds = code.distance();
-    const NoisyCircuit experiment = BuildMemory(
-        code, compiled.qec_circuit, profile, params, rounds, MemoryBasis::kZ);
+    const NoisyCircuit experiment = workloads::BuildExperiment(
+        code, compiled.qec_circuit, profile, params, rounds,
+        workloads::WorkloadKind::kMemory);
 
     core::EvaluationOptions opts;
     opts.max_shots = 1 << 13;

@@ -80,10 +80,10 @@ BuildProgramArtifacts(const std::string& name, int distance, int rounds)
 
 /**
  * The acceptance pin: `single_merge` at d=3 is instruction-identical
- * to the PR-5 surgery workload on the merged double patch. The
- * two-patch fabric with one XX merge IS the merged strip, so the
- * stitched program circuit and `workloads::BuildSurgery`'s circuit must
- * agree byte-for-byte in their canonical text form (instructions,
+ * to the surgery workload on the merged double patch. The two-patch
+ * fabric with one XX merge IS the merged strip, so the stitched program
+ * circuit and the surgery circuit `workloads::BuildExperiment` builds
+ * must agree byte-for-byte in their canonical text form (instructions,
  * detectors, and observables alike).
  */
 TEST(ProgramPipelineTest, SingleMergeInstructionIdenticalToSurgery)

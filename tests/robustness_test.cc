@@ -16,7 +16,7 @@
 #include "noise/annotator.h"
 #include "sim/dem.h"
 #include "sim/frame_simulator.h"
-#include "sim/memory_experiment.h"
+#include "workloads/experiment.h"
 
 namespace tiqec {
 namespace {
@@ -37,8 +37,9 @@ CompiledDem(const qec::StabilizerCode& code, int rounds, double improvement)
     const auto profile =
         noise::ProfileRound(code, graph, result, params, timing);
     const auto experiment =
-        sim::BuildMemory(code, result.qec_circuit, profile, params, rounds,
-                         sim::MemoryBasis::kZ);
+        workloads::BuildExperiment(code, result.qec_circuit, profile,
+                                   params, rounds,
+                                   workloads::WorkloadKind::kMemory);
     return sim::BuildDem(experiment);
 }
 
@@ -159,8 +160,9 @@ TEST(FailureInjectionTest, SaturatedNoiseStillDecodes)
     params.p_measure = 0.4;
     const auto profile =
         noise::ProfileRound(code, graph, result, params, timing);
-    const auto experiment = sim::BuildMemory(
-        code, result.qec_circuit, profile, params, 3, sim::MemoryBasis::kZ);
+    const auto experiment = workloads::BuildExperiment(
+        code, result.qec_circuit, profile, params, 3,
+        workloads::WorkloadKind::kMemory);
     const auto dem = sim::BuildDem(experiment);
     decoder::UnionFindDecoder decoder(dem);
     sim::FrameSimulator simulator(experiment, 5);

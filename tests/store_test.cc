@@ -10,6 +10,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -39,6 +40,22 @@ FreshDir(const std::string& name)
     const std::string dir = ::testing::TempDir() + "tiqec_" + name;
     std::filesystem::remove_all(dir);
     return dir;
+}
+
+/** `line` split on `delim` with field `field` set to `value`. */
+std::string
+WithField(std::string_view line, char delim, size_t field,
+          std::string_view value)
+{
+    std::vector<std::string_view> fields;
+    text::SplitViews(line, delim, fields);
+    fields.at(field) = value;
+    std::string out(fields[0]);
+    for (size_t k = 1; k < fields.size(); ++k) {
+        out += delim;
+        out += fields[k];
+    }
+    return out;
 }
 
 struct PipelineArtifacts
@@ -228,14 +245,10 @@ TEST(ProfileIoTest, RejectsOperandsTheSimulatorCannotApply)
                           const std::string& value) {
         const size_t begin = text.find('\n' + tag + ' ') + 1;
         const size_t end = text.find('\n', begin);
-        std::vector<std::string> fields =
-            text::SplitFields(text.substr(begin, end - begin), ' ');
-        fields.at(field) = value;
-        std::string line = fields[0];
-        for (size_t k = 1; k < fields.size(); ++k) {
-            line += ' ' + fields[k];
-        }
-        return text.substr(0, begin) + line + text.substr(end);
+        return text.substr(0, begin) +
+               WithField(std::string_view(text).substr(begin, end - begin),
+                         ' ', field, value) +
+               text.substr(end);
     };
     // The swaps line is the last one.
     const auto with_swap = [&](const std::string& swap) {
@@ -600,17 +613,14 @@ SetScheduleField(const std::string& path, const std::string& kind,
                 return line.rfind("schedule ", 0) == 0;
             });
         ASSERT_NE(block, lines.end()) << "no schedule block";
+        std::vector<std::string_view> fields;
         for (auto row = block + 2; row != lines.end(); ++row) {
-            std::vector<std::string> fields = text::SplitFields(*row, ',');
+            text::SplitViews(*row, ',', fields);
             ASSERT_EQ(fields.size(), 10u) << *row;
             if (!kind.empty() && fields[2] != kind) {
                 continue;
             }
-            fields[field] = value;
-            row->clear();
-            for (size_t f = 0; f < fields.size(); ++f) {
-                *row += (f > 0 ? "," : "") + fields[f];
-            }
+            *row = WithField(*row, ',', field, value);
             return;
         }
         FAIL() << "no " << kind << " row in the schedule block";
@@ -1027,16 +1037,14 @@ void
 BumpObsField(std::vector<std::string>& lines, int field)
 {
     ASSERT_GT(lines.size(), 6u);
-    std::vector<std::string> fields = text::SplitFields(lines[6], ' ');
+    std::vector<std::string_view> fields;
+    text::SplitViews(lines[6], ' ', fields);
     ASSERT_GE(fields.size(), 6u) << "no witness on '" << lines[6] << "'";
-    std::string& f = fields[field >= 0 ? static_cast<size_t>(field)
-                                       : fields.size() - 1];
-    f = std::to_string(std::stoi(f) + 1);
-    lines[6] = fields[0];
-    for (size_t k = 1; k < fields.size(); ++k) {
-        lines[6] += ' ';
-        lines[6] += fields[k];
-    }
+    const size_t k =
+        field >= 0 ? static_cast<size_t>(field) : fields.size() - 1;
+    const std::string bumped =
+        std::to_string(std::stoi(std::string(fields[k])) + 1);
+    lines[6] = WithField(lines[6], ' ', k, bumped);
 }
 
 TEST(CertificateStoreTest, CorruptCertificateIsolatesOnlyItsCandidate)

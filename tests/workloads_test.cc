@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "core/pipeline.h"
 #include "core/sweep.h"
 #include "core/toolflow.h"
@@ -241,6 +242,34 @@ TEST(WorkloadSpecTest, SurgeryRequiresAMergedPatchCode)
     }
 }
 
+/** Every single-code workload rejects a round count below one with a
+ *  CheckError, in every build type. */
+TEST(WorkloadSpecTest, FewerThanOneRoundThrows)
+{
+    const core::ArchitectureConfig arch;
+    const qec::RotatedSurfaceCode rotated(3);
+    const qec::MergedPatchCode merged(3, qec::SurgeryParity::kXX);
+    const std::pair<const qec::StabilizerCode*, WorkloadSpec> cases[] = {
+        {&rotated, {WorkloadKind::kMemory, sim::MemoryBasis::kZ}},
+        {&rotated, {WorkloadKind::kMemory, sim::MemoryBasis::kX}},
+        {&merged, WorkloadKind::kStability},
+        {&merged, WorkloadKind::kSurgery},
+    };
+    for (const auto& [code, spec] : cases) {
+        const core::CompileArtifacts arts =
+            core::CompileCandidate(*code, arch);
+        ASSERT_TRUE(arts.ok) << arts.error;
+        const auto profile = core::AnnotateCandidate(*code, arch, arts);
+        for (const int rounds : {0, -1}) {
+            EXPECT_THROW(BuildExperiment(*code, arts.compiled.qec_circuit,
+                                         profile, core::NoiseParamsFor(arch),
+                                         rounds, spec),
+                         CheckError)
+                << WorkloadKindName(spec.kind) << " rounds=" << rounds;
+        }
+    }
+}
+
 std::uint64_t
 CircuitDigest(const sim::NoisyCircuit& circuit)
 {
@@ -260,7 +289,8 @@ std::vector<std::pair<std::string, std::uint64_t>>
 ExperimentCircuitDigests()
 {
     std::vector<std::pair<std::string, std::uint64_t>> out;
-    const auto add_code = [&](const std::string& family, int d, int rounds,
+    const auto add_code = [&](const std::string& family, int d,
+                              const std::vector<int>& rounds_list,
                               const std::string& device,
                               const core::ArchitectureConfig& arch) {
         const auto code = qec::MakeCode(family, d);
@@ -279,13 +309,15 @@ ExperimentCircuitDigests()
             shapes.emplace_back("stability", WorkloadKind::kStability);
             shapes.emplace_back("surgery", WorkloadKind::kSurgery);
         }
-        for (const auto& [name, spec] : shapes) {
-            out.emplace_back(
-                family + " d=" + std::to_string(d) + " r=" +
-                    std::to_string(rounds) + " " + device + " " + name,
-                CircuitDigest(BuildExperiment(
-                    *code, arts.compiled.qec_circuit, profile,
-                    core::NoiseParamsFor(arch), rounds, spec)));
+        for (const int rounds : rounds_list) {
+            for (const auto& [name, spec] : shapes) {
+                out.emplace_back(
+                    family + " d=" + std::to_string(d) + " r=" +
+                        std::to_string(rounds) + " " + device + " " + name,
+                    CircuitDigest(BuildExperiment(
+                        *code, arts.compiled.qec_circuit, profile,
+                        core::NoiseParamsFor(arch), rounds, spec)));
+            }
         }
     };
 
@@ -300,15 +332,13 @@ ExperimentCircuitDigests()
              {"rotated", "repetition", "unrotated", "merged_xx",
               "merged_zz"}) {
             for (const int d : {3, 5}) {
-                for (const int rounds : {1, d}) {
-                    add_code(family, d, rounds, device, arch);
-                }
+                add_code(family, d, {1, d}, device, arch);
             }
         }
     }
     core::ArchitectureConfig wise;
     wise.wiring = core::WiringKind::kWise;
-    add_code("rotated", 5, 5, "grid_c2_wise", wise);
+    add_code("rotated", 5, {5}, "grid_c2_wise", wise);
 
     for (const auto& [device, arch] : devices) {
         for (const std::string& name : CanonicalProgramNames()) {
@@ -323,7 +353,8 @@ ExperimentCircuitDigests()
             }
             std::vector<BoundProgram::PhaseCircuit> phases;
             for (size_t i = 0; i < arts.size(); ++i) {
-                phases.push_back({&arts[i].compiled.qec_circuit, &profiles[i]});
+                phases.push_back(
+                    {&arts[i].compiled.qec_circuit, &profiles[i]});
             }
             out.emplace_back(
                 name + " d=3 r=3 " + device,
@@ -334,9 +365,8 @@ ExperimentCircuitDigests()
     return out;
 }
 
-/** Pins the text of every experiment circuit the workload builders and
- *  the program executor emit. The digests were taken before memory and
- *  surgery shared one builder, so any change to a circuit's
+/** Pins the text of every experiment circuit `BuildExperiment` and
+ *  `BoundProgram::Build` emit, so any change to a circuit's
  *  instructions, noise, detectors or observables shows up here. */
 TEST(ExperimentDigestTest, EveryExperimentCircuitIsPinned)
 {
